@@ -68,7 +68,7 @@ def run(sizes, k, repeat: int = 2) -> tuple[Table, list[dict]]:
             n, k, row["scalar_samples_per_sec"], row["batch_samples_per_sec"], row["speedup"]
         )
     table.note("scalar = per-sample RandomPeerSampler.sample() loop (seed path)")
-    table.note("batch = BatchSampler.sample_many(k): vectorized classify + lockstep walks")
+    table.note("batch = BatchSampler.sample_many(k): vectorized classify + windowed walk kernel")
     return table, results
 
 

@@ -8,13 +8,16 @@ runs the identical algorithm over a whole vector of trials at once:
 
 - all trial points are drawn up front and resolved to their ``h``
   successors in one pass over the substrate's flat point array
-  (``numpy.searchsorted`` when available and worthwhile, else a
-  pure-Python ``bisect`` loop);
+  (``numpy.searchsorted`` when available, else a pure-Python
+  ``bisect`` loop);
 - small-hit classification is a single vectorized comparison;
-- the clockwise walks run in lockstep over raw floats and sorted
-  indices -- no :class:`~repro.dht.api.PeerRef` or
-  :class:`~repro.core.sampler.TrialResult` allocation inside the loop --
-  with results materialized once at the end;
+- the clockwise walks run through one *windowed* kernel: each trial's
+  row holds the clockwise gaps of the ``walk_budget`` ring positions
+  after its first peer, read in one gather, and a ``cumsum`` along the
+  hop axis finds the first hop where ``T <= 0`` -- no
+  :class:`~repro.dht.api.PeerRef` or
+  :class:`~repro.core.sampler.TrialResult` allocation per hop, with
+  results materialized once at the end;
 - failed trials are rejection-retried in batched rounds sized by the
   observed per-trial success rate;
 - the cost meter is charged once per round via
@@ -22,17 +25,20 @@ runs the identical algorithm over a whole vector of trials at once:
   what the per-call path would have accumulated.
 
 Every float operation matches the scalar path's expression tree
-exactly, so for the same trial points the engine and
+exactly (``cumsum`` adds in order, so it reproduces the scalar
+``t += step - lam``), so for the same trial points the engine and
 :meth:`RandomPeerSampler.trial` produce *identical* outcomes (asserted
 by the seeded equivalence tests).  On substrates that do not satisfy
-:class:`~repro.dht.api.BulkDHT` (e.g. the live Chord simulator) the
-engine degrades to the shared per-call trial helper, preserving
-semantics at per-call speed.
+:class:`~repro.dht.api.BulkDHT` (the live overlays) the engine resolves
+``h`` through the substrate's batched resolver and replays the walks
+through the same kernel when the substrate offers a certified walk view
+(see :meth:`BatchSampler._trials_fallback`); otherwise it walks through
+the shared per-call trial helper, preserving semantics at per-call
+speed.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -43,7 +49,6 @@ from ..compat import load_numpy
 
 from ..dht.api import (
     DHT,
-    NUMPY_MIN_BATCH,
     BulkDHT,
     CostSnapshot,
     PeerRef,
@@ -51,6 +56,7 @@ from ..dht.api import (
 )
 from .errors import SamplingError
 from .estimate import DEFAULT_C1, estimate_n
+from .intervals import ONE_BELOW, clockwise_distances, ring_gaps
 from .sampler import (
     GAMMA1,
     LAMBDA_SLACK,
@@ -66,13 +72,13 @@ __all__ = ["BatchSampler", "BatchSampleResult"]
 # REPRO_PURE_PYTHON forces it (see repro.compat).
 _np = load_numpy()
 
-#: Largest double strictly below 1.0 -- the clamp value
-#: :func:`~repro.core.intervals.clockwise_distance` uses to keep wrap
-#: distances inside ``[0, 1)``.
-_ONE_BELOW = math.nextafter(1.0, 0.0)
-
 #: Cap on trial points drawn per rejection round (bounds peak memory).
 _MAX_ROUND = 1 << 18
+
+#: Trials per slab of the walk kernel.  A slab's scratch is
+#: ``_WALK_SLAB * walk_budget`` doubles, so the kernel's memory stays
+#: bounded however large a rejection round is.
+_WALK_SLAB = 2048
 
 # Outcome codes used inside the classification kernels (cheap ints in
 # the hot loop; mapped to TrialOutcome only at materialization time).
@@ -146,6 +152,9 @@ class BatchSampler:
         #: with fresh randomness by the rejection loop -- so churn shows
         #: up as extra trials, never as a leaked substrate exception.
         self.stale_trials = 0
+        #: ``(ring, params, windows)`` of the last walk-kernel input (see
+        #: :meth:`_windows_for`).
+        self._windows = None
 
     @property
     def dht(self) -> DHT:
@@ -156,7 +165,7 @@ class BatchSampler:
         """Pre-build the substrate's batch-routing caches, if it has any.
 
         Delegates to the substrate's ``warm_lockstep`` hook (the Chord
-        adapter rebuilds its ring snapshot); a no-op returning False on
+        adapter builds its ring snapshot and walk view); a no-op returning False on
         substrates without one.  Serving shards call this right after a
         churn-recovery :meth:`refresh` so the next dispatch does not pay
         cache (re)construction on the request path.
@@ -177,22 +186,46 @@ class BatchSampler:
 
     # -- vectorized classification kernels --------------------------------
 
+    def _windows_for(self, ring, gaps=None):
+        """The walk kernel's step rows for ``ring`` under the current parameters.
+
+        ``ring`` identifies one ring state: the ideal substrate's point
+        array (whose gaps are derived here) or a Chord walk view (which
+        carries its ``gaps``).  The rows are rebuilt only when the ring
+        state or the parameters change, never once per round.
+        """
+        params = self.params
+        cached = self._windows
+        if cached is None or cached[0] is not ring or cached[1] is not params:
+            if gaps is None:
+                gaps = ring_gaps(ring)
+            cached = self._windows = (
+                ring, params, _walk_windows(gaps, params.lam, params.walk_budget)
+            )
+        return cached[2]
+
     def _classify_charged(self, points: Sequence[float]):
         """Run Figure 1 on every point against the flat point array.
 
-        Returns ``(codes, out_idx, hops)`` parallel sequences: the
-        outcome code, the assigned peer's sorted index (``-1`` if none)
-        and the walk length of each trial.  Charges the substrate's
-        meter once for the whole batch.
+        Returns ``(codes, out_idx, hops)`` parallel lists: the outcome
+        code, the assigned peer's sorted index (``-1`` if none) and the
+        walk length of each trial.  Charges the substrate's meter once
+        for the whole batch.
         """
         pts = self._dht.points_array()
-        n = len(pts)
         lam = self.params.lam
         budget = self.params.walk_budget
-        if _np is not None and len(points) >= NUMPY_MIN_BATCH:
-            codes, out_idx, hops, total_hops = _kernel_numpy(pts, n, lam, budget, points)
+        if _np is not None:
+            pts = _np.asarray(pts, dtype=_np.float64)
+            codes, out_idx, hops = _kernel_numpy(
+                pts, self._windows_for(pts), lam, points
+            )
+            total_hops = int(hops.sum())
+            codes, out_idx, hops = codes.tolist(), out_idx.tolist(), hops.tolist()
         else:
-            codes, out_idx, hops, total_hops = _kernel_python(pts, n, lam, budget, points)
+            codes, out_idx, hops, total_hops = _kernel_python(
+                pts, len(pts), lam, budget, points
+            )
         hm, hl, nm, nl = self._dht.bulk_op_costs()
         k = len(points)
         self._dht.cost.charge_bulk(
@@ -236,16 +269,26 @@ class BatchSampler:
     def _trials_fallback(self, points: Sequence[float]) -> list[TrialResult]:
         """Batched-resolution path for substrates without a flat point array.
 
-        The expensive half of each trial is resolving ``h(s)`` -- an
-        O(log n) routed lookup on a live overlay.  Substrates that offer
-        a failure-tolerant batched resolver (``resolve_many``; the Chord
-        adapter's is backed by the lockstep snapshot engine) get the
-        whole round's points in one call; the clockwise walks then run
-        per trial through ``next`` as before.  Substrates without one
-        resolve point by point, which is cost-identical to ``h_many`` on
-        per-call substrates.
+        The whole round's ``h(s)`` points are resolved first: substrates
+        that offer a failure-tolerant batched resolver (``resolve_many``;
+        the Chord adapters' is backed by the lockstep snapshot engine) get
+        them in one call, others point by point, which is cost-identical
+        to ``h_many`` on per-call substrates.
 
-        Either way each trial runs under a
+        The walks then run trial by trial, in order.  When the substrate
+        offers a ``walk_view`` (the Chord adapters, when replay is exact)
+        they are replayed through the windowed kernel instead of one
+        ``next`` call per hop: the longest prefix of trials whose walk
+        stays inside its *certified run* -- the hops from its first peer
+        along which every successor pointer equals the next sorted live
+        id -- is committed and its hops charged in one
+        ``charge_walk`` call.  The first trial that leaves its run walks
+        through per-call ``next`` from its first hop (nothing of it has
+        been charged), which may stabilize the ring; the view is then
+        re-read and the replay resumes with the next trial.  Results and
+        charges are those of the per-call walk.
+
+        Each per-call walk runs under a
         :class:`~repro.dht.api.PeerUnreachableError` guard: on a live
         overlay a peer can crash mid-walk, and the correct response is to
         discard that trial (it consumed randomness, it produced nothing)
@@ -253,8 +296,6 @@ class BatchSampler:
         batch.
         """
         dht = self._dht
-        lam = self.params.lam
-        budget = self.params.walk_budget
         resolve_many = getattr(dht, "resolve_many", None)
         firsts: list[PeerRef | None]
         if resolve_many is not None and len(points) > 1:
@@ -266,22 +307,92 @@ class BatchSampler:
                     firsts.append(dht.h(s))
                 except PeerUnreachableError:
                     firsts.append(None)
-        results = []
-        for s, first in zip(points, firsts):
-            if first is None:
-                self.stale_trials += 1
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
+        walk_view = getattr(dht, "walk_view", None) if _np is not None else None
+        results: list[TrialResult] = []
+        k = len(points)
+        i = 0
+        view = None
+        while i < k:
+            fresh = walk_view() if walk_view is not None else None
+            if fresh is None:
+                results.extend(
+                    self._walk_per_call(s, first)
+                    for s, first in zip(points[i:], firsts[i:])
                 )
-                continue
-            try:
-                results.append(_trial_from_first(dht, lam, budget, s, first))
-            except PeerUnreachableError:
-                self.stale_trials += 1
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
-                )
+                break
+            if fresh is not view:
+                view, base = fresh, i
+                planned, starts, hops = self._plan_walks(view, points[i:], firsts[i:])
+            end = i
+            while end < k and planned[end - base] is not None:
+                end += 1
+            if end > i:
+                lo, hi = i - base, end - base
+                results.extend(planned[lo:hi])
+                self.stale_trials += sum(first is None for first in firsts[i:end])
+                dht.charge_walk(view, starts[lo:hi], hops[lo:hi])
+            if end < k:
+                results.append(self._walk_per_call(points[end], firsts[end]))
+            i = end + 1
         return results
+
+    def _plan_walks(self, view, points, firsts):
+        """Figure 1 for every trial on ``view``: ``(results, starts, hops)`` lists.
+
+        ``results[j]`` is trial ``j``'s outcome when ``view`` certifies
+        it -- its first peer sits in the view and its stop hop lies inside
+        that peer's run -- else None; ``starts[j]`` is the first peer's
+        ring position (``-1`` if absent) and ``hops[j]`` the walk length.
+        An unresolved trial (``None`` first) walks nowhere: it is
+        certified as a stale, exhausted trial.
+        """
+        k = len(points)
+        pids = _np.fromiter(
+            (-1 if first is None else first.peer_id for first in firsts),
+            dtype=_np.int64,
+            count=k,
+        )
+        pos = view.positions(pids)
+        known = _np.flatnonzero(pos >= 0)
+        codes = _np.full(k, _EXHAUSTED, dtype=_np.int8)
+        out_idx = _np.full(k, -1, dtype=_np.int64)
+        hops = _np.zeros(k, dtype=_np.int64)
+        if known.size:
+            codes[known], out_idx[known], hops[known] = _classify(
+                self._windows_for(view, view.gaps),
+                view.points,
+                pos[known],
+                _np.asarray(points, dtype=_np.float64)[known],
+                self.params.lam,
+            )
+        certified = (pids < 0) | ((pos >= 0) & (view.run[pos] >= hops))
+        hops = hops.tolist()
+        results: list[TrialResult | None] = []
+        for s, first, code, idx, h, ok in zip(
+            points, firsts, codes.tolist(), out_idx.tolist(), hops, certified.tolist()
+        ):
+            if not ok:
+                results.append(None)
+            elif first is None or code == _EXHAUSTED:
+                results.append(TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=h))
+            elif code == _SMALL:
+                results.append(TrialResult(s=s, outcome=TrialOutcome.SMALL_HIT, peer=first, walk_hops=0))
+            else:
+                results.append(TrialResult(s=s, outcome=TrialOutcome.WALK_HIT, peer=view.peer(idx), walk_hops=h))
+        return results, pos.tolist(), hops
+
+    def _walk_per_call(self, s: float, first: PeerRef | None) -> TrialResult:
+        """One trial's walk through per-call ``next``; a liveness failure
+        (or an unresolved ``h``) counts as a stale, exhausted trial."""
+        if first is not None:
+            try:
+                return _trial_from_first(
+                    self._dht, self.params.lam, self.params.walk_budget, s, first
+                )
+            except PeerUnreachableError:
+                pass
+        self.stale_trials += 1
+        return TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
 
     def _round_successes(self, points: list[float]) -> list[PeerRef]:
         """Successful trials of one round, as peers in draw order."""
@@ -393,56 +504,90 @@ class BatchSampler:
 # -- classification kernels (module-level: no self lookups in hot loops) --
 
 
-def _kernel_numpy(pts, n, lam, budget, points):
-    """Lockstep-vectorized Figure 1 over all trials at once.
+def _walk_windows(gaps, lam, budget):
+    """Row ``p`` holds ``gap - lam`` for the ``budget`` hops a walk from
+    ring position ``p`` takes.
 
-    Every elementwise expression mirrors the scalar path's float
-    arithmetic (same operand order, same wrap clamp), so outcomes are
-    bit-identical to :meth:`RandomPeerSampler.trial`.
+    A read-only sliding-window view over the gaps tiled far enough that
+    every row runs ``budget`` positions clockwise, lapping the ring as
+    often as a budget of ``n`` or more requires.  ``gap - lam`` is the
+    scalar loop's ``step - lam``, computed once per ring state.
+    """
+    n = len(gaps)
+    span = n + budget - 1
+    steps = _np.tile(gaps, -(-span // n))[:span] - lam
+    return _np.lib.stride_tricks.sliding_window_view(steps, budget)
+
+
+def _walk_kernel(windows, n, first, arc, lam):
+    """Figure 1's clockwise walk for every trial, one window gather per slab.
+
+    ``first`` holds each trial's first ring position and ``arc`` its
+    non-small ``d(s, l(h(s)))``.  A trial's row starts as its window of
+    ``gap - lam`` steps; adding ``arc - lam`` to the first step and
+    running ``cumsum`` along the hop axis yields the scalar loop's ``T``
+    after each hop bit for bit (``cumsum`` adds in order, and ``a + b``
+    is ``b + a`` exactly).  Returns ``(stop, hops)``: the ring position
+    where ``T`` first drops to ``<= 0`` (``-1`` for an exhausted walk)
+    and the hops taken.
+    """
+    k = len(first)
+    budget = windows.shape[1]
+    stop = _np.full(k, -1, dtype=_np.int64)
+    hops = _np.full(k, budget, dtype=_np.int64)
+    if n == 1:
+        # A self-successor lap adds 1 - lam > 0 per hop, so T never
+        # drops: every walk exhausts the full budget.
+        return stop, hops
+    for lo in range(0, k, _WALK_SLAB):
+        rows = first[lo : lo + _WALK_SLAB]
+        t = windows[rows]
+        t[:, 0] += arc[lo : lo + _WALK_SLAB] - lam
+        _np.cumsum(t, axis=1, out=t)
+        hit = t <= 0.0
+        j = hit.argmax(axis=1)
+        done = _np.flatnonzero(hit[_np.arange(len(rows)), j])
+        taken = j[done] + 1
+        hops[lo + done] = taken
+        stop[lo + done] = (rows[done] + taken) % n
+    return stop, hops
+
+
+def _classify(windows, ring_pts, first, ss, lam):
+    """Figure 1 for points ``ss`` whose ``h`` sits at ring positions ``first``.
+
+    Returns ``(codes, out_idx, hops)`` arrays: the outcome code, the
+    assigned peer's ring position (``-1`` if none) and the walk length
+    of each trial.
+    """
+    arc = clockwise_distances(ss, ring_pts[first])
+    small = arc < lam
+    codes = _np.where(small, _SMALL, _EXHAUSTED).astype(_np.int8)
+    out_idx = _np.where(small, first, -1)
+    hops = _np.zeros(len(ss), dtype=_np.int64)
+    walk = _np.flatnonzero(~small)
+    stop, hops[walk] = _walk_kernel(windows, len(ring_pts), first[walk], arc[walk], lam)
+    hit = stop >= 0
+    codes[walk[hit]] = _WALK
+    out_idx[walk[hit]] = stop[hit]
+    return codes, out_idx, hops
+
+
+def _kernel_numpy(pts, windows, lam, points):
+    """Vectorized Figure 1 over all trials against the flat point array.
+
+    ``h`` is a ``searchsorted`` over the sorted points; the walks run
+    through :func:`_walk_kernel`.  Outcomes are bit-identical to
+    :meth:`RandomPeerSampler.trial`.
     """
     ss = _np.asarray(points, dtype=_np.float64)
     ok = (ss > 0.0) & (ss <= 1.0)  # negated form would let NaN slip through
     if not ok.all():
         bad = ss[~ok][0]
         raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
-    pts = _np.asarray(pts, dtype=_np.float64)
     idx = _np.searchsorted(pts, ss, side="left")
-    idx[idx == n] = 0
-    first = pts[idx]
-    arc = _np.where(first >= ss, first - ss, (1.0 - ss) + first)
-    _np.minimum(arc, _ONE_BELOW, out=arc)  # the wrap clamp of clockwise_distance
-    small = arc < lam
-    codes = _np.where(small, _SMALL, _EXHAUSTED).astype(_np.int8)
-    out_idx = _np.where(small, idx, -1)
-    hops = _np.zeros(ss.shape, dtype=_np.int64)
-    active = ~small
-    if n == 1:
-        # A self-successor lap adds 1 - lam > 0 per hop, so T never
-        # drops: every non-small trial exhausts the full budget.
-        hops[active] = budget
-        return codes, out_idx, hops, int(active.sum()) * budget
-    t = arc - lam
-    cur_idx = idx
-    cur_pt = first
-    for hop in range(1, budget + 1):
-        if not active.any():
-            break
-        nxt_idx = cur_idx + 1
-        nxt_idx[nxt_idx == n] = 0
-        nxt_pt = pts[nxt_idx]
-        step = _np.where(nxt_pt >= cur_pt, nxt_pt - cur_pt, (1.0 - cur_pt) + nxt_pt)
-        _np.minimum(step, _ONE_BELOW, out=step)
-        t += step - lam
-        hit = active & (t <= 0.0)
-        if hit.any():
-            out_idx[hit] = nxt_idx[hit]
-            hops[hit] = hop
-            codes[hit] = _WALK
-            active &= ~hit
-        cur_idx = nxt_idx
-        cur_pt = nxt_pt
-    hops[active] = budget  # leftovers exhausted their walk budget
-    return codes, out_idx, hops, int(hops.sum())
+    idx[idx == len(pts)] = 0
+    return _classify(windows, pts, idx, ss, lam)
 
 
 def _kernel_python(pts, n, lam, budget, points):
@@ -461,7 +606,7 @@ def _kernel_python(pts, n, lam, budget, points):
         cur = pts[i]
         arc = cur - s if cur >= s else (1.0 - s) + cur
         if arc >= 1.0:
-            arc = _ONE_BELOW
+            arc = ONE_BELOW
         if arc < lam:
             codes.append(_SMALL)
             out_idx.append(i)
@@ -481,7 +626,7 @@ def _kernel_python(pts, n, lam, budget, points):
                 npt = pts[ni]
                 step = npt - cur if npt >= cur else (1.0 - cur) + npt
                 if step >= 1.0:
-                    step = _ONE_BELOW
+                    step = ONE_BELOW
                 t += step - lam
                 taken = hop
                 if t <= 0.0:

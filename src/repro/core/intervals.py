@@ -15,12 +15,23 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from ..compat import load_numpy
+
 __all__ = [
     "normalize",
     "clockwise_distance",
+    "clockwise_distances",
+    "ring_gaps",
     "Interval",
     "SortedCircle",
 ]
+
+# The array forms below run only on the numpy lane (see repro.compat).
+_np = load_numpy()
+
+#: Largest double strictly below 1.0: the clamp for a wrap-around
+#: distance whose float sum rounds up to 1.0.
+ONE_BELOW = math.nextafter(1.0, 0.0)
 
 
 def normalize(x: float) -> float:
@@ -55,7 +66,30 @@ def clockwise_distance(x: float, y: float) -> float:
     if y >= x:
         return y - x
     d = (1.0 - x) + y
-    return d if d < 1.0 else math.nextafter(1.0, 0.0)
+    return d if d < 1.0 else ONE_BELOW
+
+
+def clockwise_distances(xs, ys):
+    """:func:`clockwise_distance` elementwise over float64 numpy arrays.
+
+    Same branches and the same wrap clamp, so every element equals the
+    scalar result bit for bit.  Points are not range-checked: callers
+    validate them first.
+    """
+    d = _np.where(ys >= xs, ys - xs, (1.0 - xs) + ys)
+    _np.minimum(d, ONE_BELOW, out=d)
+    return d
+
+
+def ring_gaps(points):
+    """Clockwise distance from each ring position to the next.
+
+    ``points`` are the peers' points in ring order (a float64 array);
+    entry ``p`` is ``clockwise_distance(points[p], points[p + 1])``,
+    wrapping after the last position.  These are exactly the steps the
+    clockwise walk of Figure 1 adds, one per ``next``.
+    """
+    return clockwise_distances(points, _np.roll(points, -1))
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,12 @@ but they do *not* satisfy :class:`BulkDHT` (no ``points_array`` /
 ``bulk_op_costs``: a live overlay has no free flat point array and its
 per-lookup costs are measured, not unit-priced), and batch callers must
 detect this (``isinstance(dht, BulkDHT)``) and keep the per-call
-``h``/``next`` trial protocol.  The semantics of both paths are
-identical; only the constant factors differ.
+``h``/``next`` trial protocol, batched only through the optional hooks
+below.  The semantics of both paths are identical; only the constant
+factors differ.
 
-Two further *optional* per-call-substrate hooks, discovered by
-``getattr`` rather than protocol check:
+Further *optional* per-call-substrate hooks, discovered by ``getattr``
+rather than protocol check:
 
 - ``resolve_many(xs) -> list[PeerRef | None]`` -- failure-tolerant
   batched ``h``: charge-identical to a loop of ``h`` calls with the
@@ -55,9 +56,19 @@ Two further *optional* per-call-substrate hooks, discovered by
   a point whose lookup failed terminally).  Batch samplers use it to
   resolve a whole rejection round in one call and redraw just the
   failed trials.
-- ``warm_lockstep() -> bool`` -- pre-build any batch-routing caches off
-  the request path (free of charges and randomness); returns whether
-  batched resolution is engaged.
+- ``walk_view()`` and ``charge_walk(view, starts, hops)`` -- batched
+  ``next`` walks.  ``walk_view()`` returns the ring as the clockwise
+  walk sees it (the Chord adapters return a
+  :class:`~repro.dht.chord.batch.WalkView`: points, gaps and certified
+  runs per sorted position), or ``None`` when replaying walks could not
+  be charge-identical.  The batch engine replays the walks a view
+  certifies and charges them through ``charge_walk`` -- walk ``j`` took
+  ``hops[j]`` steps from ring position ``starts[j]`` -- with the
+  amounts, and the trace spans, of that many ``next`` calls; every
+  other walk goes through ``next``.
+- ``warm_lockstep() -> bool`` -- pre-build any batch-routing caches
+  (snapshot, walk view) off the request path (free of charges and
+  randomness); returns whether batched resolution is engaged.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ __all__ = [
 
 #: Shared numpy-vs-pure-Python crossover: below this many items per
 #: batch, numpy's per-call overhead exceeds its vectorization win, so
-#: bulk implementations and the batch engine take the bisect path.
+#: bulk implementations take their pure-Python path.
 NUMPY_MIN_BATCH = 64
 
 

@@ -78,11 +78,18 @@ import bisect as _bisect
 from dataclasses import dataclass
 
 from ...compat import load_numpy
-from ..api import NUMPY_MIN_BATCH
+from ...core.intervals import ring_gaps
+from ..api import NUMPY_MIN_BATCH, PeerRef
 from .idspace import in_open_closed, in_open_open
 from .node import hop_budget
 
-__all__ = ["BatchLookupStats", "LookupTrace", "RingSnapshot", "lockstep_resolve"]
+__all__ = [
+    "BatchLookupStats",
+    "LookupTrace",
+    "RingSnapshot",
+    "WalkView",
+    "lockstep_resolve",
+]
 
 # Optional acceleration; the pure-Python lane is always available and
 # REPRO_PURE_PYTHON forces it (see repro.compat).
@@ -128,6 +135,59 @@ class BatchLookupStats:
             "delegated": self.delegated,
             "percall": self.percall,
         }
+
+
+class WalkView:
+    """The ring as Figure 1's clockwise walk sees it, for one snapshot state.
+
+    Four arrays, parallel over sorted-id positions:
+
+    - ``ids``: the live ids in clockwise order.  Positions come from
+      here (:meth:`positions`); id 0 maps to point 1.0, so ``points`` is
+      not monotone and is never searched;
+    - ``points``: each id's point on the unit circle;
+    - ``gaps``: the clockwise distance from position ``p`` to ``p + 1``
+      (:func:`~repro.core.intervals.ring_gaps`), the step ``next`` adds;
+    - ``run``: how many consecutive hops from ``p`` follow a successor
+      pointer equal to the next sorted live id (:attr:`ALL` when every
+      pointer does).  A walk of ``j`` hops from ``p`` is exactly what
+      ``j`` live ``next`` calls return iff ``j <= run[p]``.
+
+    ``key`` is the ``(epoch, patches)`` pair of the snapshot state the
+    view was read from.
+    """
+
+    __slots__ = ("key", "ids", "points", "gaps", "run")
+
+    #: ``run`` of every position on a ring whose pointers all agree.
+    ALL = 1 << 62
+
+    def __init__(self, snap: "RingSnapshot", key: tuple[int, int]):
+        np = _np
+        n = snap.n
+        self.key = key
+        self.ids = snap.ids_np.copy()
+        self.points = np.where(self.ids == 0, 1.0, self.ids / float(1 << snap.m))
+        self.gaps = ring_gaps(self.points)
+        succ = snap.succ_first_np[snap.order_np]
+        bad = np.flatnonzero(succ != np.roll(self.ids, -1))
+        if bad.size == 0:
+            self.run = np.full(n, self.ALL, dtype=np.int64)
+        else:
+            # Distance to the next disagreeing pointer, wrapping once.
+            at = np.arange(n, dtype=np.int64)
+            self.run = np.append(bad, bad[0] + n)[np.searchsorted(bad, at)] - at
+
+    def positions(self, peer_ids):
+        """Ring position of each id (a numpy array), ``-1`` where absent."""
+        ids = self.ids
+        q = _np.searchsorted(ids, peer_ids)
+        q[q == len(ids)] = 0
+        return _np.where(ids[q] == peer_ids, q, -1)
+
+    def peer(self, q: int) -> PeerRef:
+        """The peer at ring position ``q``, as ``next`` would return it."""
+        return PeerRef(peer_id=int(self.ids[q]), point=float(self.points[q]))
 
 
 class _SlotMap:
@@ -196,7 +256,7 @@ class RingSnapshot:
     __slots__ = (
         "epoch", "m", "n", "pos", "succ_lists", "finger_lists", "free",
         "ids", "patches", "_width", "slot_ids_np", "finger_mat", "succ_mat",
-        "succ_first_np", "_ids_buf", "_order_buf", "pos_table",
+        "succ_first_np", "_ids_buf", "_order_buf", "pos_table", "_walk",
     )
 
     #: Largest identifier space for which a dense id -> slot table is
@@ -209,6 +269,7 @@ class RingSnapshot:
         self.m = m
         self.n = len(ids)
         self.patches = 0
+        self._walk: WalkView | None = None
         self.free: list[int] = []
         self._width = max((len(s) for s in succ_lists), default=1)
         # Slots are handed out in sorted-id order at build time, so the
@@ -293,6 +354,7 @@ class RingSnapshot:
         snap.m = m
         snap.n = n
         snap.patches = 0
+        snap._walk = None
         snap.free = []
         snap.ids = None
         snap.succ_lists = None
@@ -336,6 +398,21 @@ class RingSnapshot:
     def alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is a live ring member in this snapshot."""
         return node_id in self.pos
+
+    def walk_view(self) -> WalkView | None:
+        """The :class:`WalkView` of the current state (None without numpy).
+
+        Cached and keyed on ``(epoch, patches)``: every splice or row
+        patch moves one of the two, so a view is never read against a
+        state it was not built from.
+        """
+        if self._ids_buf is None or self.n == 0:
+            return None
+        key = (self.epoch, self.patches)
+        view = self._walk
+        if view is None or view.key != key:
+            view = self._walk = WalkView(self, key)
+        return view
 
     # -- row access (the exact-replay lane reads through these) ------------
 

@@ -19,7 +19,7 @@ from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
 from ..api import NUMPY_MIN_BATCH, CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
-from .batch import BatchLookupStats, RingSnapshot, lockstep_resolve
+from .batch import BatchLookupStats, RingSnapshot, WalkView, lockstep_resolve
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
 
@@ -690,7 +690,7 @@ class ChordDHT(EntryVantageMixin):
         )
 
     def warm_lockstep(self) -> bool:
-        """Pre-build the ring snapshot off the request path.
+        """Pre-build the ring snapshot and its walk view off the request path.
 
         Serving shards call this after churn-recovery refreshes so the
         first batch of a re-admitted shard does not pay the snapshot
@@ -699,8 +699,62 @@ class ChordDHT(EntryVantageMixin):
         """
         if not self.lockstep_eligible():
             return False
-        self._network.snapshot()
+        self._network.snapshot().walk_view()
         return True
+
+    def walk_view(self) -> WalkView | None:
+        """The ring as ``next`` walks it, when replaying walks is exact.
+
+        The batch engine replays Figure 1's clockwise walks from this
+        view instead of one ``get_successor`` RPC per hop, and charges
+        the replayed hops through :meth:`charge_walk`.  None -- keep the
+        per-call ``next`` walk -- unless lockstep replay is eligible
+        (:meth:`lockstep_eligible`) and numpy is present.
+        """
+        if not self.lockstep_eligible():
+            return None
+        return self._network.snapshot().walk_view()
+
+    def charge_walk(self, view: WalkView, starts, hops) -> None:
+        """Charge replayed walks as the ``next`` calls they stand for.
+
+        Walk ``j`` took ``hops[j]`` steps clockwise from ring position
+        ``starts[j]`` of ``view``.  Each step costs what a successful
+        ``next`` does: one RPC, two ``get_successor`` messages and one
+        round trip, on the transport and on the meter.  An active tracer
+        gets each step's ``rpc`` span, addressed to the peer asked and
+        timed on the transport clock, as the live call reports it.  The
+        latency is added as one product, so it equals the per-call sum
+        exactly for integer delays (the default); a fractional delay can
+        differ in the last bits, as :meth:`h_many`'s bulk charge does.
+        """
+        total = sum(hops)
+        if not total:
+            return
+        network = self._network
+        transport = network.transport
+        # Deterministic models return a constant and consume no RNG.
+        one_way = transport.latency_model.sample(network.rng)
+        rtt = one_way + one_way
+        messages = 2 * total
+        latency = total * rtt
+        metrics = transport.metrics
+        metrics.counter("rpc.calls").increment(total)
+        metrics.counter("messages").increment(messages)
+        transport.count_method_messages("get_successor", messages)
+        tracer = transport.tracer
+        if tracer.active:
+            ids = view.ids
+            n = len(ids)
+            t = transport.elapsed
+            for p, h in zip(starts, hops):
+                for q in range(p, p + h):
+                    tracer.on_rpc(
+                        None, int(ids[q % n]), "get_successor", "rpc", t, t + rtt, "ok"
+                    )
+                    t += rtt
+        transport.elapsed += latency
+        self.cost.charge_bulk(next_calls=total, messages=messages, latency=latency)
 
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.

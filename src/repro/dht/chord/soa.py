@@ -55,7 +55,7 @@ import random
 from ...compat import load_numpy
 from ..api import CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
-from .batch import BatchLookupStats, RingSnapshot, lockstep_resolve
+from .batch import BatchLookupStats, RingSnapshot, WalkView, lockstep_resolve
 from .idspace import id_to_point, point_to_target_id
 from .network import _targets_for
 from .node import LookupError_
@@ -515,7 +515,25 @@ class SoAChordDHT(EntryVantageMixin):
         return True  # charges are deterministic by construction
 
     def warm_lockstep(self) -> bool:
-        return True  # the store *is* the snapshot; nothing to build
+        # The store *is* the snapshot; only its walk view is built here.
+        self._network.store.walk_view()
+        return True
+
+    def walk_view(self) -> WalkView | None:
+        """The store's walk view (None without numpy): charges are
+        deterministic and there is no transport to trace, so walks
+        always replay (see :meth:`ChordDHT.walk_view
+        <repro.dht.chord.network.ChordDHT.walk_view>`)."""
+        return self._network.store.walk_view()
+
+    def charge_walk(self, view: WalkView, starts, hops) -> None:
+        """Charge the ``sum(hops)`` replayed walk steps as that many live
+        ``next`` calls (see :meth:`ChordDHT.charge_walk
+        <repro.dht.chord.network.ChordDHT.charge_walk>`)."""
+        total = sum(hops)
+        self.cost.charge_bulk(
+            next_calls=total, messages=2 * total, latency=total * RPC_LATENCY
+        )
 
     def h_many(self, xs) -> list[PeerRef]:
         return self._h_many(list(xs), tolerant=False)

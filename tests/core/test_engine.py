@@ -27,12 +27,20 @@ class TestScalarEquivalence:
     engine and the scalar ``trial()`` must produce *identical* outcomes
     (same peer, same TrialOutcome, same walk length)."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 512])
-    def test_ideal_numpy_path(self, n):
+    @pytest.mark.parametrize(
+        "n, trials",
+        [pytest.param(n, 400, id=str(n)) for n in (1, 2, 3, 17, 64, 512)]
+        # walk_budget is 28 at n_hat = 27, 28 and 29: walks that lap the
+        # ring exactly, one position short of it, and one past it
+        + [pytest.param(n, 400, id=str(n)) for n in (27, 28, 29)]
+        # enough walks that the kernel runs more than one slab
+        + [pytest.param(512, 3 * engine_mod._WALK_SLAB, id="512-slabs")],
+    )
+    def test_ideal_numpy_path(self, n, trials):
         rng = random.Random(1000 + n)
         dht = IdealDHT.random(n, rng)
         sampler, eng = _pair(dht, float(n))
-        points = [1.0 - rng.random() for _ in range(400)]
+        points = [1.0 - rng.random() for _ in range(trials)]
         assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
     @pytest.mark.parametrize("n", [1, 3, 64, 512])
@@ -52,18 +60,21 @@ class TestScalarEquivalence:
         points = [1.0 - rng.random() for _ in range(120)]
         assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
-    def test_trial_points_validated(self, medium_dht):
+    def test_trial_points_validated(self, medium_dht, monkeypatch):
         _, eng = _pair(medium_dht, 512.0)
-        for bad in (0.0, -0.25, 1.5, float("nan")):
+        bads = (0.0, -0.25, 1.5, float("nan"))
+        for bad in bads:
             with pytest.raises(ValueError):
-                eng.trial_many([0.5] * 100 + [bad])  # numpy kernel
+                eng.trial_many([0.5] * 100 + [bad])  # this lane's kernel
+        monkeypatch.setattr(engine_mod, "_np", None)
+        for bad in bads:
             with pytest.raises(ValueError):
                 eng.trial_many([0.5, bad])  # pure-python kernel
 
-    def test_small_batches_use_python_kernel_identically(self, medium_dht):
+    def test_small_batches_match_scalar_trials(self, medium_dht):
         sampler, eng = _pair(medium_dht, 512.0)
         rng = random.Random(9)
-        points = [1.0 - rng.random() for _ in range(5)]  # below _NUMPY_MIN_BATCH
+        points = [1.0 - rng.random() for _ in range(5)]
         assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
 

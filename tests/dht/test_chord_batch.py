@@ -15,14 +15,21 @@ import random
 
 import pytest
 
+from repro.adversary.state import AdversaryState
+from repro.compat import load_numpy
 from repro.core.engine import BatchSampler
 from repro.core.sampler import RandomPeerSampler
 from repro.dht.api import BulkDHT
 from repro.dht.chord import ChordNetwork
 from repro.dht.chord.batch import RingSnapshot, lockstep_resolve
-from repro.dht.chord.idspace import point_to_target_id
+from repro.dht.chord.idspace import id_to_point, point_to_target_id
 from repro.dht.chord.node import LookupError_
+from repro.dht.chord.soa import SoAChordNetwork
+from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
+
+#: Whether the numpy lane (and with it the walk replay) is live.
+NUMPY = load_numpy() is not None
 
 
 def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", **kwargs):
@@ -72,6 +79,68 @@ def assert_charges_equal(dht_a, dht_b):
         ta.metrics.counter("rpc.timeouts").value
         == tb.metrics.counter("rpc.timeouts").value
     )
+
+
+def without_walk_view(dht):
+    """Force the per-call ``next`` walk: the reference the replay must equal."""
+    dht.walk_view = lambda: None
+    return dht
+
+
+def count_next(dht):
+    """Record every per-call ``next`` this adapter instance serves."""
+    calls = []
+    live_next = dht.next
+
+    def counted(peer):
+        calls.append(peer)
+        return live_next(peer)
+
+    dht.next = counted
+    return calls
+
+
+def assert_walk_charges_equal(dht_a, dht_b):
+    assert_charges_equal(dht_a, dht_b)
+    ta, tb = dht_a._network.transport, dht_b._network.transport
+    assert ta.messages_by_method() == tb.messages_by_method()
+
+
+class _RecordingSink:
+    """A trace sink that is always recording and keeps every event."""
+
+    active = True
+
+    def __init__(self):
+        self.events = []
+
+    def on_rpc(self, *args):
+        self.events.append(("rpc",) + args)
+
+    def on_lookup(self, *args):
+        self.events.append(("lookup",) + args)
+
+
+def _install_faults(net):
+    faults = net.transport.install_faults(FaultState())
+    faults.set_grey(net.sorted_ids()[3], latency_factor=3.0)
+
+
+def _install_adversary(net):
+    adv = AdversaryState(m=net.m)
+    adv.mark(net.sorted_ids()[5], "lookup")
+    net.transport.install_adversary(adv)
+
+
+#: Configurations whose walks must not be replayed, as
+#: ``(build_twins kwargs, per-network installer)``.
+REFUSALS = {
+    "loss": ({"loss_rate": 0.05}, None),
+    "uniform-latency": ({"latency": UniformLatency(0.5, 1.5)}, None),
+    "faults": ({}, _install_faults),
+    "adversary": ({}, _install_adversary),
+    "async": ({"async_transport": True}, None),
+}
 
 
 class TestStaticEquivalence:
@@ -359,6 +428,155 @@ class TestSamplerIntegration:
         engine = BatchSampler(dht, n_hat=24.0)
         assert engine.warm() is True
         assert net.snapshot_builds == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"n": 64},
+            {"n": 40, "perfect": False},
+            {"n": 64, "crashes": 3},
+            {"n": 64, "crashes": 14, "mode": "recursive"},
+            {"n": 64, "mode": "recursive"},
+            {"n": 1},
+            {"n": 2},
+        ],
+        ids=["perfect", "imperfect", "crashed", "crashed-recursive", "recursive", "n1", "n2"],
+    )
+    def test_walk_replay_matches_per_call_walk(self, case):
+        # The batch resolves every h before any walk, so the reference is
+        # the same batch with the walk view disabled, not a scalar loop.
+        dht_a, dht_b = build_twins(66, **case)
+        without_walk_view(dht_b)
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        engine_a = BatchSampler(dht_a, n_hat=float(case["n"]))
+        engine_b = BatchSampler(dht_b, params=engine_a.params)
+        for seed in (17, 18):  # a second round reuses (or re-reads) the view
+            xs = points(150, seed)
+            assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+            assert_walk_charges_equal(dht_a, dht_b)
+        assert engine_a.stale_trials == engine_b.stale_trials
+        if NUMPY:
+            assert len(calls_a) < len(calls_b)
+            if case.get("crashes", 0) <= 3 and "mode" not in case:
+                assert len(calls_a) < len(calls_b) / 2
+            if "crashes" not in case:
+                assert not calls_a
+
+    def test_mid_round_stabilization_rereads_the_view(self):
+        # A walk that meets the crashed node re-resolves through h, whose
+        # recursive lookup fails and stabilizes the ring mid-round; the
+        # trials after it must see the stabilized ring.
+        dht_a, dht_b = build_twins(61, n=64, crashes=1, mode="recursive")
+        without_walk_view(dht_b)
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        net = dht_a._network
+        resolved_at = []
+        resolve = dht_a.resolve_many
+
+        def recording(xs):
+            out = resolve(xs)
+            resolved_at.append(net.churn_epoch)
+            return out
+
+        dht_a.resolve_many = recording
+        engine_a = BatchSampler(dht_a, n_hat=64.0)
+        engine_b = BatchSampler(dht_b, params=engine_a.params)
+        xs = points(40, 62)
+        assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+        assert_walk_charges_equal(dht_a, dht_b)
+        assert net.churn_epoch > resolved_at[0]  # stabilized during the walks
+        assert calls_a and len(calls_a) <= len(calls_b)
+        if NUMPY:
+            assert len(calls_a) < len(calls_b) / 10
+
+    @pytest.mark.parametrize("crashes", [0, 2])
+    def test_soa_walk_replay_matches_per_call_walk(self, crashes):
+        nets = [SoAChordNetwork.build(48, m=16, rng=random.Random(69)) for _ in range(2)]
+        victims = random.Random(70).sample(nets[0].sorted_ids()[1:], crashes)
+        for net in nets:
+            for victim in victims:
+                net.crash_node(victim)
+        dht_a, dht_b = nets[0].dht(), without_walk_view(nets[1].dht())
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        engine_a = BatchSampler(dht_a, n_hat=48.0)
+        engine_b = BatchSampler(dht_b, params=engine_a.params)
+        xs = points(150, 19)
+        assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+        assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
+        if NUMPY:
+            assert len(calls_a) < len(calls_b)
+
+    @pytest.mark.skipif(not NUMPY, reason="walks replay on the numpy lane only")
+    def test_static_ring_serves_without_next(self):
+        net = ChordNetwork.build(48, m=16, rng=random.Random(71))
+        dht = net.dht()
+        calls = count_next(dht)
+        engine = BatchSampler(dht, n_hat=48.0, rng=random.Random(72))
+        assert len(engine.sample_many(200)) == 200
+        assert not calls
+        assert dht.cost.next_calls > 0  # replayed hops are charged as next calls
+        transport = net.transport
+        assert transport.messages_by_method()["get_successor"] == 2 * dht.cost.next_calls
+        assert sum(transport.messages_by_method().values()) == transport.messages_sent
+
+    @pytest.mark.skipif(not NUMPY, reason="the walk view exists on the numpy lane only")
+    def test_walk_view_points_and_runs(self):
+        net = ChordNetwork.build(40, m=16, rng=random.Random(73), perfect=False)
+        for victim in random.Random(74).sample(net.sorted_ids(), 4):
+            net.crash_node(victim)
+        view = net.snapshot().walk_view()
+        assert view is net.snapshot().walk_view()  # cached per state
+        ids = net.sorted_ids()
+        assert view.ids.tolist() == ids
+        assert view.points.tolist() == [id_to_point(i, net.m) for i in ids]
+        n = len(ids)
+        for p in range(n):
+            run = 0
+            while run < n and net.nodes[ids[(p + run) % n]].get_successor() == ids[(p + run + 1) % n]:
+                run += 1
+            assert min(int(view.run[p]), n) == run
+        net.stabilize_round()
+        assert net.snapshot().walk_view() is not view
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_refused_configurations_walk_per_call(self, refusal):
+        kwargs, install = REFUSALS[refusal]
+        dht_a, dht_b = build_twins(75, n=48, **kwargs)
+        if install is not None:
+            install(dht_a._network)
+            install(dht_b._network)
+        assert dht_a.walk_view() is None
+        without_walk_view(dht_b)
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        engine_a = BatchSampler(dht_a, n_hat=48.0)
+        engine_b = BatchSampler(dht_b, params=engine_a.params)
+        xs = points(120, 20)
+        assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+        assert_walk_charges_equal(dht_a, dht_b)
+        assert calls_a and len(calls_a) == len(calls_b)
+
+    @pytest.mark.parametrize("crashes", [0, 3])
+    def test_traced_replay_reports_the_per_call_spans(self, crashes):
+        # A traced batch keeps the replay; each replayed hop reaches the
+        # tracer as the get_successor rpc span the live call reports.
+        dht_a, dht_b = build_twins(66, n=64, crashes=crashes)
+        sinks = []
+        for dht in (dht_a, dht_b):
+            sinks.append(_RecordingSink())
+            dht._network.transport.install_tracer(sinks[-1])
+        without_walk_view(dht_b)
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        engine_a = BatchSampler(dht_a, n_hat=64.0)
+        engine_b = BatchSampler(dht_b, params=engine_a.params)
+        xs = points(120, 21)
+        assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+        assert_walk_charges_equal(dht_a, dht_b)
+        assert sinks[0].events == sinks[1].events
+        assert any(e[0] == "rpc" and e[3] == "get_successor" for e in sinks[0].events)
+        if NUMPY:
+            assert len(calls_a) < len(calls_b)
+            if not crashes:
+                assert not calls_a
 
     def test_stale_trials_counted_on_terminal_failures(self):
         # recursive mode + crashes: some resolutions fail terminally and

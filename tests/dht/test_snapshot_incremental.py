@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import BatchSampler
 from repro.dht.chord.batch import RingSnapshot
 from repro.dht.chord.network import ChordNetwork
 from repro.dht.chord.soa import SoAChordNetwork
@@ -100,6 +101,38 @@ def test_chord_mid_script_drains_stay_identical(case):
             net.snapshot().canonical_state()
             == RingSnapshot.build(net).canonical_state()
         )
+
+
+@settings(max_examples=20, deadline=None)
+@given(op_scripts(), st.integers(min_value=0, max_value=2**16))
+def test_chord_walk_replay_matches_per_call_walk_after_churn(case, point_seed):
+    """Walks replayed from the maintained snapshot equal per-call walks.
+
+    Twin rings run the same script; one then samples with its walk view
+    disabled, walking through per-call ``next``.  Crashed successors,
+    unstabilized joins and stabilization triggered mid-round must leave
+    the trials and every charge identical.
+    """
+    n, seed, ops = case
+    nets = []
+    for _ in range(2):
+        net = ChordNetwork.build(n, m=M, rng=random.Random(seed + 6))
+        net.snapshot()
+        _run_script(net, ops, random.Random(seed))
+        nets.append(net)
+    dht_a, dht_b = nets[0].dht(), nets[1].dht()
+    dht_b.walk_view = lambda: None
+    engine_a = BatchSampler(dht_a, n_hat=float(len(nets[0])))
+    engine_b = BatchSampler(dht_b, params=engine_a.params)
+    rng = random.Random(point_seed)
+    xs = [1.0 - rng.random() for _ in range(60)]
+    assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
+    assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
+    ta, tb = nets[0].transport, nets[1].transport
+    assert ta.elapsed == tb.elapsed
+    assert ta.messages_by_method() == tb.messages_by_method()
+    for counter in ("rpc.calls", "rpc.timeouts", "messages"):
+        assert ta.metrics.counter(counter).value == tb.metrics.counter(counter).value
 
 
 @settings(max_examples=20, deadline=None)
