@@ -165,10 +165,11 @@ class BatchSampler:
         """Pre-build the substrate's batch-routing caches, if it has any.
 
         Delegates to the substrate's ``warm_lockstep`` hook (the Chord
-        adapter builds its ring snapshot and walk view); a no-op returning False on
-        substrates without one.  Serving shards call this right after a
-        churn-recovery :meth:`refresh` so the next dispatch does not pay
-        cache (re)construction on the request path.
+        adapters build their ring snapshot, walk view and route table);
+        a no-op returning False on substrates without one.  Serving
+        shards call this right after a churn-recovery :meth:`refresh`
+        so the next dispatch does not pay cache (re)construction on the
+        request path.
         """
         warm = getattr(self._dht, "warm_lockstep", None)
         return bool(warm()) if warm is not None else False

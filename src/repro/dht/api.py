@@ -67,8 +67,11 @@ rather than protocol check:
   amounts, and the trace spans, of that many ``next`` calls; every
   other walk goes through ``next``.
 - ``warm_lockstep() -> bool`` -- pre-build any batch-routing caches
-  (snapshot, walk view) off the request path (free of charges and
-  randomness); returns whether batched resolution is engaged.
+  (snapshot, walk view, and the Chord adapters' route table: one
+  lookup per owner arc, read by every batch while the ring stays as
+  warmed) off the request path (free of charges and randomness);
+  returns whether batched resolution is engaged.  The route table is
+  built only here, never lazily.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ The engine is a *charge-identical replay*, not an approximation: for
 every target it must produce the same owner, the same hop count, and
 the same message/latency charges that :meth:`ChordNode.lookup` (or
 ``lookup_recursive``) would have produced against the same frozen node
-state.  Three design rules make that exact:
+state.  Four design rules make that exact:
 
 - **Delta-synced snapshots.**  :class:`~repro.dht.chord.network.ChordNetwork`
   bumps a ``churn_epoch`` counter on every membership or maintenance
@@ -64,6 +64,16 @@ state.  Three design rules make that exact:
   everything after it -- through the live per-call path, which replays
   the failed attempt's charges, triggers the same stabilization retry,
   and leaves the network in the same state as a scalar call sequence.
+- **Route once per ring state.**  When every finger and successor entry
+  of every live row names a live id, each routing test compares the
+  target against live ids with half-open ``(a, b]`` bounds, so every
+  target in one owner arc ``(ids[j-1], ids[j]]`` takes the same route:
+  same owner, hops and charges.  :func:`build_route_table` certifies
+  the rows and stores one lookup per arc on the snapshot as a
+  :class:`RouteTable`; while its key holds, :func:`lockstep_resolve`
+  answers any batch with a ``searchsorted`` and a gather.  Only the
+  adapters' ``warm_lockstep`` builds it, so a ring that changes between
+  batches simply runs the lanes above.
 
 Because successful lookups never mutate node state, evaluating a batch
 against one frozen snapshot is order-equivalent to evaluating it
@@ -87,13 +97,19 @@ __all__ = [
     "BatchLookupStats",
     "LookupTrace",
     "RingSnapshot",
+    "RouteTable",
     "WalkView",
+    "build_route_table",
     "lockstep_resolve",
 ]
 
 # Optional acceleration; the pure-Python lane is always available and
 # REPRO_PURE_PYTHON forces it (see repro.compat).
 _np = load_numpy()
+
+#: Rows per pass when certifying a snapshot and building its route
+#: table, so the transient arrays stay bounded at any ring size.
+_ROUTE_CHUNK = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,6 +206,30 @@ class WalkView:
         return PeerRef(peer_id=int(self.ids[q]), point=float(self.points[q]))
 
 
+class RouteTable:
+    """One lookup per owner arc, from one entry peer, for one snapshot state.
+
+    Arc ``j`` is ``(ids[j-1], ids[j]]`` of the snapshot's sorted live ids
+    (arc 0 wraps past zero).  Two arrays, parallel over arcs:
+
+    - ``owner``: the sorted position of the id the arc's lookup returns;
+    - ``hops``: the hops it takes, ``-1`` where it exhausts the hop
+      budget (the answer path replays those in Python, so a failing
+      arc reports the failed attempt's exact charges).
+
+    ``key`` is ``(patches, entry_id, mode, rpc_latency, oneway_latency,
+    timeout)``: the snapshot state and the exact call the table answers
+    (see :func:`build_route_table`).
+    """
+
+    __slots__ = ("key", "owner", "hops")
+
+    def __init__(self, key: tuple, owner, hops):
+        self.key = key
+        self.owner = owner
+        self.hops = hops
+
+
 class _SlotMap:
     """Dict-shaped id -> slot view over a compact snapshot's arrays.
 
@@ -257,6 +297,7 @@ class RingSnapshot:
         "epoch", "m", "n", "pos", "succ_lists", "finger_lists", "free",
         "ids", "patches", "_width", "slot_ids_np", "finger_mat", "succ_mat",
         "succ_first_np", "_ids_buf", "_order_buf", "pos_table", "_walk",
+        "route",
     )
 
     #: Largest identifier space for which a dense id -> slot table is
@@ -270,6 +311,9 @@ class RingSnapshot:
         self.n = len(ids)
         self.patches = 0
         self._walk: WalkView | None = None
+        #: The :class:`RouteTable` last built by :func:`build_route_table`
+        #: (read only while its key matches the call and state).
+        self.route: RouteTable | None = None
         self.free: list[int] = []
         self._width = max((len(s) for s in succ_lists), default=1)
         # Slots are handed out in sorted-id order at build time, so the
@@ -355,6 +399,7 @@ class RingSnapshot:
         snap.n = n
         snap.patches = 0
         snap._walk = None
+        snap.route = None
         snap.free = []
         snap.ids = None
         snap.succ_lists = None
@@ -629,29 +674,140 @@ def lockstep_resolve(
     :class:`LookupTrace` per target, in order; traces with ``ok=False``
     carry the charges of the *failed attempt*, which callers discard in
     favour of a live re-execution (see the module docstring).
+
+    A current :class:`RouteTable` (:func:`build_route_table`, keyed on
+    this exact call and the snapshot's state) answers every batch size;
+    otherwise batches of :data:`~repro.dht.api.NUMPY_MIN_BATCH` or more
+    take the vectorized lane and smaller ones the Python replay.
     """
     if entry_id not in snapshot.pos:
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
     budget = hop_budget(snapshot.m)
+    recursive = mode != "iterative"
+    lat = oneway_latency if recursive else rpc_latency
+    table = snapshot.route
+    if table is not None and table.key == _route_key(
+        snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout
+    ):
+        return _table_resolve(
+            snapshot, table, entry_id, targets, budget, lat, timeout, recursive
+        )
     if (
         _np is None
         or snapshot.ids_np is None
         or len(targets) < NUMPY_MIN_BATCH
     ):
-        sim = _sim_iterative if mode == "iterative" else _sim_recursive
-        lat = rpc_latency if mode == "iterative" else oneway_latency
+        sim = _sim_recursive if recursive else _sim_iterative
         return [
             sim(snapshot, entry_id, t, budget, lat, timeout) for t in targets
         ]
-    if mode == "iterative":
-        return _vector_resolve(
-            snapshot, entry_id, targets, budget, rpc_latency, timeout,
-            recursive=False,
-        )
     return _vector_resolve(
-        snapshot, entry_id, targets, budget, oneway_latency, timeout,
-        recursive=True,
+        snapshot, entry_id, targets, budget, lat, timeout, recursive=recursive
     )
+
+
+def build_route_table(
+    snapshot: RingSnapshot,
+    entry_id: int,
+    *,
+    mode: str = "iterative",
+    rpc_latency: float,
+    oneway_latency: float,
+    timeout: float,
+) -> bool:
+    """Route every owner arc once and keep the result on the snapshot.
+
+    Takes :func:`lockstep_resolve`'s arguments minus the targets and
+    returns whether ``snapshot.route`` now answers that call.  Refused
+    (no table, the lanes keep serving) without numpy or when some
+    finger or successor entry of a live row names a dead id: a dead id
+    can sit inside an arc and split its targets between routes.  The
+    rows are checked ``_ROUTE_CHUNK`` at a time, stopping at the first
+    dead reference, and the arcs are routed by the vectorized lane in
+    chunks of the same size, with each arc's own end id as its target.
+
+    The key holds ``snapshot.patches``, which every row edit and splice
+    moves (a rebuilt snapshot is a new object), not the epoch: a
+    stabilization round that changes no row keeps the table.  Building
+    costs O(n log n) array work, so only the adapters' ``warm_lockstep``
+    calls this, never the request path.
+    """
+    if _np is None or snapshot.ids_np is None:
+        return False
+    if entry_id not in snapshot.pos:
+        raise KeyError(f"entry node {entry_id} is not in the snapshot")
+    key = _route_key(snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout)
+    if snapshot.route is not None and snapshot.route.key == key:
+        return True
+    snapshot.route = None
+    if not _names_only_live_ids(snapshot):
+        return False
+    np = _np
+    ids = snapshot.ids_np
+    n = snapshot.n
+    budget = hop_budget(snapshot.m)
+    recursive = mode != "iterative"
+    owner = np.empty(n, dtype=np.int32)
+    hops = np.empty(n, dtype=np.int16)
+    for lo in range(0, n, _ROUTE_CHUNK):
+        hi = min(lo + _ROUTE_CHUNK, n)
+        state, own, h = _vector_frontier(
+            snapshot, entry_id, ids[lo:hi], budget, recursive=recursive
+        )
+        # On certified rows a lookup leaves the lane only by exhausting
+        # its hop budget, which makes the arc a failing one.
+        ok = state == _OK
+        owner[lo:hi] = np.where(ok, np.searchsorted(ids, own), 0)
+        hops[lo:hi] = np.where(ok, h, -1)
+    snapshot.route = RouteTable(key, owner, hops)
+    return True
+
+
+def _route_key(snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout):
+    return (snapshot.patches, entry_id, mode, rpc_latency, oneway_latency, timeout)
+
+
+def _names_only_live_ids(snapshot: RingSnapshot) -> bool:
+    """Whether every finger and successor entry of every live row is live."""
+    table = snapshot.pos_table
+    ids = snapshot.ids_np
+    order = snapshot.order_np
+    for lo in range(0, snapshot.n, _ROUTE_CHUNK):
+        slots = order[lo : lo + _ROUTE_CHUNK]
+        for mat in (snapshot.finger_mat, snapshot.succ_mat):
+            refs = mat[slots]
+            refs = refs[refs >= 0]
+            live = table[refs] > 0 if table is not None else _alive_np(ids, refs)
+            if not live.all():
+                return False
+    return True
+
+
+def _table_resolve(
+    snapshot: RingSnapshot,
+    table: RouteTable,
+    entry_id: int,
+    targets,
+    budget: int,
+    hop_latency: float,
+    timeout: float,
+    recursive: bool,
+) -> list[LookupTrace]:
+    """:func:`lockstep_resolve` read from a current :class:`RouteTable`."""
+    np = _np
+    ids = snapshot.ids_np
+    arc = np.searchsorted(ids, targets)
+    arc[arc == len(ids)] = 0  # past the last id: the wrapping arc 0
+    hops = table.hops[arc].astype(np.int64)
+    traces = _clean_traces(
+        ids[table.owner[arc]], hops, entry_id, hop_latency, recursive
+    )
+    sim = _sim_recursive if recursive else _sim_iterative
+    for i in np.flatnonzero(hops < 0).tolist():  # failing arcs: replay exactly
+        traces[i] = sim(
+            snapshot, entry_id, int(targets[i]), budget, hop_latency, timeout
+        )
+    return traces
 
 
 # -- exact Python replay (slow lane, and the no-numpy path) ----------------
@@ -824,6 +980,38 @@ def _alive_np(ids, values):
 _ACTIVE, _OK, _REPLAY = 0, 1, 2
 
 
+def _clean_traces(
+    owner, hops, entry_id: int, hop_latency: float, recursive: bool
+) -> list[LookupTrace]:
+    """Traces of lookups that met no dead node, charged as live.
+
+    ``owner``/``hops`` are int64 arrays.  Iterative: one RPC per hop
+    plus the liveness ping of an owner other than the entry, two
+    messages each.  Recursive: one one-way message per hop plus the
+    owner's direct reply.  ``hop_latency`` is the per-call charge (round
+    trip, or one way), multiplied rather than summed per hop -- equal
+    for integer delays.  The int64 -> float64 product rounds exactly as
+    Python's ``float * int`` does.
+    """
+    away = owner != entry_id
+    if recursive:
+        calls = hops
+        messages = hops + away
+    else:
+        calls = hops + away
+        messages = 2 * calls
+    return [
+        LookupTrace(o, h, msgs, lat, c, 0, True)
+        for o, h, msgs, lat, c in zip(
+            owner.tolist(),
+            hops.tolist(),
+            messages.tolist(),
+            (hop_latency * calls).tolist(),
+            calls.tolist(),
+        )
+    ]
+
+
 def _vector_resolve(
     snapshot: RingSnapshot,
     entry_id: int,
@@ -834,15 +1022,39 @@ def _vector_resolve(
     *,
     recursive: bool,
 ) -> list[LookupTrace]:
+    """:func:`_vector_frontier`'s outcomes as traces.
+
+    Lookups the lane parked are finished by the exact Python simulator,
+    which recomputes them from scratch (replays are side-effect-free, so
+    restarting loses nothing).  ``hop_latency`` is the round-trip charge
+    per hop in iterative mode and the one-way charge in recursive mode.
+    """
+    t = _np.asarray(targets, dtype=_np.int64)
+    state, owner, hops = _vector_frontier(
+        snapshot, entry_id, t, budget, recursive=recursive
+    )
+    traces = _clean_traces(owner, hops, entry_id, hop_latency, recursive)
+    sim = _sim_recursive if recursive else _sim_iterative
+    for i in _np.flatnonzero(state != _OK).tolist():
+        traces[i] = sim(snapshot, entry_id, int(t[i]), budget, hop_latency, timeout)
+    return traces
+
+
+def _vector_frontier(
+    snapshot: RingSnapshot,
+    entry_id: int,
+    t,
+    budget: int,
+    *,
+    recursive: bool,
+):
     """Advance all lookups one hop per round via array-indexed routing.
 
-    Handles only the uncomplicated path -- every touched node alive, no
-    exclusion lists.  The moment a lookup meets a dead reference or
-    exhausts its budget it is parked in the ``_REPLAY`` state and
-    finished by the exact Python simulator, which recomputes it from
-    scratch (replays are side-effect-free, so restarting loses nothing).
-    ``hop_latency`` is the round-trip charge per hop in iterative mode
-    and the one-way charge in recursive mode.
+    Returns the final frontier as ``(state, owner, hops)`` arrays over
+    the targets ``t``.  Handles only the uncomplicated path -- every
+    touched node alive, no exclusion lists.  The moment a lookup meets a
+    dead reference or exhausts its budget it is parked in the
+    ``_REPLAY`` state; ``owner``/``hops`` are final only for ``_OK``.
 
     The frontier ``cur`` holds *slots* (stable row indices), so routing
     is a gather through the finger/successor matrices; id -> slot for
@@ -859,7 +1071,7 @@ def _vector_resolve(
     element, no branching.
     """
     np = _np
-    k = len(targets)
+    k = len(t)
     ids = snapshot.ids_np
     order = snapshot.order_np
     slot_ids = snapshot.slot_ids_np
@@ -869,7 +1081,6 @@ def _vector_resolve(
     table = snapshot.pos_table
     m = snapshot.m
     mask = (1 << m) - 1
-    t = np.asarray(targets, dtype=np.int64)
 
     # Values probed below are always node ids drawn from snapshot state
     # (fingers, successor entries), never the -1 padding, so the dense
@@ -893,7 +1104,6 @@ def _vector_resolve(
     cur = np.full(k, snapshot.pos[entry_id], dtype=np.int64)
     hops = np.zeros(k, dtype=np.int64)
     owner = np.full(k, -1, dtype=np.int64)
-    pinged = np.zeros(k, dtype=bool)
     state = np.full(k, _ACTIVE, dtype=np.int8)
 
     while True:
@@ -926,7 +1136,6 @@ def _vector_resolve(
             ok_idx = d_idx[ok]
             state[ok_idx] = _OK
             owner[ok_idx] = own[ok]
-            pinged[ok_idx] = ~is_entry[ok]
             # Dead owner: iterative mode excludes and re-routes, recursive
             # mode fails outright -- both exactly replayed in Python.
             state[d_idx[~ok]] = _REPLAY
@@ -982,24 +1191,4 @@ def _vector_resolve(
         hops[live_idx] += 1
         cur[live_idx] = pos_of(nxt[alive])
 
-    sim = _sim_recursive if recursive else _sim_iterative
-    traces = []
-    for i in range(k):
-        if state[i] == _OK:
-            h = int(hops[i])
-            if recursive:
-                calls = h
-                msgs = h + (1 if int(owner[i]) != entry_id else 0)
-            else:
-                calls = h + (1 if pinged[i] else 0)
-                msgs = 2 * calls
-            traces.append(
-                LookupTrace(
-                    int(owner[i]), h, msgs, hop_latency * calls, calls, 0, True
-                )
-            )
-        else:
-            traces.append(
-                sim(snapshot, entry_id, int(t[i]), budget, hop_latency, timeout)
-            )
-    return traces
+    return state, owner, hops

@@ -19,7 +19,13 @@ from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
 from ..api import NUMPY_MIN_BATCH, CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
-from .batch import BatchLookupStats, RingSnapshot, WalkView, lockstep_resolve
+from .batch import (
+    BatchLookupStats,
+    RingSnapshot,
+    WalkView,
+    build_route_table,
+    lockstep_resolve,
+)
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
 
@@ -690,17 +696,39 @@ class ChordDHT(EntryVantageMixin):
         )
 
     def warm_lockstep(self) -> bool:
-        """Pre-build the ring snapshot and its walk view off the request path.
+        """Pre-build the ring snapshot, its walk view and its route table.
 
-        Serving shards call this after churn-recovery refreshes so the
-        first batch of a re-admitted shard does not pay the snapshot
-        build inside its dispatch.  Returns whether the lockstep engine
-        is engaged for this adapter.  Free of charges and randomness.
+        Called before serving starts and after a shard's churn-recovery
+        refresh, so a dispatch does not pay these builds on the request
+        path.  The route table
+        (:func:`~repro.dht.chord.batch.build_route_table`) is built only
+        here: while the ring stays as warmed, every batch's lookups are
+        read from it.  A dead entry gets no table: the next lookup fails
+        over, and warming must not pick the new entry earlier than that.
+        Returns whether the lockstep engine is engaged for this adapter.
+        Free of charges and randomness.
         """
         if not self.lockstep_eligible():
             return False
-        self._network.snapshot().walk_view()
+        snapshot = self._network.snapshot()
+        snapshot.walk_view()
+        if self.entry_is_alive:
+            build_route_table(snapshot, self._entry_id, **self._lockstep_costs())
         return True
+
+    def _lockstep_costs(self) -> dict:
+        """The lookup mode and per-call charges the lockstep engine replays."""
+        network = self._network
+        transport = network.transport
+        # Deterministic models return a constant and consume no RNG, so
+        # sampling here mirrors (not perturbs) the live per-call charges.
+        one_way = transport.latency_model.sample(network.rng)
+        return {
+            "mode": self._lookup_mode,
+            "rpc_latency": one_way + one_way,
+            "oneway_latency": one_way,
+            "timeout": transport.timeout,
+        }
 
     def walk_view(self) -> WalkView | None:
         """The ring as ``next`` walks it, when replaying walks is exact.
@@ -804,10 +832,7 @@ class ChordDHT(EntryVantageMixin):
             self.batch_stats.percall += len(points)
             return [self._h_scalar(x, tolerant) for x in points]
         network = self._network
-        transport = network.transport
-        # Deterministic models return a constant and consume no RNG, so
-        # sampling here mirrors (not perturbs) the live per-call charges.
-        one_way = transport.latency_model.sample(network.rng)
+        costs = self._lockstep_costs()
         out: list = []
         i = 0
         while i < len(points):
@@ -818,15 +843,7 @@ class ChordDHT(EntryVantageMixin):
                 out.append(self._h_scalar(points[i], tolerant))
                 i += 1
                 continue
-            traces = lockstep_resolve(
-                snapshot,
-                entry.node_id,
-                targets,
-                mode=self._lookup_mode,
-                rpc_latency=one_way + one_way,
-                oneway_latency=one_way,
-                timeout=transport.timeout,
-            )
+            traces = lockstep_resolve(snapshot, entry.node_id, targets, **costs)
             n_ok = next(
                 (j for j, tr in enumerate(traces) if not tr.ok), len(traces)
             )

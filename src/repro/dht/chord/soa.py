@@ -55,7 +55,13 @@ import random
 from ...compat import load_numpy
 from ..api import CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
-from .batch import BatchLookupStats, RingSnapshot, WalkView, lockstep_resolve
+from .batch import (
+    BatchLookupStats,
+    RingSnapshot,
+    WalkView,
+    build_route_table,
+    lockstep_resolve,
+)
 from .idspace import id_to_point, point_to_target_id
 from .network import _targets_for
 from .node import LookupError_
@@ -478,15 +484,18 @@ class SoAChordDHT(EntryVantageMixin):
             self._entry_id = self._nearest_alive(self._entry_id)
         return self._entry_id
 
+    def _costs(self) -> dict:
+        """The lookup mode and charge constants every lookup replays with."""
+        return {
+            "mode": self._lookup_mode,
+            "rpc_latency": RPC_LATENCY,
+            "oneway_latency": ONE_WAY_LATENCY,
+            "timeout": TIMEOUT,
+        }
+
     def _resolve_batch(self, targets) -> list:
         return lockstep_resolve(
-            self._network.snapshot(),
-            self._vantage_id(),
-            targets,
-            mode=self._lookup_mode,
-            rpc_latency=RPC_LATENCY,
-            oneway_latency=ONE_WAY_LATENCY,
-            timeout=TIMEOUT,
+            self._network.snapshot(), self._vantage_id(), targets, **self._costs()
         )
 
     def h(self, x: float) -> PeerRef:
@@ -515,8 +524,12 @@ class SoAChordDHT(EntryVantageMixin):
         return True  # charges are deterministic by construction
 
     def warm_lockstep(self) -> bool:
-        # The store *is* the snapshot; only its walk view is built here.
-        self._network.store.walk_view()
+        # The store *is* the snapshot; its walk view and route table
+        # are built here (see ChordDHT.warm_lockstep).
+        store = self._network.store
+        store.walk_view()
+        if self.entry_is_alive:
+            build_route_table(store, self._entry_id, **self._costs())
         return True
 
     def walk_view(self) -> WalkView | None:

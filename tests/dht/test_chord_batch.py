@@ -11,6 +11,7 @@ contract, plus the epoch-keyed caching it rides on.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,9 +22,16 @@ from repro.core.engine import BatchSampler
 from repro.core.sampler import RandomPeerSampler
 from repro.dht.api import BulkDHT
 from repro.dht.chord import ChordNetwork
-from repro.dht.chord.batch import RingSnapshot, lockstep_resolve
+from repro.dht.chord import batch as batch_mod
+from repro.dht.chord.batch import (
+    RingSnapshot,
+    _sim_iterative,
+    _sim_recursive,
+    build_route_table,
+    lockstep_resolve,
+)
 from repro.dht.chord.idspace import id_to_point, point_to_target_id
-from repro.dht.chord.node import LookupError_
+from repro.dht.chord.node import LookupError_, hop_budget
 from repro.dht.chord.soa import SoAChordNetwork
 from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
@@ -32,11 +40,15 @@ from repro.sim.network import UniformLatency
 NUMPY = load_numpy() is not None
 
 
-def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", **kwargs):
-    """Two identical rings (same seed): batched path vs scalar reference."""
+def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", copies=2, **kwargs):
+    """Identical rings (same seed): batched path vs scalar reference.
+
+    ``copies=3`` adds a second batched twin that is never warmed: the
+    lanes a warmed twin's route table must reproduce.
+    """
     nets = [
         ChordNetwork.build(n, m=m, rng=random.Random(seed), **kwargs)
-        for _ in range(2)
+        for _ in range(copies)
     ]
     if crashes:
         rng = random.Random(seed + 99)
@@ -45,7 +57,7 @@ def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", **kwargs):
         for victim in victims:
             for net in nets:
                 net.crash_node(victim)
-    return nets[0].dht(lookup_mode=mode), nets[1].dht(lookup_mode=mode)
+    return tuple(net.dht(lookup_mode=mode) for net in nets)
 
 
 def points(k, seed):
@@ -79,6 +91,34 @@ def assert_charges_equal(dht_a, dht_b):
         ta.metrics.counter("rpc.timeouts").value
         == tb.metrics.counter("rpc.timeouts").value
     )
+
+
+def assert_lanes_equal(dht, lanes):
+    """``dht`` against an unwarmed batched twin that served the same calls."""
+    ta, tb = dht._network.transport, lanes._network.transport
+    assert ta.messages_by_method() == tb.messages_by_method()
+    assert dht.batch_stats.as_dict() == lanes.batch_stats.as_dict()
+
+
+def warm_first(dht, warm):
+    """Build the batched twin's route table before it serves, if ``warm``."""
+    if warm:
+        assert dht.warm_lockstep()
+    return dht
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """The size of every batch answered from a route table in the test."""
+    reads = []
+    read = batch_mod._table_resolve
+
+    def counted(snapshot, table, entry_id, targets, *args):
+        reads.append(len(targets))
+        return read(snapshot, table, entry_id, targets, *args)
+
+    monkeypatch.setattr(batch_mod, "_table_resolve", counted)
+    return reads
 
 
 def without_walk_view(dht):
@@ -144,20 +184,28 @@ REFUSALS = {
 
 
 class TestStaticEquivalence:
+    #: Whether the batched twin is warmed first, so that a route table
+    #: answers wherever one is built (the ``...Warm`` subclass).
+    warm = False
+
     # both kernels: python simulation (small) and the numpy vector lane
     @pytest.mark.parametrize("batch", [8, 200])
     @pytest.mark.parametrize("mode", ["iterative", "recursive"])
-    def test_peers_and_charges_match_scalar_loop(self, batch, mode):
-        dht_a, dht_b = build_twins(11, mode=mode)
+    def test_peers_and_charges_match_scalar_loop(self, batch, mode, table_reads):
+        dht_a, dht_b, lanes = build_twins(11, mode=mode, copies=3)
+        warm_first(dht_a, self.warm)
         xs = points(batch, 5)
-        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs) == lanes.h_many(xs)
         assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
         assert dht_a.cost.h_calls == batch
         assert dht_a.batch_stats.lockstep == batch
+        assert table_reads == ([batch] if self.warm and NUMPY else [])
 
     @pytest.mark.parametrize("batch", [8, 200])
-    def test_hop_counts_match_scalar_lookups(self, batch):
+    def test_hop_counts_match_scalar_lookups(self, batch, table_reads):
         dht_a, dht_b = build_twins(12)
+        warm_first(dht_a, self.warm)
         net_b = dht_b._network
         entry = net_b.nodes[dht_b.entry_id]
         targets = [point_to_target_id(x, net_b.m) for x in points(batch, 6)]
@@ -175,17 +223,22 @@ class TestStaticEquivalence:
         assert [t.owner for t in traces] == [r.node_id for r in scalar]
         assert [t.hops for t in traces] == [r.hops for r in scalar]
         assert all(t.ok for t in traces)
+        assert bool(table_reads) == (self.warm and NUMPY)
 
-    def test_imperfect_ring_from_sequential_joins(self):
+    def test_imperfect_ring_from_sequential_joins(self, table_reads):
         # A ring built by the real join protocol has imperfect tables;
         # the replay must follow them, not an oracle route.
-        dht_a, dht_b = build_twins(13, n=24, perfect=False)
+        dht_a, dht_b, lanes = build_twins(13, n=24, perfect=False, copies=3)
+        warm_first(dht_a, self.warm)
         xs = points(150, 7)
-        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs) == lanes.h_many(xs)
         assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
+        assert bool(table_reads) == (self.warm and NUMPY)
 
     def test_mid_batch_domain_error_matches_scalar_sequence(self):
         dht_a, dht_b = build_twins(14)
+        warm_first(dht_a, self.warm)
         xs = [0.5, 0.25, 1.5, 0.75]
         with pytest.raises(ValueError):
             dht_a.h_many(xs)
@@ -197,29 +250,46 @@ class TestStaticEquivalence:
 
     def test_empty_and_single_point_batches(self):
         dht_a, dht_b = build_twins(15)
+        warm_first(dht_a, self.warm)
         assert dht_a.h_many([]) == []
         assert dht_a.h_many([0.5]) == [dht_b.h(0.5)]
         assert_charges_equal(dht_a, dht_b)
 
-    def test_single_node_ring(self):
+    def test_single_node_ring(self, table_reads):
         net = ChordNetwork.build(1, m=8, rng=random.Random(3))
-        dht = net.dht()
+        dht = warm_first(net.dht(), self.warm)
         xs = points(80, 8)
         refs = dht.h_many(xs)
         assert all(r.peer_id == dht.entry_id for r in refs)
         assert dht.cost.messages == 0  # the entry owns everything locally
+        assert bool(table_reads) == (self.warm and NUMPY)
+
+
+class TestStaticEquivalenceWarm(TestStaticEquivalence):
+    """The same equivalences with the batched twin warmed first."""
+
+    warm = True
 
 
 class TestCrashedReferences:
-    """Dead fingers/successors: the exact-fallback lanes of the engine."""
+    """Dead fingers/successors: the exact-fallback lanes of the engine.
+
+    A warmed twin must refuse to build a route table here (a dead id
+    can split an arc between routes), so every batch runs the lanes.
+    """
+
+    warm = False
 
     @pytest.mark.parametrize("batch", [8, 200])
     @pytest.mark.parametrize("crashes", [1, 10])
     def test_iterative_routes_around_crashes_identically(self, batch, crashes):
-        dht_a, dht_b = build_twins(21, n=80, crashes=crashes)
+        dht_a, dht_b, lanes = build_twins(21, n=80, crashes=crashes, copies=3)
+        warm_first(dht_a, self.warm)
+        assert dht_a._network.snapshot().route is None
         xs = points(batch, 9)
-        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs) == lanes.h_many(xs)
         assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
         # crashes leave timeouts behind -- proves the dead-hop lane ran
         assert dht_a._network.transport.metrics.counter("rpc.timeouts").value > 0
 
@@ -227,13 +297,19 @@ class TestCrashedReferences:
     def test_recursive_failures_are_replayed_identically(self, batch):
         # Recursive lookups cannot reroute: some fail, h retries and
         # stabilizes, and the batch must replay that exact sequence.
-        dht_a, dht_b = build_twins(22, n=80, crashes=10, mode="recursive")
+        dht_a, dht_b, lanes = build_twins(22, n=80, crashes=10, mode="recursive", copies=3)
+        warm_first(dht_a, self.warm)
+        assert dht_a._network.snapshot().route is None
         xs = points(batch, 10)
-        assert dht_a.resolve_many(xs) == scalar_loop(dht_b, xs, tolerant=True)
+        expected = scalar_loop(dht_b, xs, tolerant=True)
+        assert dht_a.resolve_many(xs) == expected == lanes.resolve_many(xs)
         assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
 
     def test_strict_h_many_raises_like_the_scalar_loop(self):
         dht_a, dht_b = build_twins(23, n=80, crashes=10, mode="recursive")
+        warm_first(dht_a, self.warm)
+        assert dht_a._network.snapshot().route is None
         xs = points(200, 10)
         err_a = err_b = None
         try:
@@ -249,6 +325,8 @@ class TestCrashedReferences:
 
     def test_hop_counts_with_crashed_fingers(self):
         dht_a, dht_b = build_twins(24, n=80, crashes=8)
+        warm_first(dht_a, self.warm)
+        assert dht_a._network.snapshot().route is None
         net_b = dht_b._network
         entry = net_b.nodes[dht_b.entry_id]
         targets = [point_to_target_id(x, net_b.m) for x in points(150, 11)]
@@ -265,6 +343,160 @@ class TestCrashedReferences:
         for trace, target in zip(traces, targets):
             result = entry.lookup(target)
             assert (trace.owner, trace.hops) == (result.node_id, result.hops)
+
+
+class TestCrashedReferencesWarm(TestCrashedReferences):
+    """The same equivalences with the batched twin warmed first."""
+
+    warm = True
+
+
+def successor_only(net):
+    """Strip every finger and all but the first successor (a direct edit).
+
+    Lookups then walk the ring one successor at a time, so on a ring
+    longer than the hop budget some of them exhaust it with every
+    reference live.
+    """
+    for node in net.nodes.values():
+        node.fingers = [None] * net.m
+        del node.successors[1:]
+    net.bump_epoch()
+
+
+#: Ring and vantage changes applied to both twins after the batched twin
+#: is warmed; each must stop its route table from being read.
+STALE = {
+    "join": lambda dht: dht._network.join_node(),
+    "crash": lambda dht: dht._network.crash_node(dht._network.sorted_ids()[7]),
+    "leave": lambda dht: dht._network.leave_node(dht._network.sorted_ids()[9]),
+    "stabilize": lambda dht: dht._network.stabilize_round(),
+    "bump-epoch": lambda dht: dht._network.bump_epoch(),
+    "entry-failover": lambda dht: dht._network.crash_node(dht.entry_id),
+    "entry-moved": lambda dht: dht.refresh_entry(dht._network.sorted_ids()[5]),
+}
+
+
+class TestRouteTable:
+    """One lookup per owner arc, read while the ring stays as warmed.
+
+    Under ``REPRO_PURE_PYTHON`` no table is built and every batch runs
+    the lanes; the equivalences must hold either way.
+    """
+
+    @pytest.mark.skipif(not NUMPY, reason="route tables exist on the numpy lane only")
+    def test_every_target_matches_the_python_replay(self, table_reads):
+        # Every identifier of small spaces, so every target of every arc,
+        # from an entry that is not the lowest id (once n > 1).
+        for m, n, wiring, mode in itertools.product(
+            (6, 8, 10),
+            (1, 2, 3, 24, 60),
+            ("perfect", "joined", "successor-only"),
+            ("iterative", "recursive"),
+        ):
+            net = ChordNetwork.build(
+                n, m=m, rng=random.Random(100 * m + n), perfect=wiring != "joined"
+            )
+            if wiring == "successor-only":
+                successor_only(net)
+            snap = net.snapshot()
+            ids = net.sorted_ids()
+            entry = ids[len(ids) // 2]
+            costs = {"mode": mode, "rpc_latency": 2.0, "oneway_latency": 1.0, "timeout": 8.0}
+            assert build_route_table(snap, entry, **costs)
+            sim, lat = (_sim_iterative, 2.0) if mode == "iterative" else (_sim_recursive, 1.0)
+            targets = list(range(1 << m))
+            expected = [sim(snap, entry, t, hop_budget(m), lat, 8.0) for t in targets]
+            case = (m, n, wiring, mode)
+            assert lockstep_resolve(snap, entry, targets, **costs) == expected, case
+            assert table_reads.pop() == len(targets), case
+            # A 60-node successor walk outruns every budget: failing arcs.
+            failing = not all(t.ok for t in expected)
+            assert failing == (wiring == "successor-only" and n == 60), case
+
+    @pytest.mark.parametrize("mode", ["iterative", "recursive"])
+    def test_budget_exhausting_arcs_delegate_as_the_lanes_do(self, mode, table_reads):
+        dht_a, dht_b, lanes = build_twins(86, n=60, m=6, mode=mode, copies=3)
+        for dht in (dht_a, dht_b, lanes):
+            successor_only(dht._network)
+        assert dht_a.warm_lockstep()
+        if NUMPY:
+            assert (dht_a._network.snapshot().route.hops < 0).any()
+        xs = points(80, 34)
+        expected = scalar_loop(dht_b, xs, tolerant=True)
+        assert dht_a.resolve_many(xs) == expected == lanes.resolve_many(xs)
+        assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
+        assert dht_a.batch_stats.delegated > 0
+        assert bool(table_reads) == NUMPY
+
+    @pytest.mark.parametrize("change", sorted(STALE))
+    def test_ring_changes_stop_table_reads(self, change, table_reads):
+        dht_a, dht_b = build_twins(81, n=48, perfect=False)
+        assert dht_a.warm_lockstep()
+        snap = dht_a._network.snapshot()
+        patches = snap.patches
+        for dht in (dht_a, dht_b):
+            STALE[change](dht)
+        if change == "stabilize":
+            assert dht_a._network.snapshot().patches > patches  # rows rewritten
+        xs = points(100, 30)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert_charges_equal(dht_a, dht_b)
+        assert not table_reads
+        # Warming again (as a recovered serving shard does) rebuilds the
+        # table wherever the changed ring still names only live ids; a
+        # departed id stays in its neighbours' fingers until repaired.
+        assert dht_a.warm_lockstep()
+        rebuilt = dht_a._network.snapshot().route is not None
+        assert rebuilt == (NUMPY and change not in ("crash", "entry-failover", "leave"))
+        xs = points(100, 31)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert_charges_equal(dht_a, dht_b)
+        assert table_reads == ([100] if rebuilt else [])
+
+    def test_noop_stabilize_round_keeps_the_table(self, table_reads):
+        dht_a, dht_b = build_twins(82, n=48)
+        assert dht_a.warm_lockstep()
+        snap = dht_a._network.snapshot()
+        patches, epoch = snap.patches, dht_a._network.churn_epoch
+        for dht in (dht_a, dht_b):
+            dht._network.stabilize_round()
+        assert dht_a._network.churn_epoch > epoch
+        assert dht_a._network.snapshot() is snap and snap.patches == patches
+        xs = points(100, 32)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert_charges_equal(dht_a, dht_b)
+        assert table_reads == ([100] if NUMPY else [])
+
+    def test_traced_batches_read_the_table(self, table_reads):
+        dht_a, dht_b = build_twins(83, n=64)
+        sinks = [_RecordingSink(), _RecordingSink()]
+        for dht, sink in zip((dht_a, dht_b), sinks):
+            dht._network.transport.install_tracer(sink)
+        assert dht_a.warm_lockstep()
+        xs = points(120, 33)
+        assert dht_a.h_many(xs) == dht_b.h_many(xs)
+        assert table_reads == ([120] if NUMPY else [])
+        assert sinks[0].events == sinks[1].events
+        assert [e[0] for e in sinks[0].events] == ["lookup"] * 120
+
+    @pytest.mark.parametrize("mode", ["iterative", "recursive"])
+    @pytest.mark.parametrize("crashes", [0, 2])
+    def test_soa_h_and_h_many_read_the_table(self, crashes, mode, table_reads):
+        nets = [SoAChordNetwork.build(48, m=16, rng=random.Random(84)) for _ in range(2)]
+        victims = random.Random(85).sample(nets[0].sorted_ids()[1:], crashes)
+        for net in nets:
+            for victim in victims:
+                net.crash_node(victim)
+        dht_a, dht_b = (net.dht(lookup_mode=mode) for net in nets)
+        assert dht_a.warm_lockstep()
+        assert (nets[0].store.route is not None) == (NUMPY and not crashes)
+        xs = points(60, 35)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert [dht_a.h(x) for x in xs[:3]] == scalar_loop(dht_b, xs[:3])
+        assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
+        assert table_reads == ([60, 1, 1, 1] if NUMPY and not crashes else [])
 
 
 class TestEligibility:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.engine import BatchSampler
 from repro.dht.chord.batch import RingSnapshot
 from repro.dht.chord.network import ChordNetwork
+from repro.dht.chord.node import LookupError_
 from repro.dht.chord.soa import SoAChordNetwork
 from repro.dht.kademlia.routing import SoAKademliaNetwork
 
@@ -133,6 +134,50 @@ def test_chord_walk_replay_matches_per_call_walk_after_churn(case, point_seed):
     assert ta.messages_by_method() == tb.messages_by_method()
     for counter in ("rpc.calls", "rpc.timeouts", "messages"):
         assert ta.metrics.counter(counter).value == tb.metrics.counter(counter).value
+
+
+def _served(call):
+    """What a lookup sequence returned, or the error it raised with."""
+    try:
+        return call()
+    except LookupError_ as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("substrate", [ChordNetwork, SoAChordNetwork], ids=["chord", "chord-soa"])
+@settings(max_examples=20, deadline=None)
+@given(op_scripts(), st.integers(min_value=0, max_value=2**16), st.data())
+def test_warmed_h_many_matches_scalar_loop_after_churn(substrate, case, point_seed, data):
+    """A route table warmed mid-script never answers for a changed ring.
+
+    Twin rings run the same script; one is warmed partway through and
+    again at the end (as serving set-up and churn recovery do), then
+    serves ``h_many``.  It must equal the other twin's scalar ``h`` loop
+    in peers and charges, whether the table is current, stale or
+    refused.
+    """
+    n, seed, ops = case
+    cut = data.draw(st.integers(min_value=0, max_value=len(ops)), label="warm at")
+    nets = [substrate.build(n, m=M, rng=random.Random(seed + 7)) for _ in range(2)]
+    rngs = [random.Random(seed), random.Random(seed)]
+    dhts = [net.dht() for net in nets]
+    for net, rng in zip(nets, rngs):
+        net.snapshot()
+        _run_script(net, ops[:cut], rng)
+    dhts[0].warm_lockstep()
+    for net, rng in zip(nets, rngs):
+        _run_script(net, ops[cut:], rng)
+    dhts[0].warm_lockstep()
+    rng = random.Random(point_seed)
+    xs = [1.0 - rng.random() for _ in range(60)]
+    batched = _served(lambda: dhts[0].h_many(xs))
+    assert batched == _served(lambda: [dhts[1].h(x) for x in xs])
+    assert dhts[0].cost.snapshot() == dhts[1].cost.snapshot()
+    if substrate is ChordNetwork:
+        ta, tb = nets[0].transport, nets[1].transport
+        assert ta.elapsed == tb.elapsed
+        for counter in ("rpc.calls", "rpc.timeouts", "messages"):
+            assert ta.metrics.counter(counter).value == tb.metrics.counter(counter).value
 
 
 @settings(max_examples=20, deadline=None)
