@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import IdealDHT, RandomPeerSampler
+from repro import IdealDHT, PeerRef, RandomPeerSampler
 from repro.bench.harness import Table, time_call, write_bench_json
 from repro.core.engine import BatchSampler
 
@@ -32,12 +32,24 @@ QUICK_K = 500
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 
+def scalar_draw(sampler: RandomPeerSampler, rng: random.Random) -> PeerRef:
+    """One draw through the per-call path: Figure 1's ``trial`` (one
+    ``h``, then ``next`` per hop) on fresh points until one succeeds."""
+    while True:
+        peer = sampler.trial(1.0 - rng.random()).peer
+        if peer is not None:
+            return peer
+
+
 def measure(n: int, k: int, repeat: int = 2) -> dict:
     """Samples/second for the scalar loop and the batch engine at size ``n``."""
     dht = IdealDHT.random(n, random.Random(n))
 
-    scalar_sampler = RandomPeerSampler(dht, n_hat=float(n), rng=random.Random(n + 1))
-    scalar_s = time_call(lambda: [scalar_sampler.sample() for _ in range(k)], repeat=repeat)
+    scalar_sampler = RandomPeerSampler(dht, n_hat=float(n))
+    rng = random.Random(n + 1)
+    scalar_s = time_call(
+        lambda: [scalar_draw(scalar_sampler, rng) for _ in range(k)], repeat=repeat
+    )
 
     batch = BatchSampler(dht, n_hat=float(n), rng=random.Random(n + 2))
     batch_s = time_call(lambda: batch.sample_many(k), repeat=repeat)
@@ -67,7 +79,7 @@ def run(sizes, k, repeat: int = 2) -> tuple[Table, list[dict]]:
         table.add_row(
             n, k, row["scalar_samples_per_sec"], row["batch_samples_per_sec"], row["speedup"]
         )
-    table.note("scalar = per-sample RandomPeerSampler.sample() loop (seed path)")
+    table.note("scalar = per-draw rejection loop over RandomPeerSampler.trial()")
     table.note("batch = BatchSampler.sample_many(k): vectorized classify + windowed walk kernel")
     return table, results
 

@@ -20,21 +20,26 @@ runs the identical algorithm over a whole vector of trials at once:
   results materialized once at the end;
 - failed trials are rejection-retried in batched rounds sized by the
   observed per-trial success rate;
-- the cost meter is charged once per round via
-  :meth:`~repro.dht.api.CostMeter.charge_bulk` with totals identical to
-  what the per-call path would have accumulated.
+- a round is classified whole but committed only up to its last needed
+  success, in draw order: the cost meter is charged once per round via
+  :meth:`~repro.dht.api.CostMeter.charge_bulk` for exactly the trials a
+  sequential scalar loop would have run, and the round's unconsumed
+  points stay queued for the next round or call, so the engine reads
+  the RNG's point stream exactly as that loop does.
 
 Every float operation matches the scalar path's expression tree
 exactly (``cumsum`` adds in order, so it reproduces the scalar
 ``t += step - lam``), so for the same trial points the engine and
-:meth:`RandomPeerSampler.trial` produce *identical* outcomes (asserted
-by the seeded equivalence tests).  On substrates that do not satisfy
-:class:`~repro.dht.api.BulkDHT` (the live overlays) the engine resolves
-``h`` through the substrate's batched resolver and replays the walks
-through the same kernel when the substrate offers a certified walk view
-(see :meth:`BatchSampler._trials_fallback`); otherwise it walks through
-the shared per-call trial helper, preserving semantics at per-call
-speed.
+:meth:`RandomPeerSampler.trial` produce *identical* outcomes, and for
+the same seed the engine draws the peers, and charges the costs, of
+sequential scalar draws (asserted by the seeded equivalence tests).  On
+substrates that do not satisfy :class:`~repro.dht.api.BulkDHT` (the
+live overlays) the engine resolves ``h`` without charges through the
+substrate's batched resolver, replays the walks through the same kernel
+when the substrate offers a certified walk view, and commits the
+certified prefix (see :meth:`BatchSampler._round_fallback`); every
+other trial runs on its own through the per-call path.  The scalar
+sampler's draws are this engine at ``k = 1``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,12 @@ _np = load_numpy()
 #: Cap on trial points drawn per rejection round (bounds peak memory).
 _MAX_ROUND = 1 << 18
 
+#: A round draws about this many times the expected trials of its
+#: outstanding draws, so that a second round is rare.  Only the trials up
+#: to the last needed success are committed, so a larger round costs
+#: classification CPU, never charged work.
+_ROUND_FACTOR = 2.0
+
 #: Trials per slab of the walk kernel.  A slab's scratch is
 #: ``_WALK_SLAB * walk_budget`` doubles, so the kernel's memory stays
 #: bounded however large a rejection round is.
@@ -82,7 +93,11 @@ _WALK_SLAB = 2048
 
 # Outcome codes used inside the classification kernels (cheap ints in
 # the hot loop; mapped to TrialOutcome only at materialization time).
-_SMALL, _WALK, _EXHAUSTED = 0, 1, 2
+# A code below _EXHAUSTED is a success; _UNKNOWN marks a trial whose
+# outcome was not computed (its lookup failed, or no trial that late in
+# its round can be committed).
+_SMALL, _WALK, _EXHAUSTED, _UNKNOWN = 0, 1, 2, 3
+_OUTCOMES = (TrialOutcome.SMALL_HIT, TrialOutcome.WALK_HIT, TrialOutcome.EXHAUSTED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,12 +110,15 @@ class BatchSampleResult:
     any fixed assignment of results to requests exchangeable.  ``cost``
     is the substrate meter delta attributable to this call, which is
     what serving layers convert into simulated service time.
+    ``trials`` counts the committed (charged) trials and ``walk_hits``
+    the draws that a clockwise walk assigned (the rest were small hits).
     """
 
     peers: tuple[PeerRef, ...]
     trials: int
     rounds: int
     cost: CostSnapshot
+    walk_hits: int = 0
 
 
 class BatchSampler:
@@ -155,6 +173,11 @@ class BatchSampler:
         #: ``(ring, params, windows)`` of the last walk-kernel input (see
         #: :meth:`_windows_for`).
         self._windows = None
+        #: Drawn trial points no round has committed yet, in draw order
+        #: (see :meth:`sample_many_attributed`).  A point is independent
+        #: of every trial before it, so it is classified against the ring
+        #: as it stands whenever it is committed.
+        self._pending: list[float] = []
 
     @property
     def dht(self) -> DHT:
@@ -177,7 +200,8 @@ class BatchSampler:
     def refresh(self, n_hat: float | None = None) -> SamplerParams:
         """Re-derive parameters from a fresh size estimate (see
         :meth:`RandomPeerSampler.refresh <repro.core.sampler.RandomPeerSampler.refresh>`;
-        serving shards call this when re-admitting after churn failures)."""
+        serving shards call this when re-admitting after churn failures).
+        Queued trial points are kept: a point does not depend on ``n_hat``."""
         if n_hat is None:
             n_hat = estimate_n(self._dht, c1=self._c1).n_hat
         self.params = SamplerParams.from_estimate(
@@ -205,37 +229,30 @@ class BatchSampler:
             )
         return cached[2]
 
-    def _classify_charged(self, points: Sequence[float]):
-        """Run Figure 1 on every point against the flat point array.
+    def _run_kernel(self, points: Sequence[float], need: int):
+        """Run Figure 1 on points against the flat point array, uncharged.
 
-        Returns ``(codes, out_idx, hops)`` parallel lists: the outcome
-        code, the assigned peer's sorted index (``-1`` if none) and the
-        walk length of each trial.  Charges the substrate's meter once
-        for the whole batch.
+        Returns ``(codes, out_idx, hops)``: the outcome code, the
+        assigned peer's sorted index (``-1`` if none) and the walk length
+        of each trial -- numpy arrays over every point, or, in the
+        pure-Python lane, lists that stop at the ``need``-th success.
         """
         pts = self._dht.points_array()
         lam = self.params.lam
-        budget = self.params.walk_budget
         if _np is not None:
             pts = _np.asarray(pts, dtype=_np.float64)
-            codes, out_idx, hops = _kernel_numpy(
-                pts, self._windows_for(pts), lam, points
-            )
-            total_hops = int(hops.sum())
-            codes, out_idx, hops = codes.tolist(), out_idx.tolist(), hops.tolist()
-        else:
-            codes, out_idx, hops, total_hops = _kernel_python(
-                pts, len(pts), lam, budget, points
-            )
+            return _kernel_numpy(pts, self._windows_for(pts), lam, points, need)
+        return _kernel_python(pts, len(pts), lam, self.params.walk_budget, points, need)
+
+    def _charge(self, trials: int, hops: int) -> None:
+        """Charge ``trials`` ``h`` calls and ``hops`` ``next`` calls at unit cost."""
         hm, hl, nm, nl = self._dht.bulk_op_costs()
-        k = len(points)
         self._dht.cost.charge_bulk(
-            h_calls=k,
-            next_calls=total_hops,
-            messages=k * hm + total_hops * nm,
-            latency=k * hl + total_hops * nl,
+            h_calls=trials,
+            next_calls=hops,
+            messages=trials * hm + hops * nm,
+            latency=trials * hl + hops * nl,
         )
-        return codes, out_idx, hops
 
     # -- public API --------------------------------------------------------
 
@@ -244,143 +261,181 @@ class BatchSampler:
 
         Result ``j`` equals ``RandomPeerSampler.trial(points[j])`` for a
         sampler sharing this engine's parameters -- same peer, same
-        :class:`~repro.core.sampler.TrialOutcome`, same walk length.
+        :class:`~repro.core.sampler.TrialOutcome`, same walk length --
+        and the charges equal those trials' in total.
         """
         points = list(points)
+        results: list[TrialResult] = []
         if not self._bulk:
-            return self._trials_fallback(points)
-        codes, out_idx, hops = self._classify_charged(points)
+            self._round_fallback(points, len(points) + 1, results)
+            return results
+        if _np is not None:
+            _check_points(points)
+        codes, out_idx, hops = self._run_kernel(points, len(points))
+        if _np is not None:
+            codes, out_idx, hops = codes.tolist(), out_idx.tolist(), hops.tolist()
+        self._charge(len(points), sum(hops))
         succ = self._dht.successor_of_index
-        results = []
         for s, code, idx, h in zip(points, codes, out_idx, hops):
-            if code == _SMALL:
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.SMALL_HIT, peer=succ(int(idx)), walk_hops=0)
-                )
-            elif code == _WALK:
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.WALK_HIT, peer=succ(int(idx)), walk_hops=int(h))
-                )
-            else:
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=int(h))
-                )
+            peer = None if code == _EXHAUSTED else succ(idx)
+            results.append(TrialResult(s=s, outcome=_OUTCOMES[code], peer=peer, walk_hops=h))
         return results
 
-    def _trials_fallback(self, points: Sequence[float]) -> list[TrialResult]:
-        """Batched-resolution path for substrates without a flat point array.
+    def _round(self, points: list[float], need: int):
+        """Classify one rejection round and commit it up to its ``need``-th success.
 
-        The whole round's ``h(s)`` points are resolved first: substrates
-        that offer a failure-tolerant batched resolver (``resolve_many``;
-        the Chord adapters' is backed by the lockstep snapshot engine) get
-        them in one call, others point by point, which is cost-identical
-        to ``h_many`` on per-call substrates.
+        Returns ``(peers, taken, walk_hits, successes, classified)``: the
+        committed successes' peers in draw order (at most ``need``), how
+        many trials were committed -- charged, in draw order, exactly as
+        sequential scalar trials -- how many of those peers came from a
+        walk, and the successes among the ``classified`` trials whose
+        outcome the round learned, the evidence for the next round's size.
+        """
+        if not self._bulk:
+            return self._round_fallback(points, need, None)
+        codes, out_idx, hops = self._run_kernel(points, need)
+        succ = self._dht.successor_of_index
+        if _np is None:
+            taken = len(codes)
+            self._charge(taken, sum(hops))
+            wins = [j for j, code in enumerate(codes) if code < _EXHAUSTED]
+            peers = [succ(out_idx[j]) for j in wins]
+            walk_hits = sum(codes[j] == _WALK for j in wins)
+            return peers, taken, walk_hits, len(wins), taken
+        wins = (codes < _EXHAUSTED).nonzero()[0]
+        successes = len(wins)
+        taken = len(points)
+        if successes >= need:
+            wins = wins[:need]
+            taken = int(wins[-1]) + 1
+        self._charge(taken, int(hops[:taken].sum()))
+        peers = [succ(i) for i in out_idx[wins].tolist()]
+        walk_hits = int(_np.count_nonzero(codes[wins] == _WALK))
+        return peers, taken, walk_hits, successes, len(points)
 
-        The walks then run trial by trial, in order.  When the substrate
-        offers a ``walk_view`` (the Chord adapters, when replay is exact)
-        they are replayed through the windowed kernel instead of one
-        ``next`` call per hop: the longest prefix of trials whose walk
-        stays inside its *certified run* -- the hops from its first peer
-        along which every successor pointer equals the next sorted live
-        id -- is committed and its hops charged in one
-        ``charge_walk`` call.  The first trial that leaves its run walks
-        through per-call ``next`` from its first hop (nothing of it has
-        been charged), which may stabilize the ring; the view is then
-        re-read and the replay resumes with the next trial.  Results and
-        charges are those of the per-call walk.
+    def _round_fallback(self, points: list[float], need: int, results):
+        """:meth:`_round` for substrates without a flat point array.
 
-        Each per-call walk runs under a
-        :class:`~repro.dht.api.PeerUnreachableError` guard: on a live
-        overlay a peer can crash mid-walk, and the correct response is to
-        discard that trial (it consumed randomness, it produced nothing)
-        and let the rejection loop redraw -- not to abort the whole
-        batch.
+        Where the substrate resolves lookups without side effects
+        (``resolve_many(..., commit=False)``) and offers a walk view, the
+        remaining points are resolved and classified in one pass, and the
+        longest prefix of *certified* trials -- a successful lookup, and a
+        walk that stays inside its first peer's run of the view -- is
+        committed, up to the ``need``-th success, through one
+        ``commit_lookups`` call.  The first trial past the prefix runs on
+        its own (:meth:`_live_trial`): its lookup through the batched
+        resolver, which re-executes a failing lookup live, and its walk
+        through per-call ``next``.  Either may stabilize the ring; the
+        view is then re-read and, if the ring changed, the remaining
+        points are resolved afresh.  Every other configuration runs one
+        trial at a time.  Results and charges are those of sequential
+        scalar trials; ``results``, when a list, receives each committed
+        trial's :class:`~repro.core.sampler.TrialResult`.
         """
         dht = self._dht
-        resolve_many = getattr(dht, "resolve_many", None)
-        firsts: list[PeerRef | None]
-        if resolve_many is not None and len(points) > 1:
-            firsts = resolve_many(points)
-        else:
-            firsts = []
-            for s in points:
-                try:
-                    firsts.append(dht.h(s))
-                except PeerUnreachableError:
-                    firsts.append(None)
-        walk_view = getattr(dht, "walk_view", None) if _np is not None else None
-        results: list[TrialResult] = []
+        walk_view = None
+        if _np is not None and hasattr(dht, "commit_lookups"):
+            walk_view = getattr(dht, "walk_view", None)
+        peers: list[PeerRef] = []
+        walk_hits = successes = classified = 0
+
+        def keep(result: TrialResult) -> None:
+            nonlocal walk_hits
+            if result.peer is not None:
+                peers.append(result.peer)
+                walk_hits += result.outcome is TrialOutcome.WALK_HIT
+            if results is not None:
+                results.append(result)
+
         k = len(points)
         i = 0
-        view = None
-        while i < k:
-            fresh = walk_view() if walk_view is not None else None
-            if fresh is None:
-                results.extend(
-                    self._walk_per_call(s, first)
-                    for s, first in zip(points[i:], firsts[i:])
+        while i < k and len(peers) < need:
+            view = walk_view() if walk_view is not None else None
+            found = dht.resolve_many(points[i:], commit=False) if view is not None else None
+            if not found:
+                result = self._live_trial(points[i])
+                keep(result)
+                i += 1
+                classified += 1
+                successes += result.peer is not None
+                continue
+            rest = points[i : i + len(found)]
+            codes, starts, stops, hops, certified = self._plan_walks(
+                view, rest, found, need - len(peers)
+            )
+            classified += int(_np.count_nonzero(starts >= 0))
+            successes += int(_np.count_nonzero(codes < _EXHAUSTED))
+            j = 0
+            for end in (~certified).nonzero()[0].tolist() + [len(found)]:
+                wins = j + (codes[j:end] < _EXHAUSTED).nonzero()[0]
+                short = need - len(peers)
+                if len(wins) >= short:
+                    wins = wins[:short]
+                    end = int(wins[-1]) + 1
+                dht.commit_lookups(
+                    found[j:end], (view, starts[j:end].tolist(), hops[j:end].tolist())
                 )
-                break
-            if fresh is not view:
-                view, base = fresh, i
-                planned, starts, hops = self._plan_walks(view, points[i:], firsts[i:])
-            end = i
-            while end < k and planned[end - base] is not None:
-                end += 1
-            if end > i:
-                lo, hi = i - base, end - base
-                results.extend(planned[lo:hi])
-                self.stale_trials += sum(first is None for first in firsts[i:end])
-                dht.charge_walk(view, starts[lo:hi], hops[lo:hi])
-            if end < k:
-                results.append(self._walk_per_call(points[end], firsts[end]))
-            i = end + 1
-        return results
+                peers.extend(view.peer(q) for q in stops[wins].tolist())
+                walk_hits += int(_np.count_nonzero(codes[wins] == _WALK))
+                if results is not None:
+                    results.extend(
+                        _planned(view, rest[j:end], codes[j:end], stops[j:end], hops[j:end])
+                    )
+                j = end
+                if j == len(found) or len(peers) == need:
+                    break
+                keep(self._live_trial(rest[j]))
+                j += 1
+                if len(peers) == need or walk_view() is not view:
+                    break  # done, or the ring changed: resolve the rest afresh
+            i += j
+        return peers, i, walk_hits, successes, classified
 
-    def _plan_walks(self, view, points, firsts):
-        """Figure 1 for every trial on ``view``: ``(results, starts, hops)`` lists.
+    def _plan_walks(self, view, points, found, need):
+        """Figure 1 for every resolved trial on ``view``, as arrays.
 
-        ``results[j]`` is trial ``j``'s outcome when ``view`` certifies
-        it -- its first peer sits in the view and its stop hop lies inside
-        that peer's run -- else None; ``starts[j]`` is the first peer's
-        ring position (``-1`` if absent) and ``hops[j]`` the walk length.
-        An unresolved trial (``None`` first) walks nowhere: it is
-        certified as a stale, exhausted trial.
+        Returns ``(codes, starts, stops, hops, certified)``: the outcome
+        code (``_UNKNOWN`` where the lookup failed, or past the
+        ``need``-th small hit), the first peer's ring position (``-1`` if
+        absent), the assigned peer's ring position (``-1`` if none), the
+        walk length, and whether ``view`` certifies the trial -- its
+        lookup succeeded, its first peer sits in the view and its stop
+        hop lies inside that peer's run.
         """
-        k = len(points)
-        pids = _np.fromiter(
-            (-1 if first is None else first.peer_id for first in firsts),
-            dtype=_np.int64,
-            count=k,
-        )
-        pos = view.positions(pids)
-        known = _np.flatnonzero(pos >= 0)
-        codes = _np.full(k, _EXHAUSTED, dtype=_np.int8)
-        out_idx = _np.full(k, -1, dtype=_np.int64)
+        k = len(found)
+        starts = view.positions(found.owner)
+        known = (starts >= 0).nonzero()[0]
+        codes = _np.full(k, _UNKNOWN, dtype=_np.int8)
+        stops = _np.full(k, -1, dtype=_np.int64)
         hops = _np.zeros(k, dtype=_np.int64)
         if known.size:
-            codes[known], out_idx[known], hops[known] = _classify(
+            codes[known], stops[known], hops[known] = _classify(
                 self._windows_for(view, view.gaps),
                 view.points,
-                pos[known],
+                starts[known],
                 _np.asarray(points, dtype=_np.float64)[known],
                 self.params.lam,
+                need,
             )
-        certified = (pids < 0) | ((pos >= 0) & (view.run[pos] >= hops))
-        hops = hops.tolist()
-        results: list[TrialResult | None] = []
-        for s, first, code, idx, h, ok in zip(
-            points, firsts, codes.tolist(), out_idx.tolist(), hops, certified.tolist()
-        ):
-            if not ok:
-                results.append(None)
-            elif first is None or code == _EXHAUSTED:
-                results.append(TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=h))
-            elif code == _SMALL:
-                results.append(TrialResult(s=s, outcome=TrialOutcome.SMALL_HIT, peer=first, walk_hops=0))
-            else:
-                results.append(TrialResult(s=s, outcome=TrialOutcome.WALK_HIT, peer=view.peer(idx), walk_hops=h))
-        return results, pos.tolist(), hops
+        certified = (starts >= 0) & (view.run[starts] >= hops)
+        return codes, starts, stops, hops, certified
+
+    def _live_trial(self, s: float) -> TrialResult:
+        """One trial on its own, as the scalar sampler runs it.
+
+        Its lookup goes through the substrate's tolerant batched
+        resolver when it has one (the Chord adapters replay and charge
+        it, or re-execute it live when the replay predicts a failure),
+        else through ``h``; its walk through per-call ``next``.
+        """
+        dht = self._dht
+        resolve = getattr(dht, "resolve_many", None)
+        first = None
+        try:
+            first = resolve([s])[0] if resolve is not None else dht.h(s)
+        except PeerUnreachableError:
+            pass
+        return self._walk_per_call(s, first)
 
     def _walk_per_call(self, s: float, first: PeerRef | None) -> TrialResult:
         """One trial's walk through per-call ``next``; a liveness failure
@@ -395,13 +450,17 @@ class BatchSampler:
         self.stale_trials += 1
         return TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
 
-    def _round_successes(self, points: list[float]) -> list[PeerRef]:
-        """Successful trials of one round, as peers in draw order."""
-        if not self._bulk:
-            return [r.peer for r in self._trials_fallback(points) if r.peer is not None]
-        codes, out_idx, _hops = self._classify_charged(points)
-        succ = self._dht.successor_of_index
-        return [succ(int(i)) for c, i in zip(codes, out_idx) if c != _EXHAUSTED]
+    def _draw(self, size: int) -> list[float]:
+        """``size`` trial points: carried-over ones first, then fresh draws."""
+        pending = self._pending
+        if len(pending) >= size:
+            points = pending[:size]
+            del pending[:size]
+            return points
+        rand = self._rng.random
+        points = pending + [1.0 - rand() for _ in range(size - len(pending))]
+        pending.clear()
+        return points
 
     def sample_many(self, k: int) -> list[PeerRef]:
         """Draw ``k`` independent uniform samples (with replacement).
@@ -420,10 +479,17 @@ class BatchSampler:
 
         Returns a :class:`BatchSampleResult` whose ``peers`` are the
         draws in order (result ``j`` belongs to coalesced request ``j``),
-        ``trials``/``rounds`` count the rejection work performed, and
+        ``trials``/``rounds`` count the rejection work committed, and
         ``cost`` is this call's substrate meter delta.  The serving layer
         (:mod:`repro.service`) uses this hook to stamp per-request
         latency without re-deriving batch internals.
+
+        A round classifies all its points but commits -- charges, and
+        counts in ``trials`` -- only the trials up to its last needed
+        success, in draw order.  The points after it stay queued on the
+        engine and open the next round or the next call, so the engine
+        consumes the RNG's points exactly as sequential scalar draws do,
+        with the same peers and charges.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -432,8 +498,8 @@ class BatchSampler:
         budget = self._max_trials * k
         used = 0
         rounds = 0
+        walk_hits = 0
         p_est = min(max(self.params.n_hat * self.params.lam, 1e-4), 1.0)
-        rand = self._rng.random
         # Round spans are recorded only while a sampled batch is being
         # dispatched; the check is hoisted because the whole call runs
         # inside one dispatch (one batch context), so activity cannot
@@ -450,27 +516,31 @@ class BatchSampler:
             round_size = min(
                 budget - used,
                 _MAX_ROUND,
-                max(need, int(need / p_est * 1.15) + 8),
+                max(need, int(need / p_est * _ROUND_FACTOR) + 8),
             )
-            points = [1.0 - rand() for _ in range(round_size)]
-            used += round_size
+            points = self._draw(round_size)
             rounds += 1
             round_before = self._dht.cost.snapshot() if tracing else None
-            successes = self._round_successes(points)
+            peers, taken, hits, successes, classified = self._round(points, need)
+            self._pending[:0] = points[taken:]
+            used += taken
+            walk_hits += hits
             if tracing:
                 tracer.on_round(
                     rounds - 1,
-                    round_size,
-                    len(successes),
+                    taken,
+                    len(peers),
                     self._dht.cost.snapshot() - round_before,
                 )
-            p_est = min(max((len(successes) + 1) / (round_size + 2), 1e-4), 1.0)
-            out.extend(successes[:need])
+            if classified:
+                p_est = min(max((successes + 1) / (classified + 2), 1e-4), 1.0)
+            out.extend(peers)
         return BatchSampleResult(
             peers=tuple(out),
             trials=used,
             rounds=rounds,
             cost=self._dht.cost.snapshot() - before,
+            walk_hits=walk_hits,
         )
 
     def sample_distinct(self, k: int, max_draws: int | None = None) -> list[PeerRef]:
@@ -505,6 +575,19 @@ class BatchSampler:
 # -- classification kernels (module-level: no self lookups in hot loops) --
 
 
+def _planned(view, points, codes, stops, hops) -> list[TrialResult]:
+    """The :class:`TrialResult` of each certified trial of a walk plan."""
+    return [
+        TrialResult(
+            s=s,
+            outcome=_OUTCOMES[code],
+            peer=None if code == _EXHAUSTED else view.peer(q),
+            walk_hops=h,
+        )
+        for s, code, q, h in zip(points, codes.tolist(), stops.tolist(), hops.tolist())
+    ]
+
+
 def _walk_windows(gaps, lam, budget):
     """Row ``p`` holds ``gap - lam`` for the ``budget`` hops a walk from
     ring position ``p`` takes.
@@ -534,11 +617,13 @@ def _walk_kernel(windows, n, first, arc, lam):
     """
     k = len(first)
     budget = windows.shape[1]
-    stop = _np.full(k, -1, dtype=_np.int64)
-    hops = _np.full(k, budget, dtype=_np.int64)
+    stop = _np.empty(k, dtype=_np.int64)
+    hops = _np.empty(k, dtype=_np.int64)
     if n == 1:
         # A self-successor lap adds 1 - lam > 0 per hop, so T never
         # drops: every walk exhausts the full budget.
+        stop.fill(-1)
+        hops.fill(budget)
         return stop, hops
     for lo in range(0, k, _WALK_SLAB):
         rows = first[lo : lo + _WALK_SLAB]
@@ -547,58 +632,71 @@ def _walk_kernel(windows, n, first, arc, lam):
         _np.cumsum(t, axis=1, out=t)
         hit = t <= 0.0
         j = hit.argmax(axis=1)
-        done = _np.flatnonzero(hit[_np.arange(len(rows)), j])
-        taken = j[done] + 1
-        hops[lo + done] = taken
-        stop[lo + done] = (rows[done] + taken) % n
+        done = hit[_np.arange(len(rows)), j]
+        j += 1
+        hops[lo : lo + _WALK_SLAB] = _np.where(done, j, budget)
+        stop[lo : lo + _WALK_SLAB] = _np.where(done, (rows + j) % n, -1)
     return stop, hops
 
 
-def _classify(windows, ring_pts, first, ss, lam):
+def _classify(windows, ring_pts, first, ss, lam, need):
     """Figure 1 for points ``ss`` whose ``h`` sits at ring positions ``first``.
 
     Returns ``(codes, out_idx, hops)`` arrays: the outcome code, the
     assigned peer's ring position (``-1`` if none) and the walk length
-    of each trial.
+    of each trial.  Every small hit is found, but only the trials before
+    the ``need``-th small hit walk: the ``need``-th success lies at or
+    before it, so no later trial is committed, and the later trials that
+    are not small hits keep the code ``_UNKNOWN``.
     """
     arc = clockwise_distances(ss, ring_pts[first])
     small = arc < lam
-    codes = _np.where(small, _SMALL, _EXHAUSTED).astype(_np.int8)
+    smalls = small.nonzero()[0]
+    end = smalls[need - 1] if len(smalls) >= need else len(ss)
+    walk = (~small[:end]).nonzero()[0]
+    stop, walked = _walk_kernel(windows, len(ring_pts), first[walk], arc[walk], lam)
+    codes = _np.where(small, _SMALL, _UNKNOWN)
+    codes[walk] = _np.where(stop >= 0, _WALK, _EXHAUSTED)
     out_idx = _np.where(small, first, -1)
+    out_idx[walk] = stop
     hops = _np.zeros(len(ss), dtype=_np.int64)
-    walk = _np.flatnonzero(~small)
-    stop, hops[walk] = _walk_kernel(windows, len(ring_pts), first[walk], arc[walk], lam)
-    hit = stop >= 0
-    codes[walk[hit]] = _WALK
-    out_idx[walk[hit]] = stop[hit]
+    hops[walk] = walked
     return codes, out_idx, hops
 
 
-def _kernel_numpy(pts, windows, lam, points):
-    """Vectorized Figure 1 over all trials against the flat point array.
-
-    ``h`` is a ``searchsorted`` over the sorted points; the walks run
-    through :func:`_walk_kernel`.  Outcomes are bit-identical to
-    :meth:`RandomPeerSampler.trial`.
-    """
+def _check_points(points) -> None:
+    """Reject points outside the unit circle ``(0, 1]``, as ``trial`` does."""
     ss = _np.asarray(points, dtype=_np.float64)
     ok = (ss > 0.0) & (ss <= 1.0)  # negated form would let NaN slip through
     if not ok.all():
         bad = ss[~ok][0]
         raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
+
+
+def _kernel_numpy(pts, windows, lam, points, need):
+    """Vectorized Figure 1 over all trials against the flat point array.
+
+    ``h`` is a ``searchsorted`` over the sorted points; the walks run
+    through :func:`_walk_kernel` (see :func:`_classify` for which walk).
+    Outcomes are bit-identical to :meth:`RandomPeerSampler.trial`.
+    Points must lie in ``(0, 1]`` (:func:`_check_points`).
+    """
+    ss = _np.asarray(points, dtype=_np.float64)
     idx = _np.searchsorted(pts, ss, side="left")
-    idx[idx == len(pts)] = 0
-    return _classify(windows, pts, idx, ss, lam)
+    idx %= len(pts)
+    return _classify(windows, pts, idx, ss, lam, need)
 
 
-def _kernel_python(pts, n, lam, budget, points):
+def _kernel_python(pts, n, lam, budget, points, need):
     """Pure-Python fast path: raw floats and indices, zero allocations
-    per hop.  Identical arithmetic to the scalar trial."""
+    per hop.  Identical arithmetic to the scalar trial.  Stops after the
+    ``need``-th success: nothing past it is committed."""
     codes: list[int] = []
     out_idx: list[int] = []
     hops_list: list[int] = []
-    total_hops = 0
     for s in points:
+        if need == 0:
+            break
         if not 0.0 < s <= 1.0:
             raise ValueError(f"point {s!r} is outside the unit circle (0, 1]")
         i = bisect_left(pts, s)
@@ -612,6 +710,7 @@ def _kernel_python(pts, n, lam, budget, points):
             codes.append(_SMALL)
             out_idx.append(i)
             hops_list.append(0)
+            need -= 1
             continue
         t = arc - lam
         code = _EXHAUSTED
@@ -633,11 +732,11 @@ def _kernel_python(pts, n, lam, budget, points):
                 if t <= 0.0:
                     code = _WALK
                     assigned = ni
+                    need -= 1
                     break
                 i = ni
                 cur = npt
         codes.append(code)
         out_idx.append(assigned)
         hops_list.append(taken)
-        total_hops += taken
-    return codes, out_idx, hops_list, total_hops
+    return codes, out_idx, hops_list

@@ -31,8 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..dht.api import DHT, CostSnapshot, PeerRef, PeerUnreachableError
-from .errors import SamplingError
+from ..dht.api import DHT, CostSnapshot, PeerRef
 from .estimate import DEFAULT_C1, estimate_n
 from .intervals import clockwise_distance
 
@@ -180,21 +179,31 @@ class RandomPeerSampler:
     ):
         self._dht = dht
         self._rng = rng if rng is not None else random.Random()
-        self._gamma1 = gamma1
-        self._lambda_slack = lambda_slack
-        self._c1 = c1
         if n_hat is None:
             n_hat = estimate_n(dht, c1=c1).n_hat
         self.params = SamplerParams.from_estimate(
             n_hat, gamma1=gamma1, lambda_slack=lambda_slack
         )
-        if max_trials < 1:
-            raise ValueError("max_trials must be at least 1")
         self._max_trials = max_trials
-        self._engine = None  # lazily-built BatchSampler for bulk substrates
-        #: Trials lost to transient peer unreachability (see
-        #: :meth:`sample_with_stats`); nonzero only on churning overlays.
-        self.stale_trials = 0
+        from .engine import BatchSampler  # engine imports this module
+
+        #: The rejection loop every draw runs through (the batch engine at
+        #: any ``k``); it shares this sampler's parameters and rng.
+        self._engine = BatchSampler(
+            dht,
+            params=self.params,
+            gamma1=gamma1,
+            lambda_slack=lambda_slack,
+            c1=c1,
+            rng=self._rng,
+            max_trials=max_trials,
+        )
+
+    @property
+    def stale_trials(self) -> int:
+        """Trials lost to transient peer unreachability (see
+        :meth:`sample_with_stats`); nonzero only on churning overlays."""
+        return self._engine.stale_trials
 
     # -- parameter lifecycle ----------------------------------------------
 
@@ -206,15 +215,11 @@ class RandomPeerSampler:
         (population grew: walk budget too short) or walk lengths
         (population shrank: lambda too small).  Re-runs Estimate-n
         against the substrate (or adopts an explicit ``n_hat``) and
-        rebuilds :attr:`params`; the cached batch engine is dropped so it
-        rebuilds against the new parameters.  Returns the new params.
+        rebuilds :attr:`params`, in this sampler and in place in its
+        engine, whose queued trial points stay valid.  Returns the new
+        params.
         """
-        if n_hat is None:
-            n_hat = estimate_n(self._dht, c1=self._c1).n_hat
-        self.params = SamplerParams.from_estimate(
-            n_hat, gamma1=self._gamma1, lambda_slack=self._lambda_slack
-        )
-        self._engine = None
+        self.params = self._engine.refresh(n_hat)
         return self.params
 
     # -- the deterministic inner trial (Figure 1) -------------------------
@@ -234,73 +239,30 @@ class RandomPeerSampler:
     def sample_with_stats(self) -> SampleStats:
         """Draw one uniform peer, returning full trial/cost accounting.
 
-        A trial that dies of transient peer unreachability (a crash
-        mid-walk on a churning overlay) counts as a failed trial and is
-        redrawn, mirroring the batch engine's fallback path; only the
-        trial-budget exhaustion escalates to
+        The batch engine's rejection loop at ``k = 1``: trials in draw
+        order up to the first success, each charged as it runs.  A trial
+        that dies of transient peer unreachability (a crash mid-walk on
+        a churning overlay) counts as a failed trial and is redrawn; only
+        the trial-budget exhaustion escalates to
         :class:`~repro.core.errors.SamplingError`.
         """
-        before = self._dht.cost.snapshot()
-        walk_total = 0
-        for attempt in range(1, self._max_trials + 1):
-            s = 1.0 - self._rng.random()  # uniform on (0, 1]
-            try:
-                result = self.trial(s)
-            except PeerUnreachableError:
-                self.stale_trials += 1
-                continue
-            walk_total += result.walk_hops
-            if result.peer is not None:
-                return SampleStats(
-                    peer=result.peer,
-                    trials=attempt,
-                    outcome=result.outcome,
-                    walk_hops_total=walk_total,
-                    cost=self._dht.cost.snapshot() - before,
-                )
-        raise SamplingError(
-            f"no assigned point found in {self._max_trials} trials "
-            f"(n_hat={self.params.n_hat:.3g}); the size estimate is likely stale"
+        result = self._engine.sample_many_attributed(1)
+        return SampleStats(
+            peer=result.peers[0],
+            trials=result.trials,
+            outcome=TrialOutcome.WALK_HIT if result.walk_hits else TrialOutcome.SMALL_HIT,
+            walk_hops_total=result.cost.next_calls,
+            cost=result.cost,
         )
 
     def sample(self) -> PeerRef:
         """Draw one peer uniformly at random from the DHT."""
         return self.sample_with_stats().peer
 
-    def _batch_engine(self):
-        """The :class:`~repro.core.engine.BatchSampler` for bulk substrates.
-
-        Built lazily (sharing this sampler's params, rng and trial cap)
-        and only when the substrate satisfies
-        :class:`~repro.dht.api.BulkDHT`; returns ``None`` otherwise so
-        callers keep the per-call path.
-        """
-        if self._engine is None:
-            from ..dht.api import BulkDHT
-            from .engine import BatchSampler
-
-            if isinstance(self._dht, BulkDHT):
-                self._engine = BatchSampler(
-                    self._dht,
-                    params=self.params,
-                    rng=self._rng,
-                    max_trials=self._max_trials,
-                )
-        return self._engine
-
     def sample_many(self, k: int) -> list[PeerRef]:
-        """Draw ``k`` independent uniform samples (with replacement).
-
-        On a bulk-capable substrate this delegates to the vectorized
-        batch engine (same semantics, one meter charge per round); on
-        per-call substrates it loops :meth:`sample`.
-        """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        engine = self._batch_engine()
-        if engine is not None:
-            return engine.sample_many(k)
-        return [self.sample() for _ in range(k)]
+        """Draw ``k`` independent uniform samples (with replacement),
+        in one call of the batch engine (one meter charge per round)."""
+        return self._engine.sample_many(k)
 
     def sample_distinct(self, k: int, max_draws: int | None = None) -> list[PeerRef]:
         """Draw ``k`` *distinct* peers, uniform over k-subsets.
@@ -313,24 +275,7 @@ class RandomPeerSampler:
         (default ``50 k + 50``) pass without finding ``k`` distinct
         peers -- the symptom of requesting ``k > n``.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        engine = self._batch_engine()
-        if engine is not None:
-            return engine.sample_distinct(k, max_draws=max_draws)
-        cap = max_draws if max_draws is not None else 50 * k + 50
-        chosen: dict[int, PeerRef] = {}
-        draws = 0
-        while len(chosen) < k:
-            if draws >= cap:
-                raise SamplingError(
-                    f"only {len(chosen)} distinct peers after {draws} draws; "
-                    f"is k={k} larger than the network?"
-                )
-            peer = self.sample()
-            draws += 1
-            chosen.setdefault(peer.peer_id, peer)
-        return list(chosen.values())
+        return self._engine.sample_distinct(k, max_draws=max_draws)
 
 
 def choose_random_peer(

@@ -53,17 +53,27 @@ rather than protocol check:
 - ``resolve_many(xs) -> list[PeerRef | None]`` -- failure-tolerant
   batched ``h``: charge-identical to a loop of ``h`` calls with the
   substrate's retryable liveness error caught per point (``None`` marks
-  a point whose lookup failed terminally).  Batch samplers use it to
-  resolve a whole rejection round in one call and redraw just the
-  failed trials.
-- ``walk_view()`` and ``charge_walk(view, starts, hops)`` -- batched
-  ``next`` walks.  ``walk_view()`` returns the ring as the clockwise
-  walk sees it (the Chord adapters return a
+  a point whose lookup failed terminally).  The batch engine runs a
+  trial on its own through ``resolve_many([s])``.
+- ``resolve_many(xs, commit=False)`` and ``commit_lookups(rows,
+  walks=None)`` -- a lookup in two steps, for substrates whose batched
+  resolution has no side effects (the Chord adapters).  With
+  ``commit=False`` nothing is charged and no state changes: the call
+  returns every point's lookup as
+  :class:`~repro.dht.chord.batch.Lookups` rows, or ``None`` when it
+  cannot be replayed exactly; a row with ``ok=False`` is a lookup the
+  live path must re-execute (through the tolerant form above).
+  ``commit_lookups`` then charges successful rows -- a slice of that
+  resolution -- with the amounts, and the trace spans, of the ``h``
+  calls they replay, so a caller charges only the trials it keeps.
+- ``walk_view()`` -- batched ``next`` walks.  Returns the ring as the
+  clockwise walk sees it (the Chord adapters return a
   :class:`~repro.dht.chord.batch.WalkView`: points, gaps and certified
   runs per sorted position), or ``None`` when replaying walks could not
   be charge-identical.  The batch engine replays the walks a view
-  certifies and charges them through ``charge_walk`` -- walk ``j`` took
-  ``hops[j]`` steps from ring position ``starts[j]`` -- with the
+  certifies and charges them with their trials' lookups, passing
+  ``walks = (view, starts, hops)`` to ``commit_lookups`` -- walk ``j``
+  took ``hops[j]`` steps from ring position ``starts[j]`` -- with the
   amounts, and the trace spans, of that many ``next`` calls; every
   other walk goes through ``next``.
 - ``warm_lockstep() -> bool`` -- pre-build any batch-routing caches

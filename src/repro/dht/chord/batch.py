@@ -80,6 +80,13 @@ against one frozen snapshot is order-equivalent to evaluating it
 sequentially; the first terminal failure is the first point at which
 the live path would have mutated the network (stabilization), which is
 exactly where the adapter cuts over.
+
+Replay charges nothing by itself: :func:`resolve_lookups` returns a
+batch's outcomes as :class:`Lookups` columns, and the adapters charge
+only the rows their caller commits (``commit_lookups``).  ``h_many``
+commits every successful row; the batch sampler commits a round only
+up to its last needed success.  :func:`lockstep_resolve` gives the same
+rows as :class:`LookupTrace` records.
 """
 
 from __future__ import annotations
@@ -96,11 +103,13 @@ from .node import hop_budget
 __all__ = [
     "BatchLookupStats",
     "LookupTrace",
+    "Lookups",
     "RingSnapshot",
     "RouteTable",
     "WalkView",
     "build_route_table",
     "lockstep_resolve",
+    "resolve_lookups",
 ]
 
 # Optional acceleration; the pure-Python lane is always available and
@@ -129,6 +138,82 @@ class LookupTrace:
     rpc_calls: int
     rpc_timeouts: int
     ok: bool
+
+
+class Lookups:
+    """A batch of replayed lookups as columns, charged by no one yet.
+
+    Row ``j`` holds what :class:`LookupTrace` ``j`` would, one column per
+    field: the owner id (``-1`` on failure), hops, the messages, latency,
+    RPCs and timeouts the live transport would charge, and ``ok``.
+    Columns are numpy arrays on the numpy lane and lists in the
+    pure-Python lane; slicing selects rows.  The adapters resolve a batch
+    into one of these and charge only the rows their caller commits.
+    """
+
+    __slots__ = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
+
+    _DTYPES = ("int64", "int64", "int64", "float64", "int64", "int64", "bool")
+
+    def __init__(self, owner, hops, messages, latency, rpc_calls, rpc_timeouts, ok):
+        self.owner = owner
+        self.hops = hops
+        self.messages = messages
+        self.latency = latency
+        self.rpc_calls = rpc_calls
+        self.rpc_timeouts = rpc_timeouts
+        self.ok = ok
+
+    @classmethod
+    def from_traces(cls, traces) -> "Lookups":
+        columns = [[getattr(t, name) for t in traces] for name in cls.__slots__]
+        if _np is not None:
+            columns = [_np.array(c, dtype=d) for c, d in zip(columns, cls._DTYPES)]
+        return cls(*columns)
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def __getitem__(self, rows: slice) -> "Lookups":
+        return Lookups(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    def _replace(self, j: int, trace: LookupTrace) -> None:
+        for name in self.__slots__:
+            getattr(self, name)[j] = getattr(trace, name)
+
+    def traces(self) -> list[LookupTrace]:
+        """The rows as :class:`LookupTrace` records."""
+        columns = [getattr(self, name) for name in self.__slots__]
+        if _np is not None:
+            columns = [c.tolist() for c in columns]
+        return [LookupTrace(*row) for row in zip(*columns)]
+
+    def owners(self) -> list[int]:
+        """The owner column as plain ints."""
+        return list(self.owner) if _np is None else self.owner.tolist()
+
+    def first_failure(self) -> int:
+        """Index of the first row with ``ok=False`` (``len`` if none)."""
+        if _np is None:
+            return next((j for j, ok in enumerate(self.ok) if not ok), len(self.ok))
+        bad = (~self.ok).nonzero()[0]
+        return int(bad[0]) if bad.size else len(self.ok)
+
+    def totals(self) -> tuple[int, float, int, int]:
+        """``(messages, latency, rpc_calls, rpc_timeouts)`` over all rows."""
+        if _np is None:
+            return (
+                sum(self.messages),
+                sum(self.latency, 0.0),
+                sum(self.rpc_calls),
+                sum(self.rpc_timeouts),
+            )
+        return (
+            int(self.messages.sum()),
+            float(self.latency.sum()),
+            int(self.rpc_calls.sum()),
+            int(self.rpc_timeouts.sum()),
+        )
 
 
 @dataclass(slots=True)
@@ -673,12 +758,37 @@ def lockstep_resolve(
     ``timeout`` the charge of a call to a dead node.  Returns one
     :class:`LookupTrace` per target, in order; traces with ``ok=False``
     carry the charges of the *failed attempt*, which callers discard in
-    favour of a live re-execution (see the module docstring).
+    favour of a live re-execution (see the module docstring).  The rows
+    of :func:`resolve_lookups`, as records.
+    """
+    return resolve_lookups(
+        snapshot,
+        entry_id,
+        targets,
+        mode=mode,
+        rpc_latency=rpc_latency,
+        oneway_latency=oneway_latency,
+        timeout=timeout,
+    ).traces()
+
+
+def resolve_lookups(
+    snapshot: RingSnapshot,
+    entry_id: int,
+    targets,
+    *,
+    mode: str = "iterative",
+    rpc_latency: float,
+    oneway_latency: float,
+    timeout: float,
+) -> Lookups:
+    """:func:`lockstep_resolve` as :class:`Lookups` columns.
 
     A current :class:`RouteTable` (:func:`build_route_table`, keyed on
-    this exact call and the snapshot's state) answers every batch size;
-    otherwise batches of :data:`~repro.dht.api.NUMPY_MIN_BATCH` or more
-    take the vectorized lane and smaller ones the Python replay.
+    this exact call and the snapshot's state) answers every batch size
+    with array work only; otherwise batches of
+    :data:`~repro.dht.api.NUMPY_MIN_BATCH` or more take the vectorized
+    lane and smaller ones the Python replay.
     """
     if entry_id not in snapshot.pos:
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
@@ -698,9 +808,9 @@ def lockstep_resolve(
         or len(targets) < NUMPY_MIN_BATCH
     ):
         sim = _sim_recursive if recursive else _sim_iterative
-        return [
-            sim(snapshot, entry_id, t, budget, lat, timeout) for t in targets
-        ]
+        return Lookups.from_traces(
+            [sim(snapshot, entry_id, int(t), budget, lat, timeout) for t in targets]
+        )
     return _vector_resolve(
         snapshot, entry_id, targets, budget, lat, timeout, recursive=recursive
     )
@@ -792,22 +902,22 @@ def _table_resolve(
     hop_latency: float,
     timeout: float,
     recursive: bool,
-) -> list[LookupTrace]:
-    """:func:`lockstep_resolve` read from a current :class:`RouteTable`."""
+) -> Lookups:
+    """:func:`resolve_lookups` read from a current :class:`RouteTable`."""
     np = _np
     ids = snapshot.ids_np
     arc = np.searchsorted(ids, targets)
     arc[arc == len(ids)] = 0  # past the last id: the wrapping arc 0
     hops = table.hops[arc].astype(np.int64)
-    traces = _clean_traces(
+    found = _clean_lookups(
         ids[table.owner[arc]], hops, entry_id, hop_latency, recursive
     )
     sim = _sim_recursive if recursive else _sim_iterative
-    for i in np.flatnonzero(hops < 0).tolist():  # failing arcs: replay exactly
-        traces[i] = sim(
-            snapshot, entry_id, int(targets[i]), budget, hop_latency, timeout
+    for i in (hops < 0).nonzero()[0].tolist():  # failing arcs: replay exactly
+        found._replace(
+            i, sim(snapshot, entry_id, int(targets[i]), budget, hop_latency, timeout)
         )
-    return traces
+    return found
 
 
 # -- exact Python replay (slow lane, and the no-numpy path) ----------------
@@ -980,10 +1090,10 @@ def _alive_np(ids, values):
 _ACTIVE, _OK, _REPLAY = 0, 1, 2
 
 
-def _clean_traces(
+def _clean_lookups(
     owner, hops, entry_id: int, hop_latency: float, recursive: bool
-) -> list[LookupTrace]:
-    """Traces of lookups that met no dead node, charged as live.
+) -> Lookups:
+    """Lookups that met no dead node, charged as live.
 
     ``owner``/``hops`` are int64 arrays.  Iterative: one RPC per hop
     plus the liveness ping of an owner other than the entry, two
@@ -1000,16 +1110,16 @@ def _clean_traces(
     else:
         calls = hops + away
         messages = 2 * calls
-    return [
-        LookupTrace(o, h, msgs, lat, c, 0, True)
-        for o, h, msgs, lat, c in zip(
-            owner.tolist(),
-            hops.tolist(),
-            messages.tolist(),
-            (hop_latency * calls).tolist(),
-            calls.tolist(),
-        )
-    ]
+    k = len(owner)
+    return Lookups(
+        owner,
+        hops,
+        messages,
+        hop_latency * calls,
+        calls,
+        _np.zeros(k, dtype=_np.int64),
+        _np.ones(k, dtype=bool),
+    )
 
 
 def _vector_resolve(
@@ -1021,8 +1131,8 @@ def _vector_resolve(
     timeout: float,
     *,
     recursive: bool,
-) -> list[LookupTrace]:
-    """:func:`_vector_frontier`'s outcomes as traces.
+) -> Lookups:
+    """:func:`_vector_frontier`'s outcomes as :class:`Lookups`.
 
     Lookups the lane parked are finished by the exact Python simulator,
     which recomputes them from scratch (replays are side-effect-free, so
@@ -1033,11 +1143,11 @@ def _vector_resolve(
     state, owner, hops = _vector_frontier(
         snapshot, entry_id, t, budget, recursive=recursive
     )
-    traces = _clean_traces(owner, hops, entry_id, hop_latency, recursive)
+    found = _clean_lookups(owner, hops, entry_id, hop_latency, recursive)
     sim = _sim_recursive if recursive else _sim_iterative
     for i in _np.flatnonzero(state != _OK).tolist():
-        traces[i] = sim(snapshot, entry_id, int(t[i]), budget, hop_latency, timeout)
-    return traces
+        found._replace(i, sim(snapshot, entry_id, int(t[i]), budget, hop_latency, timeout))
+    return found
 
 
 def _vector_frontier(

@@ -17,14 +17,15 @@ from ...faults.retry import RetryPolicy
 from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
-from ..api import NUMPY_MIN_BATCH, CostMeter, PeerRef
+from ..api import CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
 from .batch import (
     BatchLookupStats,
+    Lookups,
     RingSnapshot,
     WalkView,
     build_route_table,
-    lockstep_resolve,
+    resolve_lookups,
 )
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
@@ -543,7 +544,7 @@ def _targets_for(points, m: int):
     replays the first unconverted point through the scalar path so an
     out-of-domain value raises exactly where a per-call loop would.
     """
-    if _np is not None and len(points) >= NUMPY_MIN_BATCH:
+    if _np is not None:
         arr = _np.asarray(points, dtype=_np.float64)
         ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN through
         if not ok.all():
@@ -735,54 +736,13 @@ class ChordDHT(EntryVantageMixin):
 
         The batch engine replays Figure 1's clockwise walks from this
         view instead of one ``get_successor`` RPC per hop, and charges
-        the replayed hops through :meth:`charge_walk`.  None -- keep the
-        per-call ``next`` walk -- unless lockstep replay is eligible
+        the replayed hops through :meth:`commit_lookups`.  None -- keep
+        the per-call ``next`` walk -- unless lockstep replay is eligible
         (:meth:`lockstep_eligible`) and numpy is present.
         """
         if not self.lockstep_eligible():
             return None
         return self._network.snapshot().walk_view()
-
-    def charge_walk(self, view: WalkView, starts, hops) -> None:
-        """Charge replayed walks as the ``next`` calls they stand for.
-
-        Walk ``j`` took ``hops[j]`` steps clockwise from ring position
-        ``starts[j]`` of ``view``.  Each step costs what a successful
-        ``next`` does: one RPC, two ``get_successor`` messages and one
-        round trip, on the transport and on the meter.  An active tracer
-        gets each step's ``rpc`` span, addressed to the peer asked and
-        timed on the transport clock, as the live call reports it.  The
-        latency is added as one product, so it equals the per-call sum
-        exactly for integer delays (the default); a fractional delay can
-        differ in the last bits, as :meth:`h_many`'s bulk charge does.
-        """
-        total = sum(hops)
-        if not total:
-            return
-        network = self._network
-        transport = network.transport
-        # Deterministic models return a constant and consume no RNG.
-        one_way = transport.latency_model.sample(network.rng)
-        rtt = one_way + one_way
-        messages = 2 * total
-        latency = total * rtt
-        metrics = transport.metrics
-        metrics.counter("rpc.calls").increment(total)
-        metrics.counter("messages").increment(messages)
-        transport.count_method_messages("get_successor", messages)
-        tracer = transport.tracer
-        if tracer.active:
-            ids = view.ids
-            n = len(ids)
-            t = transport.elapsed
-            for p, h in zip(starts, hops):
-                for q in range(p, p + h):
-                    tracer.on_rpc(
-                        None, int(ids[q % n]), "get_successor", "rpc", t, t + rtt, "ok"
-                    )
-                    t += rtt
-        transport.elapsed += latency
-        self.cost.charge_bulk(next_calls=total, messages=messages, latency=latency)
 
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.
@@ -808,16 +768,29 @@ class ChordDHT(EntryVantageMixin):
         """
         return self._h_many(list(xs), tolerant=False)
 
-    def resolve_many(self, xs) -> list[PeerRef | None]:
-        """Failure-tolerant :meth:`h_many`: per-point ``None`` on failure.
+    def resolve_many(self, xs, *, commit: bool = True):
+        """Failure-tolerant :meth:`h_many`, or its uncharged resolution.
 
-        Same batched resolution and identical charges, but a point whose
-        lookup fails terminally (after the live path's own retries and
-        stabilization attempts) yields ``None`` instead of raising, so
-        batch samplers can redraw just that trial.  Mirrors a loop of
-        ``h`` calls with ``LookupError_`` caught per point.
+        With ``commit`` (the default): the same batched resolution and
+        identical charges, but a point whose lookup fails terminally
+        (after the live path's own retries and stabilization attempts)
+        yields ``None`` instead of raising.  Mirrors a loop of ``h``
+        calls with ``LookupError_`` caught per point.
+
+        With ``commit=False``: charges nothing and touches no node state.
+        Returns the snapshot's replay of every point's lookup as
+        :class:`~repro.dht.chord.batch.Lookups`, for the caller to charge
+        the rows it keeps through :meth:`commit_lookups`; a row with
+        ``ok=False`` is a lookup the live path must re-execute (it would
+        retry and stabilize).  None when replay is not eligible
+        (:meth:`lockstep_eligible`).  A dead entry peer is failed over
+        first, as the next live lookup would.
         """
-        return self._h_many(list(xs), tolerant=True)
+        if commit:
+            return self._h_many(list(xs), tolerant=True)
+        if not self.lockstep_eligible():
+            return None
+        return self._lookups(list(xs))
 
     def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
         if not tolerant:
@@ -827,31 +800,31 @@ class ChordDHT(EntryVantageMixin):
         except LookupError_:
             return None
 
+    def _lookups(self, points: list) -> Lookups:
+        """The lockstep replay of the longest valid prefix of ``points``."""
+        network = self._network
+        entry = self._entry_node()
+        return resolve_lookups(
+            network.snapshot(),
+            entry.node_id,
+            _targets_for(points, network.m),
+            **self._lockstep_costs(),
+        )
+
     def _h_many(self, points: list, tolerant: bool) -> list:
-        if len(points) < 2 or not self.lockstep_eligible():
+        if not self.lockstep_eligible():
             self.batch_stats.percall += len(points)
             return [self._h_scalar(x, tolerant) for x in points]
-        network = self._network
-        costs = self._lockstep_costs()
         out: list = []
         i = 0
         while i < len(points):
-            entry = self._entry_node()
-            snapshot = network.snapshot()
-            targets = _targets_for(points[i:], network.m)
-            if len(targets) == 0:
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-                continue
-            traces = lockstep_resolve(snapshot, entry.node_id, targets, **costs)
-            n_ok = next(
-                (j for j, tr in enumerate(traces) if not tr.ok), len(traces)
-            )
+            found = self._lookups(points[i:])
+            n_ok = found.first_failure()
             if n_ok:
-                self._commit_traces(traces[:n_ok])
-                out.extend(self._ref(tr.owner) for tr in traces[:n_ok])
+                self.commit_lookups(found[:n_ok])
+                out.extend(map(self._ref, found[:n_ok].owners()))
                 i += n_ok
-            if n_ok < len(traces):
+            if n_ok < len(found):
                 # The engine predicts this lookup fails; the live path
                 # replays the failed attempt's charges, stabilizes and
                 # retries -- and may mutate the ring, so the loop
@@ -859,27 +832,52 @@ class ChordDHT(EntryVantageMixin):
                 self.batch_stats.delegated += 1
                 out.append(self._h_scalar(points[i], tolerant))
                 i += 1
+            elif not n_ok:
+                # points[i] lies outside the circle: h raises as a
+                # scalar loop would.
+                out.append(self._h_scalar(points[i], tolerant))
+                i += 1
         return out
 
-    def _commit_traces(self, traces) -> None:
-        """Charge a batch of successful replays exactly as live calls."""
-        messages = 0
-        calls = 0
-        timeouts = 0
-        latency = 0.0
-        for trace in traces:
-            messages += trace.messages
-            calls += trace.rpc_calls
-            timeouts += trace.rpc_timeouts
-            latency += trace.latency
+    def commit_lookups(self, lookups: Lookups, walks=None) -> None:
+        """Charge resolved lookups, and their trials' walks, as live calls.
+
+        ``lookups`` are successful rows of ``resolve_many(...,
+        commit=False)``; each is charged as the ``h`` call it replays.
+        ``walks = (view, starts, hops)``, parallel to the rows, are the
+        same trials' replayed walks: walk ``j`` took ``hops[j]`` steps
+        clockwise from ring position ``starts[j]`` of ``view``, each
+        charged as a successful ``next``: one RPC, two ``get_successor``
+        messages and one round trip.  Totals go to the transport and the
+        meter in one update each.  An active tracer gets, trial by
+        trial, the lookup's span and then one ``rpc`` span per walk step,
+        addressed to the peer asked and timed on the transport clock, as
+        the live calls report them.  Latencies are added as sums and
+        products, so they equal the per-call sums exactly for integer
+        delays (the default); a fractional delay can differ in the last
+        bits.
+        """
+        count = len(lookups)
+        if not count:
+            return
+        messages, latency, calls, timeouts = lookups.totals()
         transport = self._network.transport
+        steps = 0
+        rtt = 0.0
+        if walks is not None:
+            steps = sum(walks[2])
+            # Deterministic models return a constant and consume no RNG.
+            one_way = transport.latency_model.sample(self._network.rng)
+            rtt = one_way + one_way
+        walk_messages = 2 * steps
         metrics = transport.metrics
-        if calls:
-            metrics.counter("rpc.calls").increment(calls)
+        if calls + steps:
+            metrics.counter("rpc.calls").increment(calls + steps)
         if timeouts:
             metrics.counter("rpc.timeouts").increment(timeouts)
+        if messages + walk_messages:
+            metrics.counter("messages").increment(messages + walk_messages)
         if messages:
-            metrics.counter("messages").increment(messages)
             # Lockstep traffic is all lookup routing; attribute it to
             # the mode's routing method so the per-method split keeps
             # summing to the aggregate counter under offline replay.
@@ -888,15 +886,35 @@ class ChordDHT(EntryVantageMixin):
                 else "forward_lookup",
                 messages,
             )
+        if walk_messages:
+            transport.count_method_messages("get_successor", walk_messages)
+        tracer = transport.tracer
+        if tracer.active:
+            self._trace_commit(tracer, lookups, walks, rtt)
+        latency += steps * rtt
         transport.elapsed += latency
         self.cost.charge_bulk(
-            h_calls=len(traces), messages=messages, latency=latency
+            h_calls=count,
+            next_calls=steps,
+            messages=messages + walk_messages,
+            latency=latency,
         )
-        self.batch_stats.lockstep += len(traces)
-        if transport.tracer.active:
-            on_lookup = transport.tracer.on_lookup
-            for trace in traces:
-                on_lookup("chord", trace.hops, trace.messages, trace.latency, True)
+        self.batch_stats.lockstep += count
+
+    def _trace_commit(self, tracer, lookups: Lookups, walks, rtt: float) -> None:
+        """The tracer events of :meth:`commit_lookups`, in draw order."""
+        t = self._network.transport.elapsed
+        for j, trace in enumerate(lookups.traces()):
+            tracer.on_lookup("chord", trace.hops, trace.messages, trace.latency, True)
+            if walks is None:
+                continue
+            view, starts, steps = walks
+            ids = view.ids
+            n = len(ids)
+            t += trace.latency
+            for q in range(starts[j], starts[j] + steps[j]):
+                tracer.on_rpc(None, int(ids[q % n]), "get_successor", "rpc", t, t + rtt, "ok")
+                t += rtt
 
     def successor_of_index(self, i: int) -> PeerRef:
         """The live peer at clockwise ring position ``i % n`` (uncharged).

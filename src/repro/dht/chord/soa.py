@@ -57,10 +57,12 @@ from ..api import CostMeter, PeerRef
 from ..vantage import EntryVantageMixin
 from .batch import (
     BatchLookupStats,
+    Lookups,
     RingSnapshot,
     WalkView,
     build_route_table,
     lockstep_resolve,
+    resolve_lookups,
 )
 from .idspace import id_to_point, point_to_target_id
 from .network import _targets_for
@@ -539,20 +541,17 @@ class SoAChordDHT(EntryVantageMixin):
         <repro.dht.chord.network.ChordDHT.walk_view>`)."""
         return self._network.store.walk_view()
 
-    def charge_walk(self, view: WalkView, starts, hops) -> None:
-        """Charge the ``sum(hops)`` replayed walk steps as that many live
-        ``next`` calls (see :meth:`ChordDHT.charge_walk
-        <repro.dht.chord.network.ChordDHT.charge_walk>`)."""
-        total = sum(hops)
-        self.cost.charge_bulk(
-            next_calls=total, messages=2 * total, latency=total * RPC_LATENCY
-        )
-
     def h_many(self, xs) -> list[PeerRef]:
         return self._h_many(list(xs), tolerant=False)
 
-    def resolve_many(self, xs) -> list[PeerRef | None]:
-        return self._h_many(list(xs), tolerant=True)
+    def resolve_many(self, xs, *, commit: bool = True):
+        """Tolerant :meth:`h_many`, or with ``commit=False`` the uncharged
+        :class:`~repro.dht.chord.batch.Lookups` of every point (see
+        :meth:`ChordDHT.resolve_many
+        <repro.dht.chord.network.ChordDHT.resolve_many>`)."""
+        if commit:
+            return self._h_many(list(xs), tolerant=True)
+        return self._lookups(list(xs))
 
     def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
         if not tolerant:
@@ -562,39 +561,53 @@ class SoAChordDHT(EntryVantageMixin):
         except LookupError_:
             return None
 
+    def _lookups(self, points: list) -> Lookups:
+        return resolve_lookups(
+            self._network.snapshot(),
+            self._vantage_id(),
+            _targets_for(points, self._network.m),
+            **self._costs(),
+        )
+
     def _h_many(self, points: list, tolerant: bool) -> list:
-        if len(points) < 2:
-            self.batch_stats.percall += len(points)
-            return [self._h_scalar(x, tolerant) for x in points]
         out: list = []
         i = 0
         while i < len(points):
-            targets = _targets_for(points[i:], self._network.m)
-            if len(targets) == 0:
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-                continue
-            traces = self._resolve_batch(targets)
-            n_ok = next(
-                (j for j, tr in enumerate(traces) if not tr.ok), len(traces)
-            )
+            found = self._lookups(points[i:])
+            n_ok = found.first_failure()
             if n_ok:
-                messages = sum(tr.messages for tr in traces[:n_ok])
-                latency = sum(tr.latency for tr in traces[:n_ok])
-                self.cost.charge_bulk(
-                    h_calls=n_ok, messages=messages, latency=latency
-                )
-                self.batch_stats.lockstep += n_ok
-                out.extend(self._ref(tr.owner) for tr in traces[:n_ok])
+                self.commit_lookups(found[:n_ok])
+                out.extend(map(self._ref, found[:n_ok].owners()))
                 i += n_ok
-            if n_ok < len(traces):
+            if n_ok < len(found):
                 # Scalar re-execution replays the failed attempt's
                 # charges and runs the stabilize-retry loop, exactly
                 # like the scalar twin would at this point.
                 self.batch_stats.delegated += 1
                 out.append(self._h_scalar(points[i], tolerant))
                 i += 1
+            elif not n_ok:
+                out.append(self._h_scalar(points[i], tolerant))
+                i += 1
         return out
+
+    def commit_lookups(self, lookups: Lookups, walks=None) -> None:
+        """Charge resolved lookups and their trials' replayed walks (each
+        step as one live ``next``) on the meter; see
+        :meth:`ChordDHT.commit_lookups
+        <repro.dht.chord.network.ChordDHT.commit_lookups>`."""
+        count = len(lookups)
+        if not count:
+            return
+        messages, latency, _, _ = lookups.totals()
+        steps = sum(walks[2]) if walks is not None else 0
+        self.cost.charge_bulk(
+            h_calls=count,
+            next_calls=steps,
+            messages=messages + 2 * steps,
+            latency=latency + steps * RPC_LATENCY,
+        )
+        self.batch_stats.lockstep += count
 
     def successor_of_index(self, i: int) -> PeerRef:
         ids = self._network.sorted_ids()

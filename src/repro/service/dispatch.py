@@ -159,7 +159,8 @@ class ServiceTimeModel:
     strategies and batch sizes are composed.  ``time_per_latency``
     scales the substrate's abstract latency units (one ``next`` = 1)
     into service-clock units; the default puts one request's sampling
-    work (tens of trials, each an ``h`` plus a walk) at roughly the
+    work (``1/(n lambda)`` trials in expectation, ~26 with the paper's
+    constants, each an ``h`` plus a walk; Theorem 7) at roughly the
     same scale as one dispatch overhead, so batch-window effects are
     visible at default settings.
     """

@@ -21,28 +21,28 @@ ADVERSARY_PINS = {
     "chord": {
         "completed": 80,
         "failed": 0,
-        "sim_time": 500.0,
-        "shard_messages": [479900, 308468],
+        "sim_time": 375.0,
+        "shard_messages": [339026, 257194],
         "shard_draws": [39, 41],
         "shard_captured": [24, 32],
         "byzantine_total": 10,
         "capture_rate": 0.7,
-        "committee_empirical": 0.8,
-        "lies_told": 13680,
-        "latency_mean": 184.94178772493302,
+        "committee_empirical": 1.0,
+        "lies_told": 10334,
+        "latency_mean": 133.608137724933,
     },
     "kademlia": {
         "completed": 80,
         "failed": 0,
-        "sim_time": 800.0,
-        "shard_messages": [88096, 784056],
-        "shard_draws": [52, 28],
-        "shard_captured": [14, 4],
+        "sim_time": 500.0,
+        "shard_messages": [68966, 490772],
+        "shard_draws": [61, 19],
+        "shard_captured": [14, 3],
         "byzantine_total": 10,
-        "capture_rate": 0.225,
+        "capture_rate": 0.2125,
         "committee_empirical": 0.2,
-        "lies_told": 399056,
-        "latency_mean": 176.44187708094813,
+        "lies_told": 255037,
+        "latency_mean": 83.51258886356698,
     },
 }
 

@@ -122,7 +122,7 @@ class TestSampleMany:
         dht = net.dht()
         assert not isinstance(dht, BulkDHT)
         sampler = RandomPeerSampler(dht, n_hat=8.0, rng=random.Random(7))
-        assert sampler.sample_many(3) and sampler._engine is None
+        assert sampler.sample_many(3)
 
     def test_trial_budget_enforced(self):
         dht = IdealDHT.random(10, random.Random(8))

@@ -705,8 +705,8 @@ class TestSamplerIntegration:
         resolved_at = []
         resolve = dht_a.resolve_many
 
-        def recording(xs):
-            out = resolve(xs)
+        def recording(xs, **kwargs):
+            out = resolve(xs, **kwargs)
             resolved_at.append(net.churn_epoch)
             return out
 

@@ -2,11 +2,13 @@
 
 Two layers of protection:
 
-1. **Pinned outputs.**  The exact numbers below were captured on the
-   commit *before* the observability subsystem existed (and verified
-   identical under ``REPRO_PURE_PYTHON=1``).  An untraced run today must
-   still reproduce them bit-for-bit -- instrumentation that shifted a
-   single RNG draw or reassociated one float add would show up here.
+1. **Pinned outputs.**  The exact numbers below were first captured on
+   the commit *before* the observability subsystem existed, and
+   re-captured untraced when the batch engine stopped charging the
+   trials past each round's last needed success (verified identical
+   under ``REPRO_PURE_PYTHON=1`` both times).  An untraced run today
+   must still reproduce them bit-for-bit -- instrumentation that shifted
+   a single RNG draw or reassociated one float add would show up here.
 2. **Traced == untraced.**  Running the same seed with a full tracer
    attached must produce the identical result record.  The tracer
    consumes no RNG and mirrors (never replaces) the float accumulations
@@ -34,33 +36,33 @@ SCENARIO_PINS = {
         "dispatch_failures": 0,
         "churn_events": 15,
         "sim_time": 152.1014555661775,
-        "shard_messages": [138556, 99027],
-        "shard_draws": [33, 47],
-        "latency_p50": 38.383457069543866,
-        "latency_p95": 94.04636734239598,
-        "latency_mean": 41.80300802215682,
+        "shard_messages": [111238, 77122],
+        "shard_draws": [36, 44],
+        "latency_p50": 28.099656431595136,
+        "latency_p95": 60.347124129954274,
+        "latency_mean": 29.370646306176788,
     },
     "kademlia": {
         "completed": 80,
         "failed": 0,
         "rejected": 0,
         "dispatch_failures": 0,
-        "churn_events": 15,
-        "sim_time": 152.1014555661775,
-        "shard_messages": [137324, 102013],
-        "shard_draws": [33, 47],
-        "latency_p50": 40.03688196549322,
-        "latency_p95": 92.81436734239595,
-        "latency_mean": 41.876808022156794,
+        "churn_events": 14,
+        "sim_time": 150.2874472169523,
+        "shard_messages": [108096, 85197],
+        "shard_draws": [36, 44],
+        "latency_p50": 32.74329401241841,
+        "latency_p95": 59.20859480819011,
+        "latency_mean": 30.47205442703727,
     },
 }
 
 SERVICE_PIN = {
     "completed": 200,
-    "first_peers": [235, 183, 190, 70, 255, 144, 100, 47, 116, 68],
-    "peer_checksum": 30444,
-    "final_time": 154.67664398563153,
-    "total_latency_mean": 51.795256512337374,
+    "first_peers": [235, 183, 190, 138, 70, 92, 30, 147, 255, 144],
+    "peer_checksum": 29872,
+    "final_time": 118.27907712205639,
+    "total_latency_mean": 30.67897730548194,
 }
 
 
