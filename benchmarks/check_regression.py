@@ -356,18 +356,27 @@ def _write_markdown(path: Path, summary, rss_lines, errors) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_quick(out_dir: Path, names) -> None:
+def _run_quick(out_dir: Path, names) -> list[str]:
+    """Regenerate each artifact's quick run into ``out_dir``.
+
+    A bench that exits non-zero is recorded as an error and the others
+    still run, so one failing bench does not hide the comparison of the
+    rest.  Returns the errors.
+    """
+    errors = []
     for name in names:
         cmd = QUICK_COMMANDS.get(name)
         if cmd is None:
             continue
         script, *flags = cmd
         print(f"-- regenerating {name} ({script} --quick)")
-        subprocess.run(
+        done = subprocess.run(
             [sys.executable, str(ROOT / script), *flags, "--out", str(out_dir / name)],
             cwd=ROOT,
-            check=True,
         )
+        if done.returncode != 0:
+            errors.append(f"{name}: {script} --quick exited with status {done.returncode}")
+    return errors
 
 
 def main(argv=None) -> int:
@@ -412,15 +421,15 @@ def main(argv=None) -> int:
     names = args.bench if args.bench else sorted(EXTRACTORS)
 
     fresh_dir = args.fresh_dir
+    errors: list[str] = []
     tmp = None
     if args.run:
         tmp = tempfile.TemporaryDirectory(prefix="bench-fresh-")
         fresh_dir = Path(tmp.name)
-        _run_quick(fresh_dir, names)
+        errors.extend(_run_quick(fresh_dir, names))
 
     any_regressed = False
     compared = 0
-    errors: list[str] = []
     summary: list[tuple[str, float, list[dict]]] = []
     rss_lines: list[str] = []
     for name in names:

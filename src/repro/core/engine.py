@@ -6,25 +6,28 @@ which dominates wall-clock long before the algorithm's own
 O(1)-trials / O(log n)-latency guarantees do.  :class:`BatchSampler`
 runs the identical algorithm over a whole vector of trials at once:
 
-- all trial points are drawn up front and resolved to their ``h``
-  successors in one pass over the substrate's flat point array
-  (``numpy.searchsorted`` when available, else a pure-Python
-  ``bisect`` loop);
-- small-hit classification is a single vectorized comparison;
+- queued trial points are classified a *block* at a time: their ``h``
+  successors are resolved in one pass over the substrate's flat point
+  array (``numpy.searchsorted`` when available, else a pure-Python
+  ``bisect`` loop), and small-hit classification is a single vectorized
+  comparison;
 - the clockwise walks run through one *windowed* kernel: each trial's
   row holds the clockwise gaps of the ``walk_budget`` ring positions
   after its first peer, read in one gather, and a ``cumsum`` along the
   hop axis finds the first hop where ``T <= 0`` -- no
   :class:`~repro.dht.api.PeerRef` or
-  :class:`~repro.core.sampler.TrialResult` allocation per hop, with
-  results materialized once at the end;
-- failed trials are rejection-retried in batched rounds sized by the
-  observed per-trial success rate;
-- a round is classified whole but committed only up to its last needed
-  success, in draw order: the cost meter is charged once per round via
+  :class:`~repro.core.sampler.TrialResult` allocation per hop;
+- by Theorem 6 a trial's outcome is a fixed function of its point, the
+  ring and the parameters, so a block stays classified for as long as
+  the ring state and the parameters it was classified against are
+  unchanged, and later calls commit from it without classifying again;
+- each call commits the block from its cursor up to its last needed
+  success, in draw order: the cost meter is charged via
   :meth:`~repro.dht.api.CostMeter.charge_bulk` for exactly the trials a
-  sequential scalar loop would have run, and the round's unconsumed
-  points stay queued for the next round or call, so the engine reads
+  sequential scalar loop would have run, summed over the committed rows
+  only (the Chord path reads its lookup charges from running totals), so
+  a call's work is proportional to the trials it commits.  The block's
+  uncommitted points stay queued for the next call, so the engine reads
   the RNG's point stream exactly as that loop does.
 
 Every float operation matches the scalar path's expression tree
@@ -37,9 +40,9 @@ substrates that do not satisfy :class:`~repro.dht.api.BulkDHT` (the
 live overlays) the engine resolves ``h`` without charges through the
 substrate's batched resolver, replays the walks through the same kernel
 when the substrate offers a certified walk view, and commits the
-certified prefix (see :meth:`BatchSampler._round_fallback`); every
-other trial runs on its own through the per-call path.  The scalar
-sampler's draws are this engine at ``k = 1``.
+certified prefix (see :meth:`BatchSampler._commit`); every other trial
+runs on its own through the per-call path.  The scalar sampler's draws
+are this engine at ``k = 1``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 
 from dataclasses import dataclass
 
@@ -77,25 +81,26 @@ __all__ = ["BatchSampler", "BatchSampleResult"]
 # REPRO_PURE_PYTHON forces it (see repro.compat).
 _np = load_numpy()
 
-#: Cap on trial points drawn per rejection round (bounds peak memory).
+#: Cap on the trial points of one classified block (bounds peak memory).
 _MAX_ROUND = 1 << 18
 
-#: A round draws about this many times the expected trials of its
-#: outstanding draws, so that a second round is rare.  Only the trials up
-#: to the last needed success are committed, so a larger round costs
-#: classification CPU, never charged work.
+#: A fresh block holds about this many times the expected trials of the
+#: call's outstanding draws.  Only the trials up to the last needed
+#: success are committed, so a larger block costs classification CPU,
+#: never charged work.
 _ROUND_FACTOR = 2.0
 
 #: Trials per slab of the walk kernel.  A slab's scratch is
 #: ``_WALK_SLAB * walk_budget`` doubles, so the kernel's memory stays
-#: bounded however large a rejection round is.
+#: bounded however large a block is.  It is also the size to which a
+#: block on an unchanged ring grows (see :meth:`BatchSampler._refill`),
+#: and the most uncommitted rows a block keeps classified between calls.
 _WALK_SLAB = 2048
 
 # Outcome codes used inside the classification kernels (cheap ints in
 # the hot loop; mapped to TrialOutcome only at materialization time).
 # A code below _EXHAUSTED is a success; _UNKNOWN marks a trial whose
-# outcome was not computed (its lookup failed, or no trial that late in
-# its round can be committed).
+# outcome was not computed (its lookup failed).
 _SMALL, _WALK, _EXHAUSTED, _UNKNOWN = 0, 1, 2, 3
 _OUTCOMES = (TrialOutcome.SMALL_HIT, TrialOutcome.WALK_HIT, TrialOutcome.EXHAUSTED)
 
@@ -112,6 +117,11 @@ class BatchSampleResult:
     what serving layers convert into simulated service time.
     ``trials`` counts the committed (charged) trials and ``walk_hits``
     the draws that a clockwise walk assigned (the rest were small hits).
+    ``rounds`` counts the call's commit chunks: runs of trials charged
+    in one meter update -- a slice of a classified block, or one trial
+    run on its own.  It counts no classification: a call served from a
+    block classified by an earlier call commits one chunk and classifies
+    nothing.
     """
 
     peers: tuple[PeerRef, ...]
@@ -119,6 +129,88 @@ class BatchSampleResult:
     rounds: int
     cost: CostSnapshot
     walk_hits: int = 0
+
+
+class _Block:
+    """Queued trial points, classified against one ring state.
+
+    Rows are trials in draw order.  ``key`` names the ring state (its
+    first element by identity, the rest by value; see
+    :meth:`BatchSampler._ring_key`) and ``params`` the parameters the
+    rows were classified with.  ``cursor`` is the first row no call has
+    committed.  ``wins`` lists the rows of the certified successes,
+    ``win_out`` their peers' ring positions and ``cum_walks`` a running
+    count of the walk hits among them; ``bad`` lists the uncertified
+    rows (a failed lookup, or a walk that leaves its first peer's run),
+    which run on their own.  ``w`` and ``b`` index the first entry of
+    ``wins`` and ``bad`` at or after ``cursor``.  On the Chord path
+    ``found`` holds the rows' uncharged lookups, with running totals of
+    their charges, and ``starts`` their first ring positions.
+    """
+
+    __slots__ = (
+        "key", "params", "points", "codes", "out", "hops", "peer", "found",
+        "starts", "wins", "win_out", "cum_walks", "bad",
+        "successes", "classified", "cursor", "w", "b",
+    )
+
+    def __init__(self, key, params, points, codes, out, hops, peer,
+                 found=None, starts=None, certified=None):
+        self.key = key
+        self.params = params
+        self.points = points
+        self.codes = codes
+        self.out = out
+        self.hops = hops
+        self.peer = peer
+        self.found = found
+        self.starts = starts
+        self.cursor = self.w = self.b = 0
+        if _np is None:
+            # The pure-Python lane classifies only bulk substrates, whose
+            # trials are all certified.
+            self.wins = [j for j, code in enumerate(codes) if code < _EXHAUSTED]
+            self.win_out = [out[j] for j in self.wins]
+            self.cum_walks = [0, *accumulate(int(codes[j] == _WALK) for j in self.wins)]
+            self.bad = []
+            self.successes = len(self.wins)
+            self.classified = len(codes)
+            return
+        np = _np
+        won = codes < _EXHAUSTED
+        self.successes = int(np.count_nonzero(won))
+        self.classified = int(np.count_nonzero(codes != _UNKNOWN))
+        if certified is not None:
+            won &= certified
+            self.bad = (~certified).nonzero()[0].tolist()
+        else:
+            self.bad = []
+        wins = won.nonzero()[0]
+        self.wins = wins.tolist()
+        self.win_out = out[wins].tolist()
+        self.cum_walks = np.concatenate(([0], np.cumsum(codes[wins] == _WALK))).tolist()
+
+    def results(self, lo: int, hi: int) -> list[TrialResult]:
+        """The :class:`TrialResult` of each certified row in ``[lo, hi)``."""
+        codes, out, hops = self.codes[lo:hi], self.out[lo:hi], self.hops[lo:hi]
+        if _np is not None:
+            codes, out, hops = codes.tolist(), out.tolist(), hops.tolist()
+        peer = self.peer
+        return [
+            TrialResult(
+                s=s,
+                outcome=_OUTCOMES[code],
+                peer=None if code == _EXHAUSTED else peer(q),
+                walk_hops=h,
+            )
+            for s, code, q, h in zip(self.points[lo:hi], codes, out, hops)
+        ]
+
+
+def _same_ring(a, b) -> bool:
+    """Whether two ring keys name one state: the ring object by identity,
+    the plain values after it by equality."""
+    return a is not None and b is not None and a[0] is b[0] and a[1:] == b[1:]
 
 
 class BatchSampler:
@@ -143,10 +235,12 @@ class BatchSampler:
         max_trials: int = 10_000,
         tracer=None,
     ):
+        if max_trials < 1:
+            raise ValueError("max_trials must be at least 1")
         self._dht = dht
         self._rng = rng if rng is not None else random.Random()
         #: Optional span sink (:class:`repro.obs.tracer.Tracer`); the
-        #: engine reports per-round trial/success/cost attribution while
+        #: engine reports per-chunk trial/success/cost attribution while
         #: the tracer has an active batch context, and touches nothing
         #: (no snapshots, no allocation) when it does not.
         self._tracer = tracer
@@ -160,8 +254,6 @@ class BatchSampler:
                 n_hat, gamma1=gamma1, lambda_slack=lambda_slack
             )
         self.params = params
-        if max_trials < 1:
-            raise ValueError("max_trials must be at least 1")
         self._max_trials = max_trials
         self._bulk = isinstance(dht, BulkDHT)
         #: Trials lost to transient peer unreachability (routing holes,
@@ -173,10 +265,14 @@ class BatchSampler:
         #: ``(ring, params, windows)`` of the last walk-kernel input (see
         #: :meth:`_windows_for`).
         self._windows = None
-        #: Drawn trial points no round has committed yet, in draw order
-        #: (see :meth:`sample_many_attributed`).  A point is independent
-        #: of every trial before it, so it is classified against the ring
-        #: as it stands whenever it is committed.
+        #: The classified block the next call commits from (see
+        #: :meth:`sample_many_attributed`); its uncommitted points come
+        #: first in draw order.
+        self._block: _Block | None = None
+        #: Drawn trial points after the block's, unclassified, in draw
+        #: order.  A point is independent of every trial before it, so
+        #: it is classified against the ring as it stands when its block
+        #: is classified.
         self._pending: list[float] = []
 
     @property
@@ -201,7 +297,9 @@ class BatchSampler:
         """Re-derive parameters from a fresh size estimate (see
         :meth:`RandomPeerSampler.refresh <repro.core.sampler.RandomPeerSampler.refresh>`;
         serving shards call this when re-admitting after churn failures).
-        Queued trial points are kept: a point does not depend on ``n_hat``."""
+        Queued trial points are kept: a point does not depend on
+        ``n_hat`` (their classification is dropped with the old
+        parameters)."""
         if n_hat is None:
             n_hat = estimate_n(self._dht, c1=self._c1).n_hat
         self.params = SamplerParams.from_estimate(
@@ -209,7 +307,7 @@ class BatchSampler:
         )
         return self.params
 
-    # -- vectorized classification kernels --------------------------------
+    # -- classified blocks --------------------------------------------------
 
     def _windows_for(self, ring, gaps=None):
         """The walk kernel's step rows for ``ring`` under the current parameters.
@@ -217,7 +315,7 @@ class BatchSampler:
         ``ring`` identifies one ring state: the ideal substrate's point
         array (whose gaps are derived here) or a Chord walk view (which
         carries its ``gaps``).  The rows are rebuilt only when the ring
-        state or the parameters change, never once per round.
+        state or the parameters change, never once per block.
         """
         params = self.params
         cached = self._windows
@@ -229,178 +327,65 @@ class BatchSampler:
             )
         return cached[2]
 
-    def _run_kernel(self, points: Sequence[float], need: int):
-        """Run Figure 1 on points against the flat point array, uncharged.
+    def _ring_key(self):
+        """The ring state a block would be classified against, or None
+        when trials must run one at a time.
 
-        Returns ``(codes, out_idx, hops)``: the outcome code, the
-        assigned peer's sorted index (``-1`` if none) and the walk length
-        of each trial -- numpy arrays over every point, or, in the
-        pure-Python lane, lists that stop at the ``need``-th success.
+        The ideal substrate's key is its point array; a Chord adapter's
+        is its ``replay_key()`` (walk view, entry peer, lookup mode,
+        replay costs).  Kademlia and refused adapters have none.
         """
-        pts = self._dht.points_array()
-        lam = self.params.lam
-        if _np is not None:
-            pts = _np.asarray(pts, dtype=_np.float64)
-            return _kernel_numpy(pts, self._windows_for(pts), lam, points, need)
-        return _kernel_python(pts, len(pts), lam, self.params.walk_budget, points, need)
+        if self._bulk:
+            return (self._dht.points_array(),)
+        replay = getattr(self._dht, "replay_key", None) if _np is not None else None
+        return replay() if replay is not None else None
 
-    def _charge(self, trials: int, hops: int) -> None:
-        """Charge ``trials`` ``h`` calls and ``hops`` ``next`` calls at unit cost."""
-        hm, hl, nm, nl = self._dht.bulk_op_costs()
-        self._dht.cost.charge_bulk(
-            h_calls=trials,
-            next_calls=hops,
-            messages=trials * hm + hops * nm,
-            latency=trials * hl + hops * nl,
+    def _is_current(self, block: _Block) -> bool:
+        """Whether nothing ``block``'s classification read has changed."""
+        return block.params is self.params and _same_ring(block.key, self._ring_key())
+
+    def _classify_block(self, points: list[float], key) -> _Block | None:
+        """Run Figure 1 on ``points`` against the ring ``key`` names, uncharged.
+
+        Returns a block over all of them, or over the prefix a Chord
+        resolve stopped at (an out-of-circle point); None when the
+        substrate resolves none of them without side effects.
+        """
+        params = self.params
+        dht = self._dht
+        if self._bulk:
+            pts = dht.points_array()
+            peer = dht.successor_of_index
+            if _np is None:
+                codes, out, hops = _kernel_python(
+                    pts, len(pts), params.lam, params.walk_budget, points
+                )
+                return _Block(key, params, points, codes, out, hops, peer)
+            _check_points(points)
+            pts = _np.asarray(pts, dtype=_np.float64)
+            codes, out, hops = _kernel_numpy(pts, self._windows_for(pts), params.lam, points)
+            return _Block(key, params, points, codes, out, hops, peer)
+        found = dht.resolve_many(points, commit=False)
+        if not found:
+            return None
+        key = self._ring_key()  # read after the resolve: it may fail a dead entry over
+        view = key[0]
+        points = points[: len(found)]
+        codes, starts, out, hops, certified = self._plan_walks(view, points, found)
+        return _Block(
+            key, params, points, codes, out, hops, view.peer,
+            found=found.summed(), starts=starts, certified=certified,
         )
 
-    # -- public API --------------------------------------------------------
-
-    def trial_many(self, points: Sequence[float]) -> list[TrialResult]:
-        """Run Figure 1 once per point (no retries), batch-classified.
-
-        Result ``j`` equals ``RandomPeerSampler.trial(points[j])`` for a
-        sampler sharing this engine's parameters -- same peer, same
-        :class:`~repro.core.sampler.TrialOutcome`, same walk length --
-        and the charges equal those trials' in total.
-        """
-        points = list(points)
-        results: list[TrialResult] = []
-        if not self._bulk:
-            self._round_fallback(points, len(points) + 1, results)
-            return results
-        if _np is not None:
-            _check_points(points)
-        codes, out_idx, hops = self._run_kernel(points, len(points))
-        if _np is not None:
-            codes, out_idx, hops = codes.tolist(), out_idx.tolist(), hops.tolist()
-        self._charge(len(points), sum(hops))
-        succ = self._dht.successor_of_index
-        for s, code, idx, h in zip(points, codes, out_idx, hops):
-            peer = None if code == _EXHAUSTED else succ(idx)
-            results.append(TrialResult(s=s, outcome=_OUTCOMES[code], peer=peer, walk_hops=h))
-        return results
-
-    def _round(self, points: list[float], need: int):
-        """Classify one rejection round and commit it up to its ``need``-th success.
-
-        Returns ``(peers, taken, walk_hits, successes, classified)``: the
-        committed successes' peers in draw order (at most ``need``), how
-        many trials were committed -- charged, in draw order, exactly as
-        sequential scalar trials -- how many of those peers came from a
-        walk, and the successes among the ``classified`` trials whose
-        outcome the round learned, the evidence for the next round's size.
-        """
-        if not self._bulk:
-            return self._round_fallback(points, need, None)
-        codes, out_idx, hops = self._run_kernel(points, need)
-        succ = self._dht.successor_of_index
-        if _np is None:
-            taken = len(codes)
-            self._charge(taken, sum(hops))
-            wins = [j for j, code in enumerate(codes) if code < _EXHAUSTED]
-            peers = [succ(out_idx[j]) for j in wins]
-            walk_hits = sum(codes[j] == _WALK for j in wins)
-            return peers, taken, walk_hits, len(wins), taken
-        wins = (codes < _EXHAUSTED).nonzero()[0]
-        successes = len(wins)
-        taken = len(points)
-        if successes >= need:
-            wins = wins[:need]
-            taken = int(wins[-1]) + 1
-        self._charge(taken, int(hops[:taken].sum()))
-        peers = [succ(i) for i in out_idx[wins].tolist()]
-        walk_hits = int(_np.count_nonzero(codes[wins] == _WALK))
-        return peers, taken, walk_hits, successes, len(points)
-
-    def _round_fallback(self, points: list[float], need: int, results):
-        """:meth:`_round` for substrates without a flat point array.
-
-        Where the substrate resolves lookups without side effects
-        (``resolve_many(..., commit=False)``) and offers a walk view, the
-        remaining points are resolved and classified in one pass, and the
-        longest prefix of *certified* trials -- a successful lookup, and a
-        walk that stays inside its first peer's run of the view -- is
-        committed, up to the ``need``-th success, through one
-        ``commit_lookups`` call.  The first trial past the prefix runs on
-        its own (:meth:`_live_trial`): its lookup through the batched
-        resolver, which re-executes a failing lookup live, and its walk
-        through per-call ``next``.  Either may stabilize the ring; the
-        view is then re-read and, if the ring changed, the remaining
-        points are resolved afresh.  Every other configuration runs one
-        trial at a time.  Results and charges are those of sequential
-        scalar trials; ``results``, when a list, receives each committed
-        trial's :class:`~repro.core.sampler.TrialResult`.
-        """
-        dht = self._dht
-        walk_view = None
-        if _np is not None and hasattr(dht, "commit_lookups"):
-            walk_view = getattr(dht, "walk_view", None)
-        peers: list[PeerRef] = []
-        walk_hits = successes = classified = 0
-
-        def keep(result: TrialResult) -> None:
-            nonlocal walk_hits
-            if result.peer is not None:
-                peers.append(result.peer)
-                walk_hits += result.outcome is TrialOutcome.WALK_HIT
-            if results is not None:
-                results.append(result)
-
-        k = len(points)
-        i = 0
-        while i < k and len(peers) < need:
-            view = walk_view() if walk_view is not None else None
-            found = dht.resolve_many(points[i:], commit=False) if view is not None else None
-            if not found:
-                result = self._live_trial(points[i])
-                keep(result)
-                i += 1
-                classified += 1
-                successes += result.peer is not None
-                continue
-            rest = points[i : i + len(found)]
-            codes, starts, stops, hops, certified = self._plan_walks(
-                view, rest, found, need - len(peers)
-            )
-            classified += int(_np.count_nonzero(starts >= 0))
-            successes += int(_np.count_nonzero(codes < _EXHAUSTED))
-            j = 0
-            for end in (~certified).nonzero()[0].tolist() + [len(found)]:
-                wins = j + (codes[j:end] < _EXHAUSTED).nonzero()[0]
-                short = need - len(peers)
-                if len(wins) >= short:
-                    wins = wins[:short]
-                    end = int(wins[-1]) + 1
-                dht.commit_lookups(
-                    found[j:end], (view, starts[j:end].tolist(), hops[j:end].tolist())
-                )
-                peers.extend(view.peer(q) for q in stops[wins].tolist())
-                walk_hits += int(_np.count_nonzero(codes[wins] == _WALK))
-                if results is not None:
-                    results.extend(
-                        _planned(view, rest[j:end], codes[j:end], stops[j:end], hops[j:end])
-                    )
-                j = end
-                if j == len(found) or len(peers) == need:
-                    break
-                keep(self._live_trial(rest[j]))
-                j += 1
-                if len(peers) == need or walk_view() is not view:
-                    break  # done, or the ring changed: resolve the rest afresh
-            i += j
-        return peers, i, walk_hits, successes, classified
-
-    def _plan_walks(self, view, points, found, need):
+    def _plan_walks(self, view, points, found):
         """Figure 1 for every resolved trial on ``view``, as arrays.
 
         Returns ``(codes, starts, stops, hops, certified)``: the outcome
-        code (``_UNKNOWN`` where the lookup failed, or past the
-        ``need``-th small hit), the first peer's ring position (``-1`` if
-        absent), the assigned peer's ring position (``-1`` if none), the
-        walk length, and whether ``view`` certifies the trial -- its
-        lookup succeeded, its first peer sits in the view and its stop
-        hop lies inside that peer's run.
+        code (``_UNKNOWN`` where the lookup failed), the first peer's
+        ring position (``-1`` if absent), the assigned peer's ring
+        position (``-1`` if none), the walk length, and whether ``view``
+        certifies the trial -- its lookup succeeded, its first peer sits
+        in the view and its stop hop lies inside that peer's run.
         """
         k = len(found)
         starts = view.positions(found.owner)
@@ -415,10 +400,117 @@ class BatchSampler:
                 starts[known],
                 _np.asarray(points, dtype=_np.float64)[known],
                 self.params.lam,
-                need,
             )
         certified = (starts >= 0) & (view.run[starts] >= hops)
         return codes, starts, stops, hops, certified
+
+    def _refill(self, need: int, p: float) -> _Block | None:
+        """Classify the next block of queued points; None when trials must
+        run one at a time.
+
+        The current block's uncommitted points go back to the front of
+        the queue first.  A block holds ``max(need, int(need / p * 2.0)
+        + 8)`` points, the rejection round that would serve ``need``
+        draws at success rate ``p``; after a block was used up on a ring
+        state that still holds, the next one on it is twice as large, up
+        to one walk-kernel slab, so a static ring is classified about
+        once per ``_WALK_SLAB`` trials however small the calls are.  At
+        most ``_MAX_ROUND`` points either way.
+        """
+        old = self._release()
+        key = self._ring_key()
+        if key is None:
+            return None
+        size = max(need, int(need / p * _ROUND_FACTOR) + 8)
+        if (
+            old is not None
+            and old.cursor == len(old.points)
+            and old.params is self.params
+            and _same_ring(old.key, key)
+        ):
+            size = max(size, min(2 * len(old.points), _WALK_SLAB))
+        points = self._draw(min(size, _MAX_ROUND))
+        block = self._classify_block(points, key)
+        covered = len(block.points) if block is not None else 0
+        self._pending[:0] = points[covered:]
+        if not covered:
+            return None
+        self._block = block
+        return block
+
+    def _release(self) -> _Block | None:
+        """Drop the block's classification and return the block; its
+        uncommitted points go back to the front of the queue, in order."""
+        old = self._block
+        self._block = None
+        if old is not None:
+            self._pending[:0] = old.points[old.cursor :]
+        return old
+
+    def _commit(self, block: _Block, need: int, limit: int, results):
+        """Commit one chunk of ``block`` at its cursor.
+
+        The chunk is the longest run of certified rows that stops at the
+        ``need``-th success, after ``limit`` rows, or before the next
+        uncertified row, charged in one update: on the bulk path at the
+        unit costs, on the Chord path through one ``commit_lookups``
+        call with the rows' replayed walks.  An uncertified row at the
+        cursor runs on its own instead (:meth:`_commit_one`); the caller
+        re-checks the block before committing more, since that trial may
+        have changed the ring.  Returns ``(taken, peers, walk_hits)``;
+        ``results``, when a list, receives each committed trial's
+        :class:`~repro.core.sampler.TrialResult`.
+        """
+        lo = block.cursor
+        bad = block.bad
+        hi = bad[block.b] if block.b < len(bad) else len(block.points)
+        if hi == lo:
+            block.cursor += 1
+            block.b += 1
+            return self._commit_one(block.points[lo], results)
+        hi = min(hi, lo + limit)
+        wins = block.wins
+        w = block.w
+        last = w + need - 1
+        if last < len(wins) and wins[last] < hi:
+            hi = wins[last] + 1
+            stop = last + 1
+        else:
+            stop = bisect_left(wins, hi, w)
+        if block.found is None:
+            hops = block.hops[lo:hi]
+            self._charge(hi - lo, int(hops.sum()) if _np is not None else sum(hops))
+        else:
+            self._dht.commit_lookups(
+                block.found[lo:hi],
+                (block.key[0], block.starts[lo:hi].tolist(), block.hops[lo:hi].tolist()),
+            )
+        if results is not None:
+            results.extend(block.results(lo, hi))
+        block.cursor = hi
+        block.w = stop
+        peer = block.peer
+        peers = [peer(q) for q in block.win_out[w:stop]]
+        return hi - lo, peers, block.cum_walks[stop] - block.cum_walks[w]
+
+    def _commit_one(self, s: float, results):
+        """One trial on its own (:meth:`_live_trial`), as a chunk."""
+        result = self._live_trial(s)
+        if results is not None:
+            results.append(result)
+        if result.peer is None:
+            return 1, [], 0
+        return 1, [result.peer], int(result.outcome is TrialOutcome.WALK_HIT)
+
+    def _charge(self, trials: int, hops: int) -> None:
+        """Charge ``trials`` ``h`` calls and ``hops`` ``next`` calls at unit cost."""
+        hm, hl, nm, nl = self._dht.bulk_op_costs()
+        self._dht.cost.charge_bulk(
+            h_calls=trials,
+            next_calls=hops,
+            messages=trials * hm + hops * nm,
+            latency=trials * hl + hops * nl,
+        )
 
     def _live_trial(self, s: float) -> TrialResult:
         """One trial on its own, as the scalar sampler runs it.
@@ -451,7 +543,7 @@ class BatchSampler:
         return TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
 
     def _draw(self, size: int) -> list[float]:
-        """``size`` trial points: carried-over ones first, then fresh draws."""
+        """``size`` trial points: queued ones first, then fresh draws."""
         pending = self._pending
         if len(pending) >= size:
             points = pending[:size]
@@ -462,15 +554,47 @@ class BatchSampler:
         pending.clear()
         return points
 
+    # -- public API --------------------------------------------------------
+
+    def trial_many(self, points: Sequence[float]) -> list[TrialResult]:
+        """Run Figure 1 once per point (no retries), batch-classified.
+
+        Result ``j`` equals ``RandomPeerSampler.trial(points[j])`` for a
+        sampler sharing this engine's parameters -- same peer, same
+        :class:`~repro.core.sampler.TrialOutcome`, same walk length --
+        and the charges equal those trials' in total.  The points are
+        classified as one block, outside the engine's queue, and all of
+        it is committed (a ring change after a trial run on its own
+        re-classifies the rest).
+        """
+        points = list(points)
+        results: list[TrialResult] = []
+        i = 0
+        while i < len(points):
+            key = self._ring_key()
+            block = self._classify_block(points[i:], key) if key is not None else None
+            if block is None:
+                self._commit_one(points[i], results)
+                i += 1
+                continue
+            rows = len(block.points)
+            while True:
+                self._commit(block, rows, rows, results)
+                if block.cursor == rows or not self._is_current(block):
+                    break
+            i += block.cursor
+        return results
+
     def sample_many(self, k: int) -> list[PeerRef]:
         """Draw ``k`` independent uniform samples (with replacement).
 
-        Trials are drawn in rounds sized ``need / p`` where ``p`` is the
-        success-rate estimate (seeded from ``n_hat * lambda``, then
-        updated from observation), so the expected number of rounds is
-        O(1).  The total trial budget is ``max_trials * k``; exceeding
-        it raises :class:`~repro.core.errors.SamplingError`, mirroring
-        the scalar sampler's per-sample cap.
+        Trials come from classified blocks sized ``need / p`` where
+        ``p`` is the success-rate estimate (seeded from
+        ``n_hat * lambda``, then updated from observation), so the
+        expected number of classifications per call is O(1).  The total
+        trial budget is ``max_trials * k``; exceeding it raises
+        :class:`~repro.core.errors.SamplingError`, mirroring the scalar
+        sampler's per-sample cap.
         """
         return list(self.sample_many_attributed(k).peers)
 
@@ -484,23 +608,26 @@ class BatchSampler:
         (:mod:`repro.service`) uses this hook to stamp per-request
         latency without re-deriving batch internals.
 
-        A round classifies all its points but commits -- charges, and
-        counts in ``trials`` -- only the trials up to its last needed
-        success, in draw order.  The points after it stay queued on the
-        engine and open the next round or the next call, so the engine
+        The call commits the engine's classified block from its cursor
+        -- charges, and counts in ``trials``, only the trials up to its
+        last needed success, in draw order -- and classifies a new block
+        from the queue when the block is used up, or when the ring state
+        or the parameters it was classified against have changed (its
+        points then stay queued, unclassified).  The engine therefore
         consumes the RNG's points exactly as sequential scalar draws do,
         with the same peers and charges.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        before = self._dht.cost.snapshot()
+        cost = self._dht.cost
+        before = cost.snapshot()
         out: list[PeerRef] = []
         budget = self._max_trials * k
         used = 0
-        rounds = 0
+        chunks = 0
         walk_hits = 0
         p_est = min(max(self.params.n_hat * self.params.lam, 1e-4), 1.0)
-        # Round spans are recorded only while a sampled batch is being
+        # Chunk spans are recorded only while a sampled batch is being
         # dispatched; the check is hoisted because the whole call runs
         # inside one dispatch (one batch context), so activity cannot
         # change mid-loop.
@@ -513,33 +640,32 @@ class BatchSampler:
                     f"(n_hat={self.params.n_hat:.3g}); the size estimate is likely stale"
                 )
             need = k - len(out)
-            round_size = min(
-                budget - used,
-                _MAX_ROUND,
-                max(need, int(need / p_est * _ROUND_FACTOR) + 8),
-            )
-            points = self._draw(round_size)
-            rounds += 1
-            round_before = self._dht.cost.snapshot() if tracing else None
-            peers, taken, hits, successes, classified = self._round(points, need)
-            self._pending[:0] = points[taken:]
+            block = self._block
+            if block is None or block.cursor == len(block.points) or not self._is_current(block):
+                block = self._refill(need, p_est)
+                if block is not None and block.classified:
+                    p_est = min(max((block.successes + 1) / (block.classified + 2), 1e-4), 1.0)
+            chunk_before = cost.snapshot() if tracing else None
+            if block is None:
+                taken, peers, hits = self._commit_one(self._draw(1)[0], None)
+            else:
+                taken, peers, hits = self._commit(block, need, budget - used, None)
             used += taken
             walk_hits += hits
             if tracing:
-                tracer.on_round(
-                    rounds - 1,
-                    taken,
-                    len(peers),
-                    self._dht.cost.snapshot() - round_before,
-                )
-            if classified:
-                p_est = min(max((successes + 1) / (classified + 2), 1e-4), 1.0)
+                tracer.on_round(chunks, taken, len(peers), cost.snapshot() - chunk_before)
+            chunks += 1
             out.extend(peers)
+        block = self._block
+        if block is not None and len(block.points) - block.cursor > _WALK_SLAB:
+            # What a call leaves classified is at most one slab's block;
+            # a large call's rest stays queued as bare points.
+            self._release()
         return BatchSampleResult(
             peers=tuple(out),
             trials=used,
-            rounds=rounds,
-            cost=self._dht.cost.snapshot() - before,
+            rounds=chunks,
+            cost=cost.snapshot() - before,
             walk_hits=walk_hits,
         )
 
@@ -573,19 +699,6 @@ class BatchSampler:
 
 
 # -- classification kernels (module-level: no self lookups in hot loops) --
-
-
-def _planned(view, points, codes, stops, hops) -> list[TrialResult]:
-    """The :class:`TrialResult` of each certified trial of a walk plan."""
-    return [
-        TrialResult(
-            s=s,
-            outcome=_OUTCOMES[code],
-            peer=None if code == _EXHAUSTED else view.peer(q),
-            walk_hops=h,
-        )
-        for s, code, q, h in zip(points, codes.tolist(), stops.tolist(), hops.tolist())
-    ]
 
 
 def _walk_windows(gaps, lam, budget):
@@ -639,25 +752,20 @@ def _walk_kernel(windows, n, first, arc, lam):
     return stop, hops
 
 
-def _classify(windows, ring_pts, first, ss, lam, need):
+def _classify(windows, ring_pts, first, ss, lam):
     """Figure 1 for points ``ss`` whose ``h`` sits at ring positions ``first``.
 
     Returns ``(codes, out_idx, hops)`` arrays: the outcome code, the
     assigned peer's ring position (``-1`` if none) and the walk length
-    of each trial.  Every small hit is found, but only the trials before
-    the ``need``-th small hit walk: the ``need``-th success lies at or
-    before it, so no later trial is committed, and the later trials that
-    are not small hits keep the code ``_UNKNOWN``.
+    of each trial.
     """
     arc = clockwise_distances(ss, ring_pts[first])
     small = arc < lam
-    smalls = small.nonzero()[0]
-    end = smalls[need - 1] if len(smalls) >= need else len(ss)
-    walk = (~small[:end]).nonzero()[0]
+    walk = (~small).nonzero()[0]
     stop, walked = _walk_kernel(windows, len(ring_pts), first[walk], arc[walk], lam)
-    codes = _np.where(small, _SMALL, _UNKNOWN)
+    codes = _np.full(len(ss), _SMALL)
     codes[walk] = _np.where(stop >= 0, _WALK, _EXHAUSTED)
-    out_idx = _np.where(small, first, -1)
+    out_idx = first.copy()
     out_idx[walk] = stop
     hops = _np.zeros(len(ss), dtype=_np.int64)
     hops[walk] = walked
@@ -673,30 +781,27 @@ def _check_points(points) -> None:
         raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
 
 
-def _kernel_numpy(pts, windows, lam, points, need):
+def _kernel_numpy(pts, windows, lam, points):
     """Vectorized Figure 1 over all trials against the flat point array.
 
     ``h`` is a ``searchsorted`` over the sorted points; the walks run
-    through :func:`_walk_kernel` (see :func:`_classify` for which walk).
-    Outcomes are bit-identical to :meth:`RandomPeerSampler.trial`.
-    Points must lie in ``(0, 1]`` (:func:`_check_points`).
+    through :func:`_walk_kernel`.  Outcomes are bit-identical to
+    :meth:`RandomPeerSampler.trial`.  Points must lie in ``(0, 1]``
+    (:func:`_check_points`).
     """
     ss = _np.asarray(points, dtype=_np.float64)
     idx = _np.searchsorted(pts, ss, side="left")
     idx %= len(pts)
-    return _classify(windows, pts, idx, ss, lam, need)
+    return _classify(windows, pts, idx, ss, lam)
 
 
-def _kernel_python(pts, n, lam, budget, points, need):
+def _kernel_python(pts, n, lam, budget, points):
     """Pure-Python fast path: raw floats and indices, zero allocations
-    per hop.  Identical arithmetic to the scalar trial.  Stops after the
-    ``need``-th success: nothing past it is committed."""
+    per hop.  Identical arithmetic to the scalar trial."""
     codes: list[int] = []
     out_idx: list[int] = []
     hops_list: list[int] = []
     for s in points:
-        if need == 0:
-            break
         if not 0.0 < s <= 1.0:
             raise ValueError(f"point {s!r} is outside the unit circle (0, 1]")
         i = bisect_left(pts, s)
@@ -710,7 +815,6 @@ def _kernel_python(pts, n, lam, budget, points, need):
             codes.append(_SMALL)
             out_idx.append(i)
             hops_list.append(0)
-            need -= 1
             continue
         t = arc - lam
         code = _EXHAUSTED
@@ -732,7 +836,6 @@ def _kernel_python(pts, n, lam, budget, points, need):
                 if t <= 0.0:
                     code = _WALK
                     assigned = ni
-                    need -= 1
                     break
                 i = ni
                 cur = npt

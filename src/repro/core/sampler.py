@@ -177,6 +177,8 @@ class RandomPeerSampler:
         rng: random.Random | None = None,
         max_trials: int = 10_000,
     ):
+        if max_trials < 1:
+            raise ValueError("max_trials must be at least 1")
         self._dht = dht
         self._rng = rng if rng is not None else random.Random()
         if n_hat is None:

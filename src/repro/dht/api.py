@@ -76,6 +76,17 @@ rather than protocol check:
   took ``hops[j]`` steps from ring position ``starts[j]`` -- with the
   amounts, and the trace spans, of that many ``next`` calls; every
   other walk goes through ``next``.
+- ``replay_key() -> tuple | None`` -- what the two hooks above read:
+  the current ``walk_view()`` first, then plain values (the Chord
+  adapters give the entry peer, the lookup mode and the replay costs,
+  through :func:`repro.dht.chord.batch.replay_key`, which shares them
+  with the route table's key); ``None`` when ``walk_view()`` is.  The
+  batch engine classifies a block of trial points once and commits
+  from it across calls for as long as the key holds, comparing the view
+  by identity and the rest by equality, so an adapter must present a
+  new key -- a new view object, or a changed value -- whenever anything
+  its uncharged resolve or its walk view depends on changes.  An
+  adapter offering ``replay_key`` offers the three hooks above.
 - ``warm_lockstep() -> bool`` -- pre-build any batch-routing caches
   (snapshot, walk view, and the Chord adapters' route table: one
   lookup per owner arc, read by every batch while the ring stays as

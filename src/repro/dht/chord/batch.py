@@ -84,9 +84,12 @@ exactly where the adapter cuts over.
 Replay charges nothing by itself: :func:`resolve_lookups` returns a
 batch's outcomes as :class:`Lookups` columns, and the adapters charge
 only the rows their caller commits (``commit_lookups``).  ``h_many``
-commits every successful row; the batch sampler commits a round only
-up to its last needed success.  :func:`lockstep_resolve` gives the same
-rows as :class:`LookupTrace` records.
+commits every successful row; the batch sampler resolves a block of
+queued trial points once per ring state and commits it slice by slice
+across its calls, each up to the call's last needed success, for as
+long as :func:`replay_key` holds (:meth:`Lookups.summed` makes a
+slice's charge totals a few reads).  :func:`lockstep_resolve` gives the
+same rows as :class:`LookupTrace` records.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ __all__ = [
     "WalkView",
     "build_route_table",
     "lockstep_resolve",
+    "replay_key",
     "resolve_lookups",
 ]
 
@@ -151,9 +155,10 @@ class Lookups:
     into one of these and charge only the rows their caller commits.
     """
 
-    __slots__ = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
-
+    _COLUMNS = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
     _DTYPES = ("int64", "int64", "int64", "float64", "int64", "int64", "bool")
+
+    __slots__ = _COLUMNS + ("_sums", "_base")
 
     def __init__(self, owner, hops, messages, latency, rpc_calls, rpc_timeouts, ok):
         self.owner = owner
@@ -163,10 +168,14 @@ class Lookups:
         self.rpc_calls = rpc_calls
         self.rpc_timeouts = rpc_timeouts
         self.ok = ok
+        #: Running totals of the charge columns, shared with every slice
+        #: (see :meth:`summed`); ``_base`` is this slice's first row in them.
+        self._sums = None
+        self._base = 0
 
     @classmethod
     def from_traces(cls, traces) -> "Lookups":
-        columns = [[getattr(t, name) for t in traces] for name in cls.__slots__]
+        columns = [[getattr(t, name) for t in traces] for name in cls._COLUMNS]
         if _np is not None:
             columns = [_np.array(c, dtype=d) for c, d in zip(columns, cls._DTYPES)]
         return cls(*columns)
@@ -175,15 +184,45 @@ class Lookups:
         return len(self.ok)
 
     def __getitem__(self, rows: slice) -> "Lookups":
-        return Lookups(*(getattr(self, name)[rows] for name in self.__slots__))
+        part = Lookups(*[getattr(self, name)[rows] for name in self._COLUMNS])
+        if self._sums is not None and rows.step is None:
+            part._sums = self._sums
+            part._base = self._base + rows.indices(len(self))[0]
+        return part
+
+    def summed(self) -> "Lookups":
+        """Keep running totals of the charge columns; returns ``self``.
+
+        Afterwards :meth:`totals` of these rows, and of every contiguous
+        slice taken from them, reads two entries per column instead of
+        summing the rows: the batch sampler commits a classified block a
+        few rows per call, where numpy's per-call overhead outweighs the
+        sums.  The totals stay exact: the integer columns always, and the
+        latency column when every latency is a whole number (integer
+        delays, the default), so that every partial sum is exact in a
+        double; otherwise a slice's latency is summed from its rows.
+        Without numpy this changes nothing.
+        """
+        if _np is None:
+            return self
+        np = _np
+        columns = (self.messages, self.latency, self.rpc_calls, self.rpc_timeouts)
+        sums = [np.concatenate(([0], np.cumsum(c))).astype(c.dtype) for c in columns]
+        if not (self.latency == np.floor(self.latency)).all():
+            # A fractional running total rounds with the block's prefix,
+            # not with the slice.
+            sums[1] = None
+        self._sums = sums
+        self._base = 0
+        return self
 
     def _replace(self, j: int, trace: LookupTrace) -> None:
-        for name in self.__slots__:
+        for name in self._COLUMNS:
             getattr(self, name)[j] = getattr(trace, name)
 
     def traces(self) -> list[LookupTrace]:
         """The rows as :class:`LookupTrace` records."""
-        columns = [getattr(self, name) for name in self.__slots__]
+        columns = [getattr(self, name) for name in self._COLUMNS]
         if _np is not None:
             columns = [c.tolist() for c in columns]
         return [LookupTrace(*row) for row in zip(*columns)]
@@ -201,6 +240,18 @@ class Lookups:
 
     def totals(self) -> tuple[int, float, int, int]:
         """``(messages, latency, rpc_calls, rpc_timeouts)`` over all rows."""
+        if self._sums is not None:
+            lo = self._base
+            hi = lo + len(self)
+            messages, latency, calls, timeouts = self._sums
+            return (
+                int(messages[hi] - messages[lo]),
+                float(latency[hi] - latency[lo])
+                if latency is not None
+                else float(self.latency.sum()),
+                int(calls[hi] - calls[lo]),
+                int(timeouts[hi] - timeouts[lo]),
+            )
         if _np is None:
             return (
                 sum(self.messages),
@@ -873,8 +924,30 @@ def build_route_table(
     return True
 
 
-def _route_key(snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout):
-    return (snapshot.patches, entry_id, mode, rpc_latency, oneway_latency, timeout)
+def _lookup_inputs(entry_id, mode, rpc_latency, oneway_latency, timeout) -> tuple:
+    """What a replayed lookup reads besides the ring: the entry peer,
+    the lookup mode and the replay costs."""
+    return (entry_id, mode, rpc_latency, oneway_latency, timeout)
+
+
+def _route_key(snapshot, *inputs):
+    return (snapshot.patches, *_lookup_inputs(*inputs))
+
+
+def replay_key(view: WalkView | None, entry_id: int, costs: dict) -> tuple | None:
+    """The Chord adapters' ``replay_key()``: ``view`` and what an
+    uncharged ``resolve_many`` reads besides it.
+
+    ``costs`` holds :func:`resolve_lookups`' keyword arguments (mode and
+    latencies).  The view comes first, to be compared by identity: it is
+    a new object whenever the snapshot's epoch or patch count moves or
+    the snapshot is rebuilt.  The rest is the route table's key after
+    its ring state, compared by value.  None when ``view`` is None
+    (replay refused).
+    """
+    if view is None:
+        return None
+    return (view, *_lookup_inputs(entry_id, **costs))
 
 
 def _names_only_live_ids(snapshot: RingSnapshot) -> bool:

@@ -25,6 +25,7 @@ from .batch import (
     RingSnapshot,
     WalkView,
     build_route_table,
+    replay_key,
     resolve_lookups,
 )
 from .idspace import id_to_point, point_to_target_id
@@ -743,6 +744,19 @@ class ChordDHT(EntryVantageMixin):
         if not self.lockstep_eligible():
             return None
         return self._network.snapshot().walk_view()
+
+    def replay_key(self) -> tuple | None:
+        """What ``resolve_many(..., commit=False)`` and :meth:`walk_view` read.
+
+        The current :meth:`walk_view`, then the entry peer, the lookup
+        mode and the replay costs
+        (:func:`~repro.dht.chord.batch.replay_key`): equal keys mean an
+        uncharged resolve would return the same rows.  None when
+        :meth:`walk_view` is None.  The entry is read as it stands, so a
+        caller reads the key after resolving (a resolve fails a dead
+        entry over).
+        """
+        return replay_key(self.walk_view(), self._entry_id, self._lockstep_costs())
 
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.

@@ -62,6 +62,7 @@ from .batch import (
     WalkView,
     build_route_table,
     lockstep_resolve,
+    replay_key,
     resolve_lookups,
 )
 from .idspace import id_to_point, point_to_target_id
@@ -540,6 +541,13 @@ class SoAChordDHT(EntryVantageMixin):
         always replay (see :meth:`ChordDHT.walk_view
         <repro.dht.chord.network.ChordDHT.walk_view>`)."""
         return self._network.store.walk_view()
+
+    def replay_key(self) -> tuple | None:
+        """The store's walk view, entry peer, lookup mode and charge
+        constants: what an uncharged resolve reads (see
+        :meth:`ChordDHT.replay_key
+        <repro.dht.chord.network.ChordDHT.replay_key>`)."""
+        return replay_key(self.walk_view(), self._entry_id, self._costs())
 
     def h_many(self, xs) -> list[PeerRef]:
         return self._h_many(list(xs), tolerant=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _SCRIPT = (
@@ -173,6 +174,38 @@ class TestMainEndToEnd:
         )
         assert rc == 1
         assert "no fresh output" in capsys.readouterr().err
+
+    def test_run_survives_a_failing_bench(self, tmp_path, monkeypatch, capsys):
+        # --run regenerates every bench; one that exits non-zero is an
+        # error (exit 1), the others are still regenerated and compared,
+        # and the temp dir is removed
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "BENCH_chord_batch.json").write_text(json.dumps(chord_record(7.0)))
+        out_dirs = []
+
+        def fake_run(cmd, cwd):
+            out = Path(cmd[cmd.index("--out") + 1])
+            out_dirs.append(out.parent)
+            if cmd[1].endswith("bench_service.py"):
+                return subprocess.CompletedProcess(cmd, 1)
+            out.write_text(json.dumps(chord_record(6.0)))
+            return subprocess.CompletedProcess(cmd, 0)
+
+        monkeypatch.setattr(check_regression.subprocess, "run", fake_run)
+        rc = check_regression.main(
+            [
+                "--run",
+                "--bench", "BENCH_service.json",
+                "--bench", "BENCH_chord_batch.json",
+                "--baseline-dir", str(base),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "BENCH_service.json: benchmarks/bench_service.py --quick exited" in captured.err
+        assert "== BENCH_chord_batch.json" in captured.out
+        assert len(out_dirs) == 2 and not out_dirs[0].exists()
 
     def test_strict_fails_on_disjoint_configurations(self, tmp_path, capsys):
         fresh, base = tmp_path / "fresh", tmp_path / "base"

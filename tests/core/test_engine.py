@@ -13,6 +13,7 @@ from repro.analysis.stats import chi_square_uniform
 from repro.core import engine as engine_mod
 from repro.core.engine import BatchSampler
 from repro.core.errors import SamplingError
+from repro.dht.api import CostSnapshot
 
 
 def _pair(dht, n_hat, seed=0):
@@ -167,6 +168,14 @@ class TestSampleManyAttributed:
         _, eng = _pair(medium_dht, 512.0)
         result = eng.sample_many_attributed(0)
         assert result.peers == () and result.trials == 0 and result.rounds == 0
+
+
+@pytest.mark.parametrize("sampler_cls", [BatchSampler, RandomPeerSampler])
+def test_max_trials_is_rejected_before_estimate_n_charges(sampler_cls):
+    dht = IdealDHT.random(1000, random.Random(37))
+    with pytest.raises(ValueError, match="max_trials"):
+        sampler_cls(dht, max_trials=0)
+    assert dht.cost.snapshot() == CostSnapshot()
 
 
 class TestSampleDistinctBatched:

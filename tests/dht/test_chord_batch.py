@@ -24,6 +24,7 @@ from repro.dht.api import BulkDHT
 from repro.dht.chord import ChordNetwork
 from repro.dht.chord import batch as batch_mod
 from repro.dht.chord.batch import (
+    Lookups,
     RingSnapshot,
     _sim_iterative,
     _sim_recursive,
@@ -36,8 +37,9 @@ from repro.dht.chord.soa import SoAChordNetwork
 from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
 
+np = load_numpy()
 #: Whether the numpy lane (and with it the walk replay) is live.
-NUMPY = load_numpy() is not None
+NUMPY = np is not None
 
 
 def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", copies=2, **kwargs):
@@ -632,6 +634,32 @@ class TestSuccessorOfIndex:
         before = dht.cost.snapshot()
         dht.successor_of_index(5)
         assert dht.cost.snapshot() == before  # uncharged oracle access
+
+
+class TestSummedLookups:
+    @pytest.mark.parametrize("delay", [2.0, 0.3])
+    def test_slice_totals_equal_the_summed_rows(self, delay):
+        # Running totals answer a slice's charges from two reads per
+        # column, with the totals the slice's own rows sum to: latency
+        # from the running total only while it is exact (whole-number
+        # latencies), from the rows otherwise.
+        rng = random.Random(7)
+        rows = [
+            (
+                rng.randrange(99), rng.randrange(9), rng.randrange(40),
+                delay * rng.randrange(40), rng.randrange(20), rng.randrange(3),
+                rng.random() < 0.9,
+            )
+            for _ in range(300)
+        ]
+        columns = [list(c) for c in zip(*rows)]
+        if NUMPY:
+            columns = [np.array(c, dtype=d) for c, d in zip(columns, Lookups._DTYPES)]
+        plain = Lookups(*columns)
+        summed = Lookups(*columns).summed()
+        for lo, hi in [(0, 300), (0, 1), (17, 18), (40, 123), (299, 300), (5, 5)]:
+            assert summed[lo:hi].totals() == plain[lo:hi].totals()
+            assert summed[lo:hi][1:].totals() == plain[lo + 1 : hi].totals()
 
 
 class TestSamplerIntegration:
