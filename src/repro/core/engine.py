@@ -17,6 +17,12 @@ runs the identical algorithm over a whole vector of trials at once:
   hop axis finds the first hop where ``T <= 0`` -- no
   :class:`~repro.dht.api.PeerRef` or
   :class:`~repro.core.sampler.TrialResult` allocation per hop;
+- only the walks that can end at a peer run at all: by Theorem 6 a
+  non-small trial wins only if its arc is at most the largest threshold
+  along its walk, which the engine keeps per ring position (``reach``,
+  built with the windows once per ring state and widened by a rounding
+  bound); every other non-small trial is exhausted after the full
+  budget without a gather;
 - by Theorem 6 a trial's outcome is a fixed function of its point, the
   ring and the parameters, so a block stays classified for as long as
   the ring state and the parameters it was classified against are
@@ -24,11 +30,11 @@ runs the identical algorithm over a whole vector of trials at once:
 - each call commits the block from its cursor up to its last needed
   success, in draw order: the cost meter is charged via
   :meth:`~repro.dht.api.CostMeter.charge_bulk` for exactly the trials a
-  sequential scalar loop would have run, summed over the committed rows
-  only (the Chord path reads its lookup charges from running totals), so
-  a call's work is proportional to the trials it commits.  The block's
-  uncommitted points stay queued for the next call, so the engine reads
-  the RNG's point stream exactly as that loop does.
+  sequential scalar loop would have run, read from the block's running
+  totals (plain lists: two reads per column), and its peers are a slice
+  of the block's list of certified successes.  The block's uncommitted
+  points stay queued for the next call, so the engine reads the RNG's
+  point stream exactly as that loop does.
 
 Every float operation matches the scalar path's expression tree
 exactly (``cumsum`` adds in order, so it reproduces the scalar
@@ -139,19 +145,28 @@ class _Block:
     :meth:`BatchSampler._ring_key`) and ``params`` the parameters the
     rows were classified with.  ``cursor`` is the first row no call has
     committed.  ``wins`` lists the rows of the certified successes,
-    ``win_out`` their peers' ring positions and ``cum_walks`` a running
-    count of the walk hits among them; ``bad`` lists the uncertified
-    rows (a failed lookup, or a walk that leaves its first peer's run),
-    which run on their own.  ``w`` and ``b`` index the first entry of
-    ``wins`` and ``bad`` at or after ``cursor``.  On the Chord path
-    ``found`` holds the rows' uncharged lookups, with running totals of
-    their charges, and ``starts`` their first ring positions.
+    ``win_peers`` their peers and ``cum_walks`` a running count of the
+    walk hits among them; ``bad`` lists the uncertified rows (a failed
+    lookup, or a walk that leaves its first peer's run), which run on
+    their own.  ``w`` and ``b`` index the first entry of ``wins`` and
+    ``bad`` at or after ``cursor``.  On the Chord path ``found`` holds
+    the rows' uncharged lookups and ``starts`` their first ring
+    positions.
+
+    What a commit reads is kept as plain lists of running totals, one
+    entry per row boundary, so a chunk's charges are two reads per
+    column: ``cum_hops`` of the walk lengths and, on the Chord path,
+    ``cum_lookups`` of the lookups' messages, RPCs, timeouts and
+    latency.  Integer totals are exact; the latency total is kept only
+    while every latency is a whole number (integer delays, the default),
+    when every partial sum is exact in a double, and is None otherwise
+    (a chunk then sums its rows' latencies).
     """
 
     __slots__ = (
         "key", "params", "points", "codes", "out", "hops", "peer", "found",
-        "starts", "wins", "win_out", "cum_walks", "bad",
-        "successes", "classified", "cursor", "w", "b",
+        "starts", "wins", "win_peers", "cum_walks", "cum_hops", "cum_lookups",
+        "bad", "successes", "classified", "cursor", "w", "b",
     )
 
     def __init__(self, key, params, points, codes, out, hops, peer,
@@ -170,25 +185,52 @@ class _Block:
             # The pure-Python lane classifies only bulk substrates, whose
             # trials are all certified.
             self.wins = [j for j, code in enumerate(codes) if code < _EXHAUSTED]
-            self.win_out = [out[j] for j in self.wins]
+            self.win_peers = [peer(out[j]) for j in self.wins]
             self.cum_walks = [0, *accumulate(int(codes[j] == _WALK) for j in self.wins)]
             self.bad = []
             self.successes = len(self.wins)
             self.classified = len(codes)
-            return
-        np = _np
-        won = codes < _EXHAUSTED
-        self.successes = int(np.count_nonzero(won))
-        self.classified = int(np.count_nonzero(codes != _UNKNOWN))
-        if certified is not None:
-            won &= certified
-            self.bad = (~certified).nonzero()[0].tolist()
         else:
-            self.bad = []
-        wins = won.nonzero()[0]
-        self.wins = wins.tolist()
-        self.win_out = out[wins].tolist()
-        self.cum_walks = np.concatenate(([0], np.cumsum(codes[wins] == _WALK))).tolist()
+            np = _np
+            won = codes < _EXHAUSTED
+            self.successes = int(np.count_nonzero(won))
+            self.classified = int(np.count_nonzero(codes != _UNKNOWN))
+            if certified is not None:
+                won &= certified
+                self.bad = (~certified).nonzero()[0].tolist()
+            else:
+                self.bad = []
+            wins = won.nonzero()[0]
+            self.wins = wins.tolist()
+            self.win_peers = [peer(q) for q in out[wins].tolist()]
+            self.cum_walks = _running(codes[wins] == _WALK)
+        self.cum_hops = _running(hops)
+        self.cum_lookups = None
+        if found is not None:
+            latency = found.latency
+            whole = (
+                all(float(x).is_integer() for x in latency)
+                if _np is None
+                else bool((latency == _np.floor(latency)).all())
+            )
+            self.cum_lookups = (
+                _running(found.messages),
+                _running(found.rpc_calls),
+                _running(found.rpc_timeouts),
+                _running(latency) if whole else None,
+            )
+
+    def lookup_totals(self, lo: int, hi: int) -> tuple[int, float, int, int]:
+        """``(messages, latency, rpc_calls, rpc_timeouts)`` of rows ``[lo, hi)``."""
+        messages, calls, timeouts, latency = self.cum_lookups
+        return (
+            messages[hi] - messages[lo],
+            latency[hi] - latency[lo]
+            if latency is not None
+            else self.found[lo:hi].totals()[1],
+            calls[hi] - calls[lo],
+            timeouts[hi] - timeouts[lo],
+        )
 
     def results(self, lo: int, hi: int) -> list[TrialResult]:
         """The :class:`TrialResult` of each certified row in ``[lo, hi)``."""
@@ -205,6 +247,16 @@ class _Block:
             )
             for s, code, q, h in zip(self.points[lo:hi], codes, out, hops)
         ]
+
+
+def _running(column) -> list:
+    """Running totals of a column as a plain list, from 0: entry ``j``
+    is the sum of the first ``j`` values, added in order."""
+    if _np is None:
+        return [0, *accumulate(column)]
+    totals = _np.zeros(len(column) + 1, dtype=_np.result_type(column.dtype, _np.int64))
+    _np.cumsum(column, out=totals[1:])
+    return totals.tolist()
 
 
 def _same_ring(a, b) -> bool:
@@ -262,8 +314,8 @@ class BatchSampler:
         #: with fresh randomness by the rejection loop -- so churn shows
         #: up as extra trials, never as a leaked substrate exception.
         self.stale_trials = 0
-        #: ``(ring, params, windows)`` of the last walk-kernel input (see
-        #: :meth:`_windows_for`).
+        #: ``(ring, params, windows, reach)`` of the last walk-kernel
+        #: input (see :meth:`_windows_for`).
         self._windows = None
         #: The classified block the next call commits from (see
         #: :meth:`sample_many_attributed`); its uncommitted points come
@@ -281,17 +333,24 @@ class BatchSampler:
         return self._dht
 
     def warm(self) -> bool:
-        """Pre-build the substrate's batch-routing caches, if it has any.
+        """Pre-build the substrate's batch-routing caches and the engine's
+        walk windows.
 
         Delegates to the substrate's ``warm_lockstep`` hook (the Chord
-        adapters build their ring snapshot, walk view and route table);
-        a no-op returning False on substrates without one.  Serving
-        shards call this right after a churn-recovery :meth:`refresh`
-        so the next dispatch does not pay cache (re)construction on the
-        request path.
+        adapters build their ring snapshot, walk view and route table),
+        then builds the walk kernel's windows and reach for the ring the
+        next block would be classified against (:meth:`_windows_for`).
+        Returns the hook's answer; False on substrates without one.
+        Serving shards call this at set-up and right after a
+        churn-recovery :meth:`refresh`, so the next dispatch does not pay
+        these builds on the request path.
         """
         warm = getattr(self._dht, "warm_lockstep", None)
-        return bool(warm()) if warm is not None else False
+        engaged = bool(warm()) if warm is not None else False
+        key = self._ring_key() if _np is not None else None
+        if key is not None:
+            self._ring_windows(key[0])
+        return engaged
 
     def refresh(self, n_hat: float | None = None) -> SamplerParams:
         """Re-derive parameters from a fresh size estimate (see
@@ -310,12 +369,15 @@ class BatchSampler:
     # -- classified blocks --------------------------------------------------
 
     def _windows_for(self, ring, gaps=None):
-        """The walk kernel's step rows for ``ring`` under the current parameters.
+        """The walk kernel's step rows for ``ring`` under the current
+        parameters, and each ring position's reach.
 
         ``ring`` identifies one ring state: the ideal substrate's point
         array (whose gaps are derived here) or a Chord walk view (which
-        carries its ``gaps``).  The rows are rebuilt only when the ring
-        state or the parameters change, never once per block.
+        carries its ``gaps``).  Returns ``(windows, reach)``
+        (:func:`_walk_windows`).  Both are rebuilt only when the ring
+        state or the parameters change, never once per block; the cache
+        holds one ring state.
         """
         params = self.params
         cached = self._windows
@@ -323,9 +385,16 @@ class BatchSampler:
             if gaps is None:
                 gaps = ring_gaps(ring)
             cached = self._windows = (
-                ring, params, _walk_windows(gaps, params.lam, params.walk_budget)
+                ring, params, *_walk_windows(gaps, params.lam, params.walk_budget)
             )
-        return cached[2]
+        return cached[2], cached[3]
+
+    def _ring_windows(self, ring):
+        """:meth:`_windows_for` the first element of a ring key: the ideal
+        substrate's point array or a Chord walk view."""
+        if self._bulk:
+            return self._windows_for(_np.asarray(ring, dtype=_np.float64))
+        return self._windows_for(ring, ring.gaps)
 
     def _ring_key(self):
         """The ring state a block would be classified against, or None
@@ -363,7 +432,8 @@ class BatchSampler:
                 return _Block(key, params, points, codes, out, hops, peer)
             _check_points(points)
             pts = _np.asarray(pts, dtype=_np.float64)
-            codes, out, hops = _kernel_numpy(pts, self._windows_for(pts), params.lam, points)
+            windows, reach = self._windows_for(pts)
+            codes, out, hops = _kernel_numpy(pts, windows, reach, params.lam, points)
             return _Block(key, params, points, codes, out, hops, peer)
         found = dht.resolve_many(points, commit=False)
         if not found:
@@ -374,7 +444,7 @@ class BatchSampler:
         codes, starts, out, hops, certified = self._plan_walks(view, points, found)
         return _Block(
             key, params, points, codes, out, hops, view.peer,
-            found=found.summed(), starts=starts, certified=certified,
+            found=found, starts=starts, certified=certified,
         )
 
     def _plan_walks(self, view, points, found):
@@ -395,7 +465,7 @@ class BatchSampler:
         hops = _np.zeros(k, dtype=_np.int64)
         if known.size:
             codes[known], stops[known], hops[known] = _classify(
-                self._windows_for(view, view.gaps),
+                *self._ring_windows(view),
                 view.points,
                 starts[known],
                 _np.asarray(points, dtype=_np.float64)[known],
@@ -452,9 +522,10 @@ class BatchSampler:
 
         The chunk is the longest run of certified rows that stops at the
         ``need``-th success, after ``limit`` rows, or before the next
-        uncertified row, charged in one update: on the bulk path at the
-        unit costs, on the Chord path through one ``commit_lookups``
-        call with the rows' replayed walks.  An uncertified row at the
+        uncertified row, charged in one update from the block's running
+        totals: on the bulk path at the unit costs, on the Chord path
+        through one ``commit_lookups`` call with the rows' replayed
+        walks.  An uncertified row at the
         cursor runs on its own instead (:meth:`_commit_one`); the caller
         re-checks the block before committing more, since that trial may
         have changed the ring.  Returns ``(taken, peers, walk_hits)``;
@@ -477,21 +548,20 @@ class BatchSampler:
             stop = last + 1
         else:
             stop = bisect_left(wins, hi, w)
+        cum_hops = block.cum_hops
+        steps = cum_hops[hi] - cum_hops[lo]
         if block.found is None:
-            hops = block.hops[lo:hi]
-            self._charge(hi - lo, int(hops.sum()) if _np is not None else sum(hops))
+            self._charge(hi - lo, steps)
         else:
             self._dht.commit_lookups(
-                block.found[lo:hi],
-                (block.key[0], block.starts[lo:hi].tolist(), block.hops[lo:hi].tolist()),
+                block.found, lo, hi, (*block.lookup_totals(lo, hi), steps),
+                (block.key[0], block.starts, block.hops),
             )
         if results is not None:
             results.extend(block.results(lo, hi))
         block.cursor = hi
         block.w = stop
-        peer = block.peer
-        peers = [peer(q) for q in block.win_out[w:stop]]
-        return hi - lo, peers, block.cum_walks[stop] - block.cum_walks[w]
+        return hi - lo, block.win_peers[w:stop], block.cum_walks[stop] - block.cum_walks[w]
 
     def _commit_one(self, s: float, results):
         """One trial on its own (:meth:`_live_trial`), as a chunk."""
@@ -702,18 +772,86 @@ class BatchSampler:
 
 
 def _walk_windows(gaps, lam, budget):
-    """Row ``p`` holds ``gap - lam`` for the ``budget`` hops a walk from
-    ring position ``p`` takes.
+    """The walk kernel's input for one ring state: ``(windows, reach)``.
 
-    A read-only sliding-window view over the gaps tiled far enough that
-    every row runs ``budget`` positions clockwise, lapping the ring as
-    often as a budget of ``n`` or more requires.  ``gap - lam`` is the
-    scalar loop's ``step - lam``, computed once per ring state.
+    Row ``p`` of ``windows`` holds ``gap - lam`` for the ``budget`` hops
+    a walk from ring position ``p`` takes: a read-only sliding-window
+    view over the gaps tiled far enough that every row runs ``budget``
+    positions clockwise, lapping the ring as often as a budget of ``n``
+    or more requires.  ``gap - lam`` is the scalar loop's
+    ``step - lam``, computed once per ring state.  ``reach[p]`` bounds
+    the arcs from which a walk starting at ``p`` can end at a peer
+    (:func:`_reach`, over the same tiled steps).
     """
     n = len(gaps)
     span = n + budget - 1
-    steps = _np.tile(gaps, -(-span // n))[:span] - lam
-    return _np.lib.stride_tricks.sliding_window_view(steps, budget)
+    laps = -(-span // n)
+    steps = _np.tile(gaps, laps)[:span] - lam
+    windows = _np.lib.stride_tricks.sliding_window_view(steps, budget)
+    return windows, _reach(steps, n, lam, budget, laps)
+
+
+def _reach(steps, n, lam, budget, laps):
+    """The largest arc from which a walk from each ring position can end
+    at a peer, widened by a bound on rounding.
+
+    With ``C_k(p)`` the sum of the first ``k`` entries of window row
+    ``p`` (the ``steps[p : p + budget]``), a walk from ``p`` with arc
+    ``a >= lam`` stops at hop ``k`` when ``T_k = (a - lam) + C_k(p) <= 0``,
+    so it can end at a peer only if ``a <= lam - min_k C_k(p)``: the
+    largest of Theorem 6's thresholds ``(k+1) lam - D_k`` along the walk
+    (:func:`repro.core.assignment.compute_assignment` sweeps the same
+    running maximum).  Every other non-small trial exhausts its budget.
+
+    O(n + budget) array work: prefix sums ``P`` of ``steps``, so that
+    ``C_k(p) = P[p + k] - P[p]``, then a sliding-window minimum of width
+    ``budget`` over ``P[1:]`` (van Herk / Gil-Werman: running minima
+    forwards and backwards inside blocks of ``budget``, +inf padding the
+    last block; two windows' minima are one ``minimum``).
+
+    Margin.  With ``u = 2**-53``, ``span = n + budget - 1`` steps
+    ``s_i`` and ``S = sum |s_i|``, a floating-point sum of ``m``
+    additions errs from its exact value by at most ``m u`` (to first
+    order) times the sum of its terms' magnitudes:
+
+    - prefix sums accumulate in order over at most ``span`` terms, so
+      ``|P^[j] - P[j]| <= span u S``, and the computed
+      ``P^[p + k] - P^[p]`` errs from ``C_k(p)`` by at most
+      ``(2 span + 1) u S``; the minimum is exact, and ``lam - min`` and
+      adding the margin round once each, by at most ``u (S + 1)``;
+    - a walk adds ``a - lam`` (itself rounded, by at most ``u``; ``a <
+      1``) and then up to ``budget`` row entries, in order, so
+      ``|T^_k - T_k| <= u + budget u (S + 1)``.
+
+    So a walk the kernel sees end (``T^_k <= 0``) has ``a`` at most the
+    computed ``lam - min_k C_k(p)`` plus ``(2 span + budget + 4) u
+    (S + 2) = (2 n + 3 budget + 2) u (S + 2)``, which the margin
+    ``4 (n + 2 budget) u (S + 2)`` covers more than 1.7 times over for
+    every ``n, budget >= 1`` (the slack absorbs the second-order terms).
+    ``S`` is bounded without a pass over the steps: ``|gap - lam| <=
+    gap + lam`` and one lap's gaps sum to 1 up to ``2 u``, so
+    ``S <= laps + span lam`` up to a relative ``3 u``.  At ``n = 1e5``
+    the margin is ~1e-10 against ``lam`` ~ 4e-7.  The filter may send a
+    losing trial to the kernel; it never skips a winning one.
+    """
+    np = _np
+    span = len(steps)
+    prefix = np.zeros(span + 1)
+    np.cumsum(steps, out=prefix[1:])
+    blocks = -(-span // budget)
+    padded = np.full(blocks * budget, np.inf)
+    padded[:span] = prefix[1:]
+    padded = padded.reshape(blocks, budget)
+    ahead = np.minimum.accumulate(padded, axis=1).ravel()
+    backwards = padded[:, ::-1]
+    np.minimum.accumulate(backwards, axis=1, out=backwards)
+    behind = padded.ravel()
+    # Row p's window is P[p + 1 .. p + budget], padded[p .. p + budget - 1].
+    low = np.minimum(behind[:n], ahead[budget - 1 : budget - 1 + n])
+    low -= prefix[:n]
+    np.subtract(lam, low, out=low)
+    low += 4.0 * (n + 2 * budget) * 2.0**-53 * (laps + span * lam + 2.0)
+    return low
 
 
 def _walk_kernel(windows, n, first, arc, lam):
@@ -752,22 +890,25 @@ def _walk_kernel(windows, n, first, arc, lam):
     return stop, hops
 
 
-def _classify(windows, ring_pts, first, ss, lam):
+def _classify(windows, reach, ring_pts, first, ss, lam):
     """Figure 1 for points ``ss`` whose ``h`` sits at ring positions ``first``.
 
-    Returns ``(codes, out_idx, hops)`` arrays: the outcome code, the
-    assigned peer's ring position (``-1`` if none) and the walk length
-    of each trial.
+    Only the non-small trials whose arc is at most their first
+    position's ``reach`` can end at a peer, so only those walk through
+    :func:`_walk_kernel`; every other non-small trial is exhausted after
+    the full budget.  Returns ``(codes, out_idx, hops)`` arrays: the
+    outcome code, the assigned peer's ring position (``-1`` if none) and
+    the walk length of each trial.
     """
     arc = clockwise_distances(ss, ring_pts[first])
     small = arc < lam
-    walk = (~small).nonzero()[0]
+    walk = (~small & (arc <= reach[first])).nonzero()[0]
     stop, walked = _walk_kernel(windows, len(ring_pts), first[walk], arc[walk], lam)
-    codes = _np.full(len(ss), _SMALL)
+    codes = _np.where(small, _SMALL, _EXHAUSTED)
     codes[walk] = _np.where(stop >= 0, _WALK, _EXHAUSTED)
-    out_idx = first.copy()
+    out_idx = _np.where(small, first, -1)
     out_idx[walk] = stop
-    hops = _np.zeros(len(ss), dtype=_np.int64)
+    hops = _np.where(small, 0, windows.shape[1])
     hops[walk] = walked
     return codes, out_idx, hops
 
@@ -781,18 +922,18 @@ def _check_points(points) -> None:
         raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
 
 
-def _kernel_numpy(pts, windows, lam, points):
+def _kernel_numpy(pts, windows, reach, lam, points):
     """Vectorized Figure 1 over all trials against the flat point array.
 
     ``h`` is a ``searchsorted`` over the sorted points; the walks run
-    through :func:`_walk_kernel`.  Outcomes are bit-identical to
+    through :func:`_classify`.  Outcomes are bit-identical to
     :meth:`RandomPeerSampler.trial`.  Points must lie in ``(0, 1]``
     (:func:`_check_points`).
     """
     ss = _np.asarray(points, dtype=_np.float64)
     idx = _np.searchsorted(pts, ss, side="left")
     idx %= len(pts)
-    return _classify(windows, pts, idx, ss, lam)
+    return _classify(windows, reach, pts, idx, ss, lam)
 
 
 def _kernel_python(pts, n, lam, budget, points):

@@ -55,32 +55,41 @@ rather than protocol check:
   substrate's retryable liveness error caught per point (``None`` marks
   a point whose lookup failed terminally).  The batch engine runs a
   trial on its own through ``resolve_many([s])``.
-- ``resolve_many(xs, commit=False)`` and ``commit_lookups(rows,
-  walks=None)`` -- a lookup in two steps, for substrates whose batched
-  resolution has no side effects (the Chord adapters).  With
-  ``commit=False`` nothing is charged and no state changes: the call
-  returns every point's lookup as
+- ``resolve_many(xs, commit=False)`` and ``commit_lookups(lookups, lo,
+  hi, totals, walks=None)`` -- a lookup in two steps, for substrates
+  whose batched resolution has no side effects (the Chord adapters).
+  With ``commit=False`` nothing is charged and no state changes: the
+  call returns every point's lookup as
   :class:`~repro.dht.chord.batch.Lookups` rows, or ``None`` when it
   cannot be replayed exactly; a row with ``ok=False`` is a lookup the
   live path must re-execute (through the tolerant form above).
-  ``commit_lookups`` then charges successful rows -- a slice of that
-  resolution -- with the amounts, and the trace spans, of the ``h``
-  calls they replay, so a caller charges only the trials it keeps.
+  ``commit_lookups`` then charges successful rows ``[lo, hi)`` of that
+  resolution with the amounts, and the trace spans, of the ``h`` calls
+  they replay, so a caller charges only the trials it keeps.  The
+  caller passes the rows' sums as ``totals = (messages, latency,
+  rpc_calls, rpc_timeouts, steps)`` -- the lookups' charge columns,
+  then the walk steps below (0 without walks) -- and the adapter reads
+  the rows themselves only while a tracer records, so a commit costs
+  the same however the caller got its sums (the batch sampler keeps
+  running totals per classified block; ``h_many`` sums its rows).
 - ``walk_view()`` -- batched ``next`` walks.  Returns the ring as the
   clockwise walk sees it (the Chord adapters return a
   :class:`~repro.dht.chord.batch.WalkView`: points, gaps and certified
   runs per sorted position), or ``None`` when replaying walks could not
   be charge-identical.  The batch engine replays the walks a view
-  certifies and charges them with their trials' lookups, passing
-  ``walks = (view, starts, hops)`` to ``commit_lookups`` -- walk ``j``
-  took ``hops[j]`` steps from ring position ``starts[j]`` -- with the
+  certifies and charges them with their trials' lookups, passing their
+  total ``steps`` in ``totals`` and ``walks = (view, starts, hops)``,
+  parallel to the lookups, to ``commit_lookups`` -- walk ``j`` took
+  ``hops[j]`` steps from ring position ``starts[j]`` -- with the
   amounts, and the trace spans, of that many ``next`` calls; every
   other walk goes through ``next``.
 - ``replay_key() -> tuple | None`` -- what the two hooks above read:
   the current ``walk_view()`` first, then plain values (the Chord
-  adapters give the entry peer, the lookup mode and the replay costs,
-  through :func:`repro.dht.chord.batch.replay_key`, which shares them
-  with the route table's key); ``None`` when ``walk_view()`` is.  The
+  adapters give their tuple of lookup inputs -- entry peer, lookup
+  mode and replay costs -- through
+  :func:`repro.dht.chord.batch.replay_key`; the same tuple is the
+  argument list of their uncharged resolve and the route table's key
+  after its ring state); ``None`` when ``walk_view()`` is.  The
   batch engine classifies a block of trial points once and commits
   from it across calls for as long as the key holds, comparing the view
   by identity and the rest by equality, so an adapter must present a
@@ -92,7 +101,8 @@ rather than protocol check:
   lookup per owner arc, read by every batch while the ring stays as
   warmed) off the request path (free of charges and randomness);
   returns whether batched resolution is engaged.  The route table is
-  built only here, never lazily.
+  built only here, never lazily.  ``BatchSampler.warm()`` calls it and
+  then builds the engine's own walk windows for the warmed ring.
 """
 
 from __future__ import annotations

@@ -87,9 +87,10 @@ only the rows their caller commits (``commit_lookups``).  ``h_many``
 commits every successful row; the batch sampler resolves a block of
 queued trial points once per ring state and commits it slice by slice
 across its calls, each up to the call's last needed success, for as
-long as :func:`replay_key` holds (:meth:`Lookups.summed` makes a
-slice's charge totals a few reads).  :func:`lockstep_resolve` gives the
-same rows as :class:`LookupTrace` records.
+long as :func:`replay_key` holds (the sampler keeps running totals of
+the block's charge columns and hands a slice's totals to
+``commit_lookups``).  :func:`lockstep_resolve` gives the same rows as
+:class:`LookupTrace` records.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class Lookups:
     _COLUMNS = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
     _DTYPES = ("int64", "int64", "int64", "float64", "int64", "int64", "bool")
 
-    __slots__ = _COLUMNS + ("_sums", "_base")
+    __slots__ = _COLUMNS
 
     def __init__(self, owner, hops, messages, latency, rpc_calls, rpc_timeouts, ok):
         self.owner = owner
@@ -168,10 +169,6 @@ class Lookups:
         self.rpc_calls = rpc_calls
         self.rpc_timeouts = rpc_timeouts
         self.ok = ok
-        #: Running totals of the charge columns, shared with every slice
-        #: (see :meth:`summed`); ``_base`` is this slice's first row in them.
-        self._sums = None
-        self._base = 0
 
     @classmethod
     def from_traces(cls, traces) -> "Lookups":
@@ -184,37 +181,7 @@ class Lookups:
         return len(self.ok)
 
     def __getitem__(self, rows: slice) -> "Lookups":
-        part = Lookups(*[getattr(self, name)[rows] for name in self._COLUMNS])
-        if self._sums is not None and rows.step is None:
-            part._sums = self._sums
-            part._base = self._base + rows.indices(len(self))[0]
-        return part
-
-    def summed(self) -> "Lookups":
-        """Keep running totals of the charge columns; returns ``self``.
-
-        Afterwards :meth:`totals` of these rows, and of every contiguous
-        slice taken from them, reads two entries per column instead of
-        summing the rows: the batch sampler commits a classified block a
-        few rows per call, where numpy's per-call overhead outweighs the
-        sums.  The totals stay exact: the integer columns always, and the
-        latency column when every latency is a whole number (integer
-        delays, the default), so that every partial sum is exact in a
-        double; otherwise a slice's latency is summed from its rows.
-        Without numpy this changes nothing.
-        """
-        if _np is None:
-            return self
-        np = _np
-        columns = (self.messages, self.latency, self.rpc_calls, self.rpc_timeouts)
-        sums = [np.concatenate(([0], np.cumsum(c))).astype(c.dtype) for c in columns]
-        if not (self.latency == np.floor(self.latency)).all():
-            # A fractional running total rounds with the block's prefix,
-            # not with the slice.
-            sums[1] = None
-        self._sums = sums
-        self._base = 0
-        return self
+        return Lookups(*[getattr(self, name)[rows] for name in self._COLUMNS])
 
     def _replace(self, j: int, trace: LookupTrace) -> None:
         for name in self._COLUMNS:
@@ -240,18 +207,6 @@ class Lookups:
 
     def totals(self) -> tuple[int, float, int, int]:
         """``(messages, latency, rpc_calls, rpc_timeouts)`` over all rows."""
-        if self._sums is not None:
-            lo = self._base
-            hi = lo + len(self)
-            messages, latency, calls, timeouts = self._sums
-            return (
-                int(messages[hi] - messages[lo]),
-                float(latency[hi] - latency[lo])
-                if latency is not None
-                else float(self.latency.sum()),
-                int(calls[hi] - calls[lo]),
-                int(timeouts[hi] - timeouts[lo]),
-            )
         if _np is None:
             return (
                 sum(self.messages),
@@ -813,31 +768,29 @@ def lockstep_resolve(
     of :func:`resolve_lookups`, as records.
     """
     return resolve_lookups(
-        snapshot,
-        entry_id,
-        targets,
-        mode=mode,
-        rpc_latency=rpc_latency,
-        oneway_latency=oneway_latency,
-        timeout=timeout,
+        snapshot, targets, entry_id, mode, rpc_latency, oneway_latency, timeout
     ).traces()
 
 
 def resolve_lookups(
     snapshot: RingSnapshot,
-    entry_id: int,
     targets,
-    *,
-    mode: str = "iterative",
+    entry_id: int,
+    mode: str,
     rpc_latency: float,
     oneway_latency: float,
     timeout: float,
 ) -> Lookups:
     """:func:`lockstep_resolve` as :class:`Lookups` columns.
 
-    A current :class:`RouteTable` (:func:`build_route_table`, keyed on
-    this exact call and the snapshot's state) answers every batch size
-    with array work only; otherwise batches of
+    The arguments after ``targets`` are the lookup inputs -- what a
+    replayed lookup reads besides the ring -- in the order the adapters
+    keep them as one tuple (``resolve_lookups(snapshot, targets,
+    *inputs)``), which is also the route table's key after its ring
+    state and :func:`replay_key`'s after its view.  A current
+    :class:`RouteTable` (:func:`build_route_table`, keyed on this exact
+    call and the snapshot's state) answers every batch size with array
+    work only; otherwise batches of
     :data:`~repro.dht.api.NUMPY_MIN_BATCH` or more take the vectorized
     lane and smaller ones the Python replay.
     """
@@ -870,16 +823,16 @@ def resolve_lookups(
 def build_route_table(
     snapshot: RingSnapshot,
     entry_id: int,
-    *,
-    mode: str = "iterative",
+    mode: str,
     rpc_latency: float,
     oneway_latency: float,
     timeout: float,
 ) -> bool:
     """Route every owner arc once and keep the result on the snapshot.
 
-    Takes :func:`lockstep_resolve`'s arguments minus the targets and
-    returns whether ``snapshot.route`` now answers that call.  Refused
+    Takes the snapshot and the lookup inputs (see
+    :func:`resolve_lookups`; ``build_route_table(snapshot, *inputs)``)
+    and returns whether ``snapshot.route`` now answers that call.  Refused
     (no table, the lanes keep serving) without numpy or when some
     finger or successor entry of a live row names a dead id: a dead id
     can sit inside an arc and split its targets between routes.  The
@@ -924,30 +877,25 @@ def build_route_table(
     return True
 
 
-def _lookup_inputs(entry_id, mode, rpc_latency, oneway_latency, timeout) -> tuple:
-    """What a replayed lookup reads besides the ring: the entry peer,
-    the lookup mode and the replay costs."""
-    return (entry_id, mode, rpc_latency, oneway_latency, timeout)
-
-
 def _route_key(snapshot, *inputs):
-    return (snapshot.patches, *_lookup_inputs(*inputs))
+    return (snapshot.patches, *inputs)
 
 
-def replay_key(view: WalkView | None, entry_id: int, costs: dict) -> tuple | None:
+def replay_key(view: WalkView | None, inputs: tuple) -> tuple | None:
     """The Chord adapters' ``replay_key()``: ``view`` and what an
     uncharged ``resolve_many`` reads besides it.
 
-    ``costs`` holds :func:`resolve_lookups`' keyword arguments (mode and
-    latencies).  The view comes first, to be compared by identity: it is
-    a new object whenever the snapshot's epoch or patch count moves or
-    the snapshot is rebuilt.  The rest is the route table's key after
-    its ring state, compared by value.  None when ``view`` is None
-    (replay refused).
+    ``inputs`` is the adapter's tuple of lookup inputs ``(entry_id,
+    mode, rpc_latency, oneway_latency, timeout)`` (see
+    :func:`resolve_lookups`).  The view comes first, to be compared by
+    identity: it is a new object whenever the snapshot's epoch or patch
+    count moves or the snapshot is rebuilt.  The rest is the route
+    table's key after its ring state, compared by value.  None when
+    ``view`` is None (replay refused).
     """
     if view is None:
         return None
-    return (view, *_lookup_inputs(entry_id, **costs))
+    return (view, *inputs)
 
 
 def _names_only_live_ids(snapshot: RingSnapshot) -> bool:

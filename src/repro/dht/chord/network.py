@@ -715,22 +715,21 @@ class ChordDHT(EntryVantageMixin):
         snapshot = self._network.snapshot()
         snapshot.walk_view()
         if self.entry_is_alive:
-            build_route_table(snapshot, self._entry_id, **self._lockstep_costs())
+            build_route_table(snapshot, *self._lookup_inputs(self._entry_id))
         return True
 
-    def _lockstep_costs(self) -> dict:
-        """The lookup mode and per-call charges the lockstep engine replays."""
+    def _lookup_inputs(self, entry_id: int) -> tuple:
+        """What a lookup replayed from ``entry_id`` reads besides the ring:
+        ``(entry_id, mode, rpc_latency, oneway_latency, timeout)``, the
+        argument tuple of :func:`~repro.dht.chord.batch.resolve_lookups`
+        and :func:`~repro.dht.chord.batch.build_route_table` and the tail
+        of :meth:`replay_key`."""
         network = self._network
         transport = network.transport
         # Deterministic models return a constant and consume no RNG, so
         # sampling here mirrors (not perturbs) the live per-call charges.
         one_way = transport.latency_model.sample(network.rng)
-        return {
-            "mode": self._lookup_mode,
-            "rpc_latency": one_way + one_way,
-            "oneway_latency": one_way,
-            "timeout": transport.timeout,
-        }
+        return (entry_id, self._lookup_mode, one_way + one_way, one_way, transport.timeout)
 
     def walk_view(self) -> WalkView | None:
         """The ring as ``next`` walks it, when replaying walks is exact.
@@ -756,7 +755,7 @@ class ChordDHT(EntryVantageMixin):
         caller reads the key after resolving (a resolve fails a dead
         entry over).
         """
-        return replay_key(self.walk_view(), self._entry_id, self._lockstep_costs())
+        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
 
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.
@@ -820,9 +819,8 @@ class ChordDHT(EntryVantageMixin):
         entry = self._entry_node()
         return resolve_lookups(
             network.snapshot(),
-            entry.node_id,
             _targets_for(points, network.m),
-            **self._lockstep_costs(),
+            *self._lookup_inputs(entry.node_id),
         )
 
     def _h_many(self, points: list, tolerant: bool) -> list:
@@ -835,8 +833,9 @@ class ChordDHT(EntryVantageMixin):
             found = self._lookups(points[i:])
             n_ok = found.first_failure()
             if n_ok:
-                self.commit_lookups(found[:n_ok])
-                out.extend(map(self._ref, found[:n_ok].owners()))
+                ok = found[:n_ok]
+                self.commit_lookups(found, 0, n_ok, (*ok.totals(), 0))
+                out.extend(map(self._ref, ok.owners()))
                 i += n_ok
             if n_ok < len(found):
                 # The engine predicts this lookup fails; the live path
@@ -853,44 +852,44 @@ class ChordDHT(EntryVantageMixin):
                 i += 1
         return out
 
-    def commit_lookups(self, lookups: Lookups, walks=None) -> None:
+    def commit_lookups(self, lookups: Lookups, lo: int, hi: int, totals, walks=None) -> None:
         """Charge resolved lookups, and their trials' walks, as live calls.
 
-        ``lookups`` are successful rows of ``resolve_many(...,
-        commit=False)``; each is charged as the ``h`` call it replays.
-        ``walks = (view, starts, hops)``, parallel to the rows, are the
-        same trials' replayed walks: walk ``j`` took ``hops[j]`` steps
-        clockwise from ring position ``starts[j]`` of ``view``, each
-        charged as a successful ``next``: one RPC, two ``get_successor``
-        messages and one round trip.  Totals go to the transport and the
-        meter in one update each.  An active tracer gets, trial by
-        trial, the lookup's span and then one ``rpc`` span per walk step,
-        addressed to the peer asked and timed on the transport clock, as
-        the live calls report them.  Latencies are added as sums and
-        products, so they equal the per-call sums exactly for integer
-        delays (the default); a fractional delay can differ in the last
-        bits.
+        Rows ``[lo, hi)`` of ``lookups`` are successful rows of
+        ``resolve_many(..., commit=False)``; each is charged as the ``h``
+        call it replays.  ``totals = (messages, latency, rpc_calls,
+        rpc_timeouts, steps)`` are the caller's sums over those rows: the
+        lookups' charge columns, then the walk steps.  ``walks = (view,
+        starts, hops)``, parallel to ``lookups``, are the same trials'
+        replayed walks: walk ``j`` took ``hops[j]`` steps clockwise from
+        ring position ``starts[j]`` of ``view``, each charged as a
+        successful ``next``: one RPC, two ``get_successor`` messages and
+        one round trip.  Totals go to the transport and the meter in one
+        update each; the rows themselves are read only while a tracer
+        records, which gets, trial by trial, the lookup's span and then
+        one ``rpc`` span per walk step, addressed to the peer asked and
+        timed on the transport clock, as the live calls report them.
+        Walk latencies are added as a product, so they equal the
+        per-call sums exactly for integer delays (the default); a
+        fractional delay can differ in the last bits.
         """
-        count = len(lookups)
+        count = hi - lo
         if not count:
             return
-        messages, latency, calls, timeouts = lookups.totals()
+        messages, latency, calls, timeouts, steps = totals
         transport = self._network.transport
-        steps = 0
         rtt = 0.0
-        if walks is not None:
-            steps = sum(walks[2])
+        if steps:
             # Deterministic models return a constant and consume no RNG.
             one_way = transport.latency_model.sample(self._network.rng)
             rtt = one_way + one_way
         walk_messages = 2 * steps
-        metrics = transport.metrics
         if calls + steps:
-            metrics.counter("rpc.calls").increment(calls + steps)
+            transport._count_call(calls + steps)
         if timeouts:
-            metrics.counter("rpc.timeouts").increment(timeouts)
+            transport._count_timeout(timeouts)
         if messages + walk_messages:
-            metrics.counter("messages").increment(messages + walk_messages)
+            transport._count_msgs(messages + walk_messages)
         if messages:
             # Lockstep traffic is all lookup routing; attribute it to
             # the mode's routing method so the per-method split keeps
@@ -904,7 +903,7 @@ class ChordDHT(EntryVantageMixin):
             transport.count_method_messages("get_successor", walk_messages)
         tracer = transport.tracer
         if tracer.active:
-            self._trace_commit(tracer, lookups, walks, rtt)
+            self._trace_commit(tracer, lookups, lo, hi, walks, rtt)
         latency += steps * rtt
         transport.elapsed += latency
         self.cost.charge_bulk(
@@ -915,16 +914,18 @@ class ChordDHT(EntryVantageMixin):
         )
         self.batch_stats.lockstep += count
 
-    def _trace_commit(self, tracer, lookups: Lookups, walks, rtt: float) -> None:
+    def _trace_commit(self, tracer, lookups: Lookups, lo: int, hi: int, walks, rtt: float) -> None:
         """The tracer events of :meth:`commit_lookups`, in draw order."""
         t = self._network.transport.elapsed
-        for j, trace in enumerate(lookups.traces()):
+        if walks is not None:
+            view, starts, steps = walks
+            starts, steps = starts[lo:hi].tolist(), steps[lo:hi].tolist()
+            ids = view.ids
+            n = len(ids)
+        for j, trace in enumerate(lookups[lo:hi].traces()):
             tracer.on_lookup("chord", trace.hops, trace.messages, trace.latency, True)
             if walks is None:
                 continue
-            view, starts, steps = walks
-            ids = view.ids
-            n = len(ids)
             t += trace.latency
             for q in range(starts[j], starts[j] + steps[j]):
                 tracer.on_rpc(None, int(ids[q % n]), "get_successor", "rpc", t, t + rtt, "ok")

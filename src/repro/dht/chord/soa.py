@@ -61,7 +61,6 @@ from .batch import (
     RingSnapshot,
     WalkView,
     build_route_table,
-    lockstep_resolve,
     replay_key,
     resolve_lookups,
 )
@@ -487,19 +486,17 @@ class SoAChordDHT(EntryVantageMixin):
             self._entry_id = self._nearest_alive(self._entry_id)
         return self._entry_id
 
-    def _costs(self) -> dict:
-        """The lookup mode and charge constants every lookup replays with."""
-        return {
-            "mode": self._lookup_mode,
-            "rpc_latency": RPC_LATENCY,
-            "oneway_latency": ONE_WAY_LATENCY,
-            "timeout": TIMEOUT,
-        }
+    def _lookup_inputs(self, entry_id: int) -> tuple:
+        """The lookup inputs a replay from ``entry_id`` reads: the entry,
+        the lookup mode and the charge constants (see
+        :meth:`ChordDHT._lookup_inputs
+        <repro.dht.chord.network.ChordDHT._lookup_inputs>`)."""
+        return (entry_id, self._lookup_mode, RPC_LATENCY, ONE_WAY_LATENCY, TIMEOUT)
 
     def _resolve_batch(self, targets) -> list:
-        return lockstep_resolve(
-            self._network.snapshot(), self._vantage_id(), targets, **self._costs()
-        )
+        return resolve_lookups(
+            self._network.snapshot(), targets, *self._lookup_inputs(self._vantage_id())
+        ).traces()
 
     def h(self, x: float) -> PeerRef:
         """``h(x)``: one replayed lookup, retried over stabilization."""
@@ -532,7 +529,7 @@ class SoAChordDHT(EntryVantageMixin):
         store = self._network.store
         store.walk_view()
         if self.entry_is_alive:
-            build_route_table(store, self._entry_id, **self._costs())
+            build_route_table(store, *self._lookup_inputs(self._entry_id))
         return True
 
     def walk_view(self) -> WalkView | None:
@@ -547,7 +544,7 @@ class SoAChordDHT(EntryVantageMixin):
         constants: what an uncharged resolve reads (see
         :meth:`ChordDHT.replay_key
         <repro.dht.chord.network.ChordDHT.replay_key>`)."""
-        return replay_key(self.walk_view(), self._entry_id, self._costs())
+        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
 
     def h_many(self, xs) -> list[PeerRef]:
         return self._h_many(list(xs), tolerant=False)
@@ -572,9 +569,8 @@ class SoAChordDHT(EntryVantageMixin):
     def _lookups(self, points: list) -> Lookups:
         return resolve_lookups(
             self._network.snapshot(),
-            self._vantage_id(),
             _targets_for(points, self._network.m),
-            **self._costs(),
+            *self._lookup_inputs(self._vantage_id()),
         )
 
     def _h_many(self, points: list, tolerant: bool) -> list:
@@ -584,8 +580,9 @@ class SoAChordDHT(EntryVantageMixin):
             found = self._lookups(points[i:])
             n_ok = found.first_failure()
             if n_ok:
-                self.commit_lookups(found[:n_ok])
-                out.extend(map(self._ref, found[:n_ok].owners()))
+                ok = found[:n_ok]
+                self.commit_lookups(found, 0, n_ok, (*ok.totals(), 0))
+                out.extend(map(self._ref, ok.owners()))
                 i += n_ok
             if n_ok < len(found):
                 # Scalar re-execution replays the failed attempt's
@@ -599,16 +596,16 @@ class SoAChordDHT(EntryVantageMixin):
                 i += 1
         return out
 
-    def commit_lookups(self, lookups: Lookups, walks=None) -> None:
-        """Charge resolved lookups and their trials' replayed walks (each
-        step as one live ``next``) on the meter; see
-        :meth:`ChordDHT.commit_lookups
-        <repro.dht.chord.network.ChordDHT.commit_lookups>`."""
-        count = len(lookups)
+    def commit_lookups(self, lookups: Lookups, lo: int, hi: int, totals, walks=None) -> None:
+        """Charge rows ``[lo, hi)`` of resolved lookups and their trials'
+        replayed walks (each step as one live ``next``) on the meter,
+        from the caller's ``totals``; see :meth:`ChordDHT.commit_lookups
+        <repro.dht.chord.network.ChordDHT.commit_lookups>`.  There is no
+        transport to trace, so the rows are not read."""
+        count = hi - lo
         if not count:
             return
-        messages, latency, _, _ = lookups.totals()
-        steps = sum(walks[2]) if walks is not None else 0
+        messages, latency, _, _, steps = totals
         self.cost.charge_bulk(
             h_calls=count,
             next_calls=steps,

@@ -29,25 +29,30 @@ class ServiceMetrics:
     def __init__(
         self, num_shards: int, reservoir_size: int | None = DEFAULT_RESERVOIR
     ) -> None:
-        self.registry = MetricsRegistry()
+        self.registry = registry = MetricsRegistry()
         self._num_shards = num_shards
         self._reservoir = reservoir_size
-        # Created eagerly so summaries list every series even when empty.
-        for name in ("queue_latency", "service_latency", "total_latency",
-                     "failed_wait"):
+        # Created eagerly so summaries list every series even when empty,
+        # and held so the recording hooks look no name up.
+        self._queue, self._service, self._total, self._failed_wait = (
             self._hist(name)
-        self._hist("batch_size")
-        self.registry.counter("accepted")
-        self.registry.counter("rejected")
-        self.registry.counter("completed")
-        self.registry.counter("failed")
-        self.registry.counter("dispatch_failures")
-        for shard_id in range(num_shards):
-            self.registry.counter(f"shard{shard_id}.completed")
-            self.registry.counter(f"shard{shard_id}.rejected")
-            self.registry.counter(f"shard{shard_id}.batches")
-            self.registry.counter(f"shard{shard_id}.failed")
-            self.registry.counter(f"shard{shard_id}.dispatch_failures")
+            for name in ("queue_latency", "service_latency", "total_latency",
+                         "failed_wait")
+        )
+        self._batch_size = self._hist("batch_size")
+        self._accepted = registry.counter("accepted")
+        self._rejected = registry.counter("rejected")
+        self._completed = registry.counter("completed")
+        self._failed = registry.counter("failed")
+        self._dispatch_failures = registry.counter("dispatch_failures")
+        self._shards = [
+            {
+                name: registry.counter(f"shard{shard_id}.{name}")
+                for name in ("completed", "rejected", "batches", "failed",
+                             "dispatch_failures")
+            }
+            for shard_id in range(num_shards)
+        ]
 
     def _hist(self, name: str) -> Histogram:
         return self.registry.histogram(name, reservoir_size=self._reservoir)
@@ -55,16 +60,16 @@ class ServiceMetrics:
     # -- recording hooks (called by the service / shard workers) ---------
 
     def record_admitted(self) -> None:
-        self.registry.counter("accepted").increment()
+        self._accepted.increment()
 
     def record_rejected(self, shard_id: int) -> None:
-        self.registry.counter("rejected").increment()
-        self.registry.counter(f"shard{shard_id}.rejected").increment()
+        self._rejected.increment()
+        self._shards[shard_id]["rejected"].increment()
 
     def record_dispatch_failure(self, shard_id: int) -> None:
         """One dispatch died under churn (it may still be retried)."""
-        self.registry.counter("dispatch_failures").increment()
-        self.registry.counter(f"shard{shard_id}.dispatch_failures").increment()
+        self._dispatch_failures.increment()
+        self._shards[shard_id]["dispatch_failures"].increment()
 
     def record_failed(self, responses: list[SampleResponse]) -> None:
         """Record one batch terminated with FAILED (retries exhausted).
@@ -77,11 +82,9 @@ class ServiceMetrics:
         """
         if not responses:
             return
-        self.registry.counter("failed").increment(len(responses))
-        self.registry.counter(f"shard{responses[0].shard_id}.failed").increment(
-            len(responses)
-        )
-        wait = self._hist("failed_wait")
+        self._failed.increment(len(responses))
+        self._shards[responses[0].shard_id]["failed"].increment(len(responses))
+        wait = self._failed_wait
         for r in responses:
             wait.observe(r.queue_latency)
 
@@ -89,15 +92,12 @@ class ServiceMetrics:
         """Record one completed dispatch (all responses share a shard)."""
         if not responses:
             return
-        self.registry.counter(f"shard{responses[0].shard_id}.batches").increment()
-        self._hist("batch_size").observe(float(len(responses)))
-        q, s, t = (
-            self._hist("queue_latency"),
-            self._hist("service_latency"),
-            self._hist("total_latency"),
-        )
-        completed = self.registry.counter("completed")
-        by_shard = self.registry.counter(f"shard{responses[0].shard_id}.completed")
+        shard = self._shards[responses[0].shard_id]
+        shard["batches"].increment()
+        self._batch_size.observe(float(len(responses)))
+        q, s, t = self._queue, self._service, self._total
+        completed = self._completed
+        by_shard = shard["completed"]
         for r in responses:
             if r.status is not RequestStatus.OK:
                 continue

@@ -142,7 +142,11 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter())
+        """The named counter, created on first use."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter()
+        return counter
 
     def histogram(
         self,

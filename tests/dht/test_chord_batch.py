@@ -18,7 +18,7 @@ import pytest
 
 from repro.adversary.state import AdversaryState
 from repro.compat import load_numpy
-from repro.core.engine import BatchSampler
+from repro.core.engine import BatchSampler, _Block
 from repro.core.sampler import RandomPeerSampler
 from repro.dht.api import BulkDHT
 from repro.dht.chord import ChordNetwork
@@ -639,10 +639,10 @@ class TestSuccessorOfIndex:
 class TestSummedLookups:
     @pytest.mark.parametrize("delay", [2.0, 0.3])
     def test_slice_totals_equal_the_summed_rows(self, delay):
-        # Running totals answer a slice's charges from two reads per
-        # column, with the totals the slice's own rows sum to: latency
-        # from the running total only while it is exact (whole-number
-        # latencies), from the rows otherwise.
+        # A classified block answers a slice's charges from two reads
+        # per column of its running totals, with the totals the slice's
+        # own rows sum to: latency from the running total only while it
+        # is exact (whole-number latencies), from the rows otherwise.
         rng = random.Random(7)
         rows = [
             (
@@ -653,13 +653,19 @@ class TestSummedLookups:
             for _ in range(300)
         ]
         columns = [list(c) for c in zip(*rows)]
+        hops = [rng.randrange(30) for _ in rows]
         if NUMPY:
             columns = [np.array(c, dtype=d) for c, d in zip(columns, Lookups._DTYPES)]
-        plain = Lookups(*columns)
-        summed = Lookups(*columns).summed()
+            hops = np.array(hops, dtype=np.int64)
+        found = Lookups(*columns)
+        codes = [2] * len(rows)  # all exhausted: no peer to materialize
+        if NUMPY:
+            codes = np.array(codes, dtype=np.int8)
+        block = _Block(None, None, [0.5] * len(rows), codes, codes, hops, None, found=found)
+        assert (block.cum_lookups[3] is None) == (delay != int(delay))
         for lo, hi in [(0, 300), (0, 1), (17, 18), (40, 123), (299, 300), (5, 5)]:
-            assert summed[lo:hi].totals() == plain[lo:hi].totals()
-            assert summed[lo:hi][1:].totals() == plain[lo + 1 : hi].totals()
+            assert block.lookup_totals(lo, hi) == found[lo:hi].totals()
+            assert block.cum_hops[hi] - block.cum_hops[lo] == sum(hops[lo:hi])
 
 
 class TestSamplerIntegration:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.sim import metrics as metrics_mod
 from repro.sim.metrics import Counter, Histogram, MetricsRegistry
 
 
@@ -144,3 +145,18 @@ class TestMetricsRegistry:
         assert reg.histogram("lat") is h  # config applies on first use only
         assert len(reg.histogram("lat").values) == 4
         assert "lat" in reg.histograms()
+
+    def test_looking_up_an_existing_counter_builds_no_counter(self, monkeypatch):
+        reg = MetricsRegistry()
+        counter = reg.counter("a")
+        built = []
+
+        class Counted(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_mod, "Counter", Counted)
+        assert reg.counter("a") is counter
+        assert built == []
+        assert isinstance(reg.counter("b"), Counted)  # a miss still creates one
