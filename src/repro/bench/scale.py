@@ -32,7 +32,6 @@ import sys
 import time
 from pathlib import Path
 
-from ..compat import load_numpy
 from ..dht.chord.batch import RingSnapshot
 from ..dht.chord.network import ChordNetwork
 from ..dht.chord.soa import SoAChordNetwork
@@ -40,8 +39,6 @@ from ..dht.kademlia.routing import SoAKademliaNetwork
 from .harness import Table, peak_rss_kb, write_bench_json
 
 __all__ = ["main", "run", "measure_decade", "measure_churn", "DEFAULT_OUT", "BACKENDS"]
-
-_np = load_numpy()
 
 FULL_DECADES = [10_000, 100_000, 1_000_000]
 FULL_BUILD_ONLY = [10_000_000]
@@ -51,11 +48,6 @@ FULL_LOOKUPS = 4096
 QUICK_DECADES = [100_000]
 QUICK_BUILD_ONLY: list[int] = []
 QUICK_LOOKUPS = 1024
-# The pure-Python lane cannot hold a million list-backed rows; the
-# bench still runs (CI imports it under REPRO_PURE_PYTHON) but shrinks
-# to a size the lists can carry, keyed distinctly so the lane's rows
-# never masquerade as the numpy curves.
-PURE_DECADES = [2048]
 
 #: Nodes in the churn-equivalence burst (live ChordNetwork, small ring).
 CHURN_N = 192
@@ -271,7 +263,6 @@ def emit(results, churn, out: Path, quick: bool, seed: int) -> Path:
     record = {
         "benchmark": "scale",
         "backends": list(BACKENDS),
-        "numpy": _np is not None,
         "quick": quick,
         "seed": seed,
         "generated_unix": time.time(),
@@ -299,12 +290,7 @@ def main(argv=None) -> int:
     if args.sizes is not None and any(n < 2 for n in args.sizes):
         parser.error("--sizes must be at least 2")
 
-    if _np is None:
-        decades = args.sizes if args.sizes is not None else PURE_DECADES
-        build_only: list[int] = []
-        print("numpy unavailable: running the pure-lane shrunk configuration",
-              file=sys.stderr)
-    elif args.sizes is not None:
+    if args.sizes is not None:
         decades, build_only = args.sizes, []
     elif args.quick:
         decades, build_only = QUICK_DECADES, QUICK_BUILD_ONLY

@@ -7,10 +7,9 @@ O(1)-trials / O(log n)-latency guarantees do.  :class:`BatchSampler`
 runs the identical algorithm over a whole vector of trials at once:
 
 - queued trial points are classified a *block* at a time: their ``h``
-  successors are resolved in one pass over the substrate's flat point
-  array (``numpy.searchsorted`` when available, else a pure-Python
-  ``bisect`` loop), and small-hit classification is a single vectorized
-  comparison;
+  successors are resolved in one ``numpy.searchsorted`` over the
+  substrate's flat point array, and small-hit classification is a single
+  vectorized comparison;
 - the clockwise walks run through one *windowed* kernel: each trial's
   row holds the clockwise gaps of the ``walk_budget`` ring positions
   after its first peer, read in one gather, and a ``cumsum`` along the
@@ -56,11 +55,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import accumulate
 
 from dataclasses import dataclass
 
-from ..compat import load_numpy
+import numpy as _np
 
 from ..dht.api import (
     DHT,
@@ -71,7 +69,7 @@ from ..dht.api import (
 )
 from .errors import SamplingError
 from .estimate import DEFAULT_C1, estimate_n
-from .intervals import ONE_BELOW, clockwise_distances, ring_gaps
+from .intervals import clockwise_distances, ring_gaps
 from .sampler import (
     GAMMA1,
     LAMBDA_SLACK,
@@ -82,10 +80,6 @@ from .sampler import (
 )
 
 __all__ = ["BatchSampler", "BatchSampleResult"]
-
-# Optional acceleration; the pure-Python path is always available and
-# REPRO_PURE_PYTHON forces it (see repro.compat).
-_np = load_numpy()
 
 #: Cap on the trial points of one classified block (bounds peak memory).
 _MAX_ROUND = 1 << 18
@@ -181,38 +175,23 @@ class _Block:
         self.found = found
         self.starts = starts
         self.cursor = self.w = self.b = 0
-        if _np is None:
-            # The pure-Python lane classifies only bulk substrates, whose
-            # trials are all certified.
-            self.wins = [j for j, code in enumerate(codes) if code < _EXHAUSTED]
-            self.win_peers = [peer(out[j]) for j in self.wins]
-            self.cum_walks = [0, *accumulate(int(codes[j] == _WALK) for j in self.wins)]
-            self.bad = []
-            self.successes = len(self.wins)
-            self.classified = len(codes)
+        won = codes < _EXHAUSTED
+        self.successes = int(_np.count_nonzero(won))
+        self.classified = int(_np.count_nonzero(codes != _UNKNOWN))
+        if certified is not None:
+            won &= certified
+            self.bad = (~certified).nonzero()[0].tolist()
         else:
-            np = _np
-            won = codes < _EXHAUSTED
-            self.successes = int(np.count_nonzero(won))
-            self.classified = int(np.count_nonzero(codes != _UNKNOWN))
-            if certified is not None:
-                won &= certified
-                self.bad = (~certified).nonzero()[0].tolist()
-            else:
-                self.bad = []
-            wins = won.nonzero()[0]
-            self.wins = wins.tolist()
-            self.win_peers = [peer(q) for q in out[wins].tolist()]
-            self.cum_walks = _running(codes[wins] == _WALK)
+            self.bad = []
+        wins = won.nonzero()[0]
+        self.wins = wins.tolist()
+        self.win_peers = [peer(q) for q in out[wins].tolist()]
+        self.cum_walks = _running(codes[wins] == _WALK)
         self.cum_hops = _running(hops)
         self.cum_lookups = None
         if found is not None:
             latency = found.latency
-            whole = (
-                all(float(x).is_integer() for x in latency)
-                if _np is None
-                else bool((latency == _np.floor(latency)).all())
-            )
+            whole = bool((latency == _np.floor(latency)).all())
             self.cum_lookups = (
                 _running(found.messages),
                 _running(found.rpc_calls),
@@ -234,9 +213,9 @@ class _Block:
 
     def results(self, lo: int, hi: int) -> list[TrialResult]:
         """The :class:`TrialResult` of each certified row in ``[lo, hi)``."""
-        codes, out, hops = self.codes[lo:hi], self.out[lo:hi], self.hops[lo:hi]
-        if _np is not None:
-            codes, out, hops = codes.tolist(), out.tolist(), hops.tolist()
+        codes = self.codes[lo:hi].tolist()
+        out = self.out[lo:hi].tolist()
+        hops = self.hops[lo:hi].tolist()
         peer = self.peer
         return [
             TrialResult(
@@ -252,8 +231,6 @@ class _Block:
 def _running(column) -> list:
     """Running totals of a column as a plain list, from 0: entry ``j``
     is the sum of the first ``j`` values, added in order."""
-    if _np is None:
-        return [0, *accumulate(column)]
     totals = _np.zeros(len(column) + 1, dtype=_np.result_type(column.dtype, _np.int64))
     _np.cumsum(column, out=totals[1:])
     return totals.tolist()
@@ -347,7 +324,7 @@ class BatchSampler:
         """
         warm = getattr(self._dht, "warm_lockstep", None)
         engaged = bool(warm()) if warm is not None else False
-        key = self._ring_key() if _np is not None else None
+        key = self._ring_key()
         if key is not None:
             self._ring_windows(key[0])
         return engaged
@@ -406,7 +383,7 @@ class BatchSampler:
         """
         if self._bulk:
             return (self._dht.points_array(),)
-        replay = getattr(self._dht, "replay_key", None) if _np is not None else None
+        replay = getattr(self._dht, "replay_key", None)
         return replay() if replay is not None else None
 
     def _is_current(self, block: _Block) -> bool:
@@ -423,18 +400,11 @@ class BatchSampler:
         params = self.params
         dht = self._dht
         if self._bulk:
-            pts = dht.points_array()
-            peer = dht.successor_of_index
-            if _np is None:
-                codes, out, hops = _kernel_python(
-                    pts, len(pts), params.lam, params.walk_budget, points
-                )
-                return _Block(key, params, points, codes, out, hops, peer)
             _check_points(points)
-            pts = _np.asarray(pts, dtype=_np.float64)
+            pts = _np.asarray(dht.points_array(), dtype=_np.float64)
             windows, reach = self._windows_for(pts)
             codes, out, hops = _kernel_numpy(pts, windows, reach, params.lam, points)
-            return _Block(key, params, points, codes, out, hops, peer)
+            return _Block(key, params, points, codes, out, hops, dht.successor_of_index)
         found = dht.resolve_many(points, commit=False)
         if not found:
             return None
@@ -935,52 +905,3 @@ def _kernel_numpy(pts, windows, reach, lam, points):
     idx %= len(pts)
     return _classify(windows, reach, pts, idx, ss, lam)
 
-
-def _kernel_python(pts, n, lam, budget, points):
-    """Pure-Python fast path: raw floats and indices, zero allocations
-    per hop.  Identical arithmetic to the scalar trial."""
-    codes: list[int] = []
-    out_idx: list[int] = []
-    hops_list: list[int] = []
-    for s in points:
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"point {s!r} is outside the unit circle (0, 1]")
-        i = bisect_left(pts, s)
-        if i == n:
-            i = 0
-        cur = pts[i]
-        arc = cur - s if cur >= s else (1.0 - s) + cur
-        if arc >= 1.0:
-            arc = ONE_BELOW
-        if arc < lam:
-            codes.append(_SMALL)
-            out_idx.append(i)
-            hops_list.append(0)
-            continue
-        t = arc - lam
-        code = _EXHAUSTED
-        assigned = -1
-        taken = 0
-        if n == 1:
-            taken = budget
-        else:
-            for hop in range(1, budget + 1):
-                ni = i + 1
-                if ni == n:
-                    ni = 0
-                npt = pts[ni]
-                step = npt - cur if npt >= cur else (1.0 - cur) + npt
-                if step >= 1.0:
-                    step = ONE_BELOW
-                t += step - lam
-                taken = hop
-                if t <= 0.0:
-                    code = _WALK
-                    assigned = ni
-                    break
-                i = ni
-                cur = npt
-        codes.append(code)
-        out_idx.append(assigned)
-        hops_list.append(taken)
-    return codes, out_idx, hops_list

@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from ..compat import load_numpy
+import numpy as _np
 
 __all__ = [
     "normalize",
@@ -25,9 +25,6 @@ __all__ = [
     "Interval",
     "SortedCircle",
 ]
-
-# The array forms below run only on the numpy lane (see repro.compat).
-_np = load_numpy()
 
 #: Largest double strictly below 1.0: the clamp for a wrap-around
 #: distance whose float sum rounds up to 1.0.

@@ -119,9 +119,9 @@ __all__ = [
     "BulkDHT",
 ]
 
-#: Shared numpy-vs-pure-Python crossover: below this many items per
-#: batch, numpy's per-call overhead exceeds its vectorization win, so
-#: bulk implementations take their pure-Python path.
+#: Shared batch-size crossover: below this many items per batch,
+#: numpy's per-call overhead exceeds its vectorization win, so bulk
+#: implementations loop in Python instead (``bisect``, per-lookup replay).
 NUMPY_MIN_BATCH = 64
 
 

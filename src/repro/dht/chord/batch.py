@@ -98,7 +98,8 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass
 
-from ...compat import load_numpy
+import numpy as _np
+
 from ...core.intervals import ring_gaps
 from ..api import NUMPY_MIN_BATCH, PeerRef
 from .idspace import in_open_closed, in_open_open
@@ -116,10 +117,6 @@ __all__ = [
     "replay_key",
     "resolve_lookups",
 ]
-
-# Optional acceleration; the pure-Python lane is always available and
-# REPRO_PURE_PYTHON forces it (see repro.compat).
-_np = load_numpy()
 
 #: Rows per pass when certifying a snapshot and building its route
 #: table, so the transient arrays stay bounded at any ring size.
@@ -151,9 +148,9 @@ class Lookups:
     Row ``j`` holds what :class:`LookupTrace` ``j`` would, one column per
     field: the owner id (``-1`` on failure), hops, the messages, latency,
     RPCs and timeouts the live transport would charge, and ``ok``.
-    Columns are numpy arrays on the numpy lane and lists in the
-    pure-Python lane; slicing selects rows.  The adapters resolve a batch
-    into one of these and charge only the rows their caller commits.
+    Columns are numpy arrays; slicing selects rows.  The adapters
+    resolve a batch into one of these and charge only the rows their
+    caller commits.
     """
 
     _COLUMNS = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
@@ -173,9 +170,7 @@ class Lookups:
     @classmethod
     def from_traces(cls, traces) -> "Lookups":
         columns = [[getattr(t, name) for t in traces] for name in cls._COLUMNS]
-        if _np is not None:
-            columns = [_np.array(c, dtype=d) for c, d in zip(columns, cls._DTYPES)]
-        return cls(*columns)
+        return cls(*[_np.array(c, dtype=d) for c, d in zip(columns, cls._DTYPES)])
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -189,31 +184,20 @@ class Lookups:
 
     def traces(self) -> list[LookupTrace]:
         """The rows as :class:`LookupTrace` records."""
-        columns = [getattr(self, name) for name in self._COLUMNS]
-        if _np is not None:
-            columns = [c.tolist() for c in columns]
+        columns = [getattr(self, name).tolist() for name in self._COLUMNS]
         return [LookupTrace(*row) for row in zip(*columns)]
 
     def owners(self) -> list[int]:
         """The owner column as plain ints."""
-        return list(self.owner) if _np is None else self.owner.tolist()
+        return self.owner.tolist()
 
     def first_failure(self) -> int:
         """Index of the first row with ``ok=False`` (``len`` if none)."""
-        if _np is None:
-            return next((j for j, ok in enumerate(self.ok) if not ok), len(self.ok))
         bad = (~self.ok).nonzero()[0]
         return int(bad[0]) if bad.size else len(self.ok)
 
     def totals(self) -> tuple[int, float, int, int]:
         """``(messages, latency, rpc_calls, rpc_timeouts)`` over all rows."""
-        if _np is None:
-            return (
-                sum(self.messages),
-                sum(self.latency, 0.0),
-                sum(self.rpc_calls),
-                sum(self.rpc_timeouts),
-            )
         return (
             int(self.messages.sum()),
             float(self.latency.sum()),
@@ -368,17 +352,18 @@ class RingSnapshot:
     """Struct-of-arrays view of a Chord ring with incremental maintenance.
 
     Copies every node's successor list and finger table (the live lists
-    mutate in place during stabilization) and, when numpy is available,
-    lays them out as dense matrices indexed by free-list *slot* so a
-    lockstep round is a few vectorized gathers instead of per-node
-    attribute traffic.  Build cost is O(n * m); membership events after
-    that splice the sorted views and rewrite single rows
-    (:meth:`apply_join` / :meth:`apply_remove` / :meth:`apply_update`)
-    instead of rebuilding, with :attr:`patches` counting the row-level
-    edits applied since construction.
+    mutate in place during stabilization) and lays them out as dense
+    matrices indexed by free-list *slot*, so a lockstep round is a few
+    vectorized gathers instead of per-node attribute traffic.  Build
+    cost is O(n * m); membership events after that splice the sorted
+    views and rewrite single rows (:meth:`apply_join` /
+    :meth:`apply_remove` / :meth:`apply_update`) instead of
+    rebuilding, with :attr:`patches` counting the row-level edits
+    applied since construction.
 
-    Under ``REPRO_PURE_PYTHON`` (or without numpy) the same slot
-    discipline runs over plain Python lists; the ``compact=True``
+    A snapshot built from a live network also keeps Python list mirrors
+    of the rows (``ids``, ``pos``, ``succ_lists``, ``finger_lists``),
+    which the exact-replay lane reads per hop; the ``compact``
     construction path (:meth:`from_arrays`) keeps *only* the numpy
     arrays, for substrates where per-node Python mirrors would dominate
     memory.
@@ -413,16 +398,7 @@ class RingSnapshot:
         self.pos = {node_id: i for i, node_id in enumerate(ids)}
         self.succ_lists = [tuple(s) for s in succ_lists]
         self.finger_lists = [tuple(f) for f in finger_lists]
-        if _np is not None:
-            self._alloc_arrays()
-        else:
-            self.slot_ids_np = None
-            self.finger_mat = None
-            self.succ_mat = None
-            self.succ_first_np = None
-            self._ids_buf = None
-            self._order_buf = None
-            self.pos_table = None
+        self._alloc_arrays()
 
     def _alloc_arrays(self) -> None:
         np = _np
@@ -479,8 +455,6 @@ class RingSnapshot:
         the construction the million-node substrates use -- per-node
         memory is exactly the array rows.
         """
-        if _np is None:
-            raise RuntimeError("compact snapshots require numpy")
         np = _np
         snap = object.__new__(cls)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -517,13 +491,13 @@ class RingSnapshot:
 
     @property
     def ids_np(self):
-        """Sorted live ids as a numpy view (None in the pure-Python lane)."""
-        return None if self._ids_buf is None else self._ids_buf[: self.n]
+        """Sorted live ids as a numpy view."""
+        return self._ids_buf[: self.n]
 
     @property
     def order_np(self):
         """Slot of each sorted position, parallel to :attr:`ids_np`."""
-        return None if self._order_buf is None else self._order_buf[: self.n]
+        return self._order_buf[: self.n]
 
     def sorted_ids_list(self) -> list[int]:
         """The live membership in sorted order as plain ints."""
@@ -536,13 +510,13 @@ class RingSnapshot:
         return node_id in self.pos
 
     def walk_view(self) -> WalkView | None:
-        """The :class:`WalkView` of the current state (None without numpy).
+        """The :class:`WalkView` of the current state (None on an empty ring).
 
         Cached and keyed on ``(epoch, patches)``: every splice or row
         patch moves one of the two, so a view is never read against a
         state it was not built from.
         """
-        if self._ids_buf is None or self.n == 0:
+        if self.n == 0:
             return None
         key = (self.epoch, self.patches)
         view = self._walk
@@ -572,7 +546,7 @@ class RingSnapshot:
         if self.free:
             return self.free.pop()
         slot = self.n  # live + free == allocated; free is empty here
-        if self.slot_ids_np is not None and slot >= len(self.slot_ids_np):
+        if slot >= len(self.slot_ids_np):
             self._grow_slots(slot + 1)
         if self.succ_lists is not None and slot == len(self.succ_lists):
             self.succ_lists.append(())
@@ -616,16 +590,15 @@ class RingSnapshot:
         if self.succ_lists is not None:
             self.succ_lists[slot] = succs
             self.finger_lists[slot] = fingers
-        if self.slot_ids_np is not None:
-            if len(succs) > self._width:
-                self._grow_width(len(succs))
-            row = self.succ_mat[slot]
-            if succs:
-                row[: len(succs)] = succs
-            row[len(succs):] = -1
-            self.finger_mat[slot] = [-1 if f is None else f for f in fingers]
-            self.slot_ids_np[slot] = node_id
-            self.succ_first_np[slot] = succs[0] if succs else node_id
+        if len(succs) > self._width:
+            self._grow_width(len(succs))
+        row = self.succ_mat[slot]
+        if succs:
+            row[: len(succs)] = succs
+        row[len(succs):] = -1
+        self.finger_mat[slot] = [-1 if f is None else f for f in fingers]
+        self.slot_ids_np[slot] = node_id
+        self.succ_first_np[slot] = succs[0] if succs else node_id
 
     def apply_join(self, node_id: int, succs, fingers) -> None:
         """Splice a joined id into the sorted views and write its rows.
@@ -642,16 +615,15 @@ class RingSnapshot:
         self._set_rows(slot, node_id, succs, fingers)
         if self.ids is not None:
             self.ids.insert(_bisect.bisect_left(self.ids, node_id), node_id)
-        if self._ids_buf is not None:
-            if self.n == len(self._ids_buf):
-                self._grow_sorted()
-            i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
-            self._ids_buf[i + 1 : self.n + 1] = self._ids_buf[i : self.n]
-            self._ids_buf[i] = node_id
-            self._order_buf[i + 1 : self.n + 1] = self._order_buf[i : self.n]
-            self._order_buf[i] = slot
-            if self.pos_table is not None:
-                self.pos_table[node_id] = slot + 1
+        if self.n == len(self._ids_buf):
+            self._grow_sorted()
+        i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
+        self._ids_buf[i + 1 : self.n + 1] = self._ids_buf[i : self.n]
+        self._ids_buf[i] = node_id
+        self._order_buf[i + 1 : self.n + 1] = self._order_buf[i : self.n]
+        self._order_buf[i] = slot
+        if self.pos_table is not None:
+            self.pos_table[node_id] = slot + 1
         if isinstance(self.pos, dict):
             self.pos[node_id] = slot
         self.n += 1
@@ -673,12 +645,11 @@ class RingSnapshot:
             del self.pos[node_id]
         if self.ids is not None:
             del self.ids[_bisect.bisect_left(self.ids, node_id)]
-        if self._ids_buf is not None:
-            i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
-            self._ids_buf[i : self.n - 1] = self._ids_buf[i + 1 : self.n]
-            self._order_buf[i : self.n - 1] = self._order_buf[i + 1 : self.n]
-            if self.pos_table is not None:
-                self.pos_table[node_id] = 0
+        i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
+        self._ids_buf[i : self.n - 1] = self._ids_buf[i + 1 : self.n]
+        self._order_buf[i : self.n - 1] = self._order_buf[i + 1 : self.n]
+        if self.pos_table is not None:
+            self.pos_table[node_id] = 0
         self.free.append(slot)
         self.n -= 1
         self.patches += 1
@@ -689,32 +660,28 @@ class RingSnapshot:
         self.patches += 1
 
     def patch_fingers(self, node_id: int, entries: dict[int, int | None]) -> None:
-        """Point-patch individual finger cells of one live id's row."""
+        """Point-patch individual finger cells of one live id's row.
+
+        Writes the arrays only: the struct-of-arrays substrates, the one
+        caller, keep a compact store with no list mirrors.
+        """
         slot = self.pos[node_id]
-        if self.finger_lists is not None:
-            row = list(self.finger_lists[slot])
-            for f, value in entries.items():
-                row[f] = value
-            self.finger_lists[slot] = tuple(row)
-        if self.finger_mat is not None:
-            for f, value in entries.items():
-                self.finger_mat[slot, f] = -1 if value is None else value
+        for f, value in entries.items():
+            self.finger_mat[slot, f] = -1 if value is None else value
         self.patches += 1
 
     def patch_succs(self, node_id: int, succs) -> None:
-        """Rewrite one live id's successor list, leaving fingers alone."""
+        """Rewrite one live id's successor list, leaving fingers alone
+        (arrays only, as :meth:`patch_fingers`)."""
         slot = self.pos[node_id]
         succs = tuple(succs)
-        if self.succ_lists is not None:
-            self.succ_lists[slot] = succs
-        if self.succ_mat is not None:
-            if len(succs) > self._width:
-                self._grow_width(len(succs))
-            row = self.succ_mat[slot]
-            if succs:
-                row[: len(succs)] = succs
-            row[len(succs):] = -1
-            self.succ_first_np[slot] = succs[0] if succs else node_id
+        if len(succs) > self._width:
+            self._grow_width(len(succs))
+        row = self.succ_mat[slot]
+        if succs:
+            row[: len(succs)] = succs
+        row[len(succs):] = -1
+        self.succ_first_np[slot] = succs[0] if succs else node_id
         self.patches += 1
 
     # -- equivalence (tests pin incremental == rebuild through this) --------
@@ -723,28 +690,22 @@ class RingSnapshot:
         """The logical ring state, id-ordered and representation-free.
 
         ``(id, successor-tuple, finger-tuple)`` per live member, decoded
-        from the numpy arrays when they exist (so the bit-identity
-        property test exercises the maintained arrays, not the Python
-        mirrors) and from the list mirrors in the pure-Python lane.  Two
-        snapshots are equivalent iff their canonical states are equal --
-        slot numbering and free-list history are representation detail.
+        from the numpy arrays, so the bit-identity property test
+        exercises the maintained arrays (it checks a live snapshot's
+        Python mirrors against this decode separately).  Two snapshots
+        are equivalent iff their canonical states are equal -- slot
+        numbering and free-list history are representation detail.
         """
-        if self.slot_ids_np is not None:
-            out = []
-            for i in range(self.n):
-                slot = int(self._order_buf[i])
-                node_id = int(self._ids_buf[i])
-                succs = tuple(int(v) for v in self.succ_mat[slot] if v >= 0)
-                fingers = tuple(
-                    None if v < 0 else int(v) for v in self.finger_mat[slot]
-                )
-                out.append((node_id, succs, fingers))
-            return tuple(out)
-        return tuple(
-            (node_id, self.succ_lists[self.pos[node_id]],
-             self.finger_lists[self.pos[node_id]])
-            for node_id in self.ids
-        )
+        out = []
+        for i in range(self.n):
+            slot = int(self._order_buf[i])
+            node_id = int(self._ids_buf[i])
+            succs = tuple(int(v) for v in self.succ_mat[slot] if v >= 0)
+            fingers = tuple(
+                None if v < 0 else int(v) for v in self.finger_mat[slot]
+            )
+            out.append((node_id, succs, fingers))
+        return tuple(out)
 
 
 def lockstep_resolve(
@@ -806,11 +767,7 @@ def resolve_lookups(
         return _table_resolve(
             snapshot, table, entry_id, targets, budget, lat, timeout, recursive
         )
-    if (
-        _np is None
-        or snapshot.ids_np is None
-        or len(targets) < NUMPY_MIN_BATCH
-    ):
+    if len(targets) < NUMPY_MIN_BATCH:
         sim = _sim_recursive if recursive else _sim_iterative
         return Lookups.from_traces(
             [sim(snapshot, entry_id, int(t), budget, lat, timeout) for t in targets]
@@ -833,9 +790,9 @@ def build_route_table(
     Takes the snapshot and the lookup inputs (see
     :func:`resolve_lookups`; ``build_route_table(snapshot, *inputs)``)
     and returns whether ``snapshot.route`` now answers that call.  Refused
-    (no table, the lanes keep serving) without numpy or when some
-    finger or successor entry of a live row names a dead id: a dead id
-    can sit inside an arc and split its targets between routes.  The
+    (no table, the lanes keep serving) when some finger or successor
+    entry of a live row names a dead id: a dead id can sit inside an
+    arc and split its targets between routes.  The
     rows are checked ``_ROUTE_CHUNK`` at a time, stopping at the first
     dead reference, and the arcs are routed by the vectorized lane in
     chunks of the same size, with each arc's own end id as its target.
@@ -846,8 +803,6 @@ def build_route_table(
     costs O(n log n) array work, so only the adapters' ``warm_lockstep``
     calls this, never the request path.
     """
-    if _np is None or snapshot.ids_np is None:
-        return False
     if entry_id not in snapshot.pos:
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
     key = _route_key(snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout)
@@ -941,7 +896,7 @@ def _table_resolve(
     return found
 
 
-# -- exact Python replay (slow lane, and the no-numpy path) ----------------
+# -- exact Python replay (slow lane) -----------------------------------------
 
 
 def _sim_step(snapshot: RingSnapshot, node_id: int, target: int, excluded):

@@ -10,14 +10,15 @@ import random
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as _np
 
-from ...compat import load_numpy
 from ...core.intervals import SortedCircle
 from ...faults.retry import RetryPolicy
 from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
 from ..api import CostMeter, PeerRef
+from ..idspace import draw_distinct_ids
 from ..vantage import EntryVantageMixin
 from .batch import (
     BatchLookupStats,
@@ -146,7 +147,7 @@ class ChordNetwork:
         net = cls(m=m, rng=rng, **kwargs)
         if n < 1:
             raise ValueError("need at least one node")
-        ids = net._draw_distinct_ids(n)
+        ids = draw_distinct_ids(net.rng, net.m, n, net.nodes)
         if perfect:
             for node_id in ids:
                 net._register_node(
@@ -162,19 +163,6 @@ class ChordNetwork:
                 net.join_node(node_id)
                 net.stabilize_round()
         return net
-
-    def _draw_distinct_ids(self, count: int) -> list[int]:
-        size = 1 << self.m
-        if count > size:
-            raise ValueError(f"cannot place {count} nodes in a 2^{self.m} id space")
-        chosen: set[int] = set(self.nodes)
-        fresh: list[int] = []
-        while len(fresh) < count:
-            candidate = self.rng.randrange(size)
-            if candidate not in chosen:
-                chosen.add(candidate)
-                fresh.append(candidate)
-        return fresh
 
     def bump_epoch(self) -> None:
         """Invalidate epoch-keyed caches after a *direct* state mutation.
@@ -245,7 +233,7 @@ class ChordNetwork:
     def join_node(self, node_id: int | None = None) -> ChordNode:
         """Add one node via the real join protocol (needs stabilization after)."""
         if node_id is None:
-            node_id = self._draw_distinct_ids(1)[0]
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already in the ring")
         node = ChordNode(node_id, self.m, self.transport, self._slist_size)
@@ -533,11 +521,6 @@ class ChordNetwork:
         return cls.build(n, m=m, rng=rng, **kwargs).dht(lookup_mode=lookup_mode)
 
 
-# Optional acceleration for batched point -> target conversion; None
-# when numpy is absent or REPRO_PURE_PYTHON is set (see repro.compat).
-_np = load_numpy()
-
-
 def _targets_for(points, m: int):
     """``point_to_target_id`` over a vector, stopping at the first invalid.
 
@@ -545,21 +528,13 @@ def _targets_for(points, m: int):
     replays the first unconverted point through the scalar path so an
     out-of-domain value raises exactly where a per-call loop would.
     """
-    if _np is not None:
-        arr = _np.asarray(points, dtype=_np.float64)
-        ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN through
-        if not ok.all():
-            arr = arr[: int(_np.argmin(ok))]
-        size = 1 << m
-        # same float product and ceiling as math.ceil(x * size) % size
-        return _np.ceil(arr * size).astype(_np.int64) % size
-    targets: list[int] = []
-    for x in points:
-        try:
-            targets.append(point_to_target_id(x, m))
-        except ValueError:
-            break
-    return targets
+    arr = _np.asarray(points, dtype=_np.float64)
+    ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN through
+    if not ok.all():
+        arr = arr[: int(_np.argmin(ok))]
+    size = 1 << m
+    # same float product and ceiling as math.ceil(x * size) % size
+    return _np.ceil(arr * size).astype(_np.int64) % size
 
 
 class ChordDHT(EntryVantageMixin):
@@ -738,7 +713,7 @@ class ChordDHT(EntryVantageMixin):
         view instead of one ``get_successor`` RPC per hop, and charges
         the replayed hops through :meth:`commit_lookups`.  None -- keep
         the per-call ``next`` walk -- unless lockstep replay is eligible
-        (:meth:`lockstep_eligible`) and numpy is present.
+        (:meth:`lockstep_eligible`).
         """
         if not self.lockstep_eligible():
             return None

@@ -41,10 +41,6 @@ Churn semantics mirror the live ring's observable behaviour:
 - **stabilize** rewires every live row to the oracle fixed point in
   vectorized passes -- the analogue of running pairwise stabilization
   to convergence, used between lookup retry attempts.
-
-Under ``REPRO_PURE_PYTHON`` the same class runs on the snapshot's
-Python-list lane (small n only; the benches gate the big decades on
-numpy being present).
 """
 
 from __future__ import annotations
@@ -52,8 +48,10 @@ from __future__ import annotations
 import bisect
 import random
 
-from ...compat import load_numpy
+import numpy as _np
+
 from ..api import CostMeter, PeerRef
+from ..idspace import draw_distinct_ids, draw_sorted_ids
 from ..vantage import EntryVantageMixin
 from .batch import (
     BatchLookupStats,
@@ -69,8 +67,6 @@ from .network import _targets_for
 from .node import LookupError_
 
 __all__ = ["SoAChordNetwork", "SoAChordDHT"]
-
-_np = load_numpy()
 
 #: Deterministic charge constants, equal to the live transport defaults
 #: (ConstantLatency(1.0) one-way, RpcTransport.timeout = 8.0) so traces
@@ -148,36 +144,9 @@ class SoAChordNetwork:
         if n > (1 << m):
             raise ValueError(f"cannot place {n} nodes in a 2^{m} id space")
         net = cls(m=m, rng=rng, successor_list_size=successor_list_size)
-        net.store = net._build_store(net._draw_distinct_ids(n))
+        net.store = net._build_store(draw_sorted_ids(net.rng, m, n))
         net.snapshot_builds = 1
         return net
-
-    def _draw_distinct_ids(self, count: int):
-        """``count`` distinct uniform ids, vectorized when numpy is live."""
-        size = 1 << self.m
-        if _np is None or count < 1024:
-            chosen: set[int] = set()
-            if self.store is not None:
-                chosen.update(self.sorted_ids())
-            fresh: list[int] = []
-            while len(fresh) < count:
-                candidate = self.rng.randrange(size)
-                if candidate not in chosen:
-                    chosen.add(candidate)
-                    fresh.append(candidate)
-            return sorted(fresh)
-        # Bulk path: over-draw, dedupe, take a uniform random subset so
-        # truncating the (sorted) unique array cannot bias low ids.
-        np_rng = _np.random.default_rng(self.rng.randrange(1 << 63))
-        uniq = _np.unique(
-            np_rng.integers(0, size, size=count + count // 4 + 16, dtype=_np.int64)
-        )
-        while len(uniq) < count:
-            more = np_rng.integers(0, size, size=count, dtype=_np.int64)
-            uniq = _np.unique(_np.concatenate([uniq, more]))
-        subset = np_rng.choice(uniq, size=count, replace=False)
-        subset.sort()
-        return subset
 
     def _build_store(self, sorted_ids) -> RingSnapshot:
         """Oracle-wire the whole ring as flat arrays (O(m) passes)."""
@@ -185,33 +154,19 @@ class SoAChordNetwork:
         m = self.m
         size = 1 << m
         width = max(1, min(self._slist_size, n))
-        if _np is not None:
-            np = _np
-            ids = np.ascontiguousarray(sorted_ids, dtype=np.int64)
-            idx = np.arange(n, dtype=np.int64)
-            succ_mat = np.full((n, width), -1, dtype=np.int64)
-            for j in range(width):
-                succ_mat[:, j] = ids[(idx + j + 1) % n]
-            finger_mat = np.empty((n, m), dtype=np.int64)
-            for f in range(m):
-                targets = (ids + (1 << f)) % size
-                finger_mat[:, f] = ids[np.searchsorted(ids, targets) % n]
-            return RingSnapshot.from_arrays(
-                m, ids, succ_mat, finger_mat, epoch=self.churn_epoch
-            )
-        ids_list = list(sorted_ids)
-        succ_lists = [
-            tuple(ids_list[(i + j + 1) % n] for j in range(width))
-            for i in range(n)
-        ]
-        finger_lists = [
-            tuple(
-                ids_list[bisect.bisect_left(ids_list, (node_id + (1 << f)) % size) % n]
-                for f in range(m)
-            )
-            for node_id in ids_list
-        ]
-        return RingSnapshot(self.churn_epoch, m, ids_list, succ_lists, finger_lists)
+        np = _np
+        ids = np.ascontiguousarray(sorted_ids, dtype=np.int64)
+        idx = np.arange(n, dtype=np.int64)
+        succ_mat = np.full((n, width), -1, dtype=np.int64)
+        for j in range(width):
+            succ_mat[:, j] = ids[(idx + j + 1) % n]
+        finger_mat = np.empty((n, m), dtype=np.int64)
+        for f in range(m):
+            targets = (ids + (1 << f)) % size
+            finger_mat[:, f] = ids[np.searchsorted(ids, targets) % n]
+        return RingSnapshot.from_arrays(
+            m, ids, succ_mat, finger_mat, epoch=self.churn_epoch
+        )
 
     # -- oracle views ------------------------------------------------------
 
@@ -246,9 +201,7 @@ class SoAChordNetwork:
         return True
 
     def array_bytes(self) -> int:
-        """Bytes held by the substrate's arrays (exact, numpy lane only)."""
-        if _np is None or self.store.slot_ids_np is None:
-            return 0
+        """Bytes held by the substrate's arrays (exact)."""
         store = self.store
         arrays = [
             store.slot_ids_np, store.succ_first_np, store.finger_mat,
@@ -287,7 +240,7 @@ class SoAChordNetwork:
     def join_node(self, node_id: int | None = None) -> int:
         """Splice one node in with O(log n) row patches (oracle wiring)."""
         if node_id is None:
-            node_id = int(self._draw_distinct_ids(1)[0])
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
         store = self.store
         if node_id in store.pos:
             raise ValueError(f"node {node_id} already in the ring")
@@ -384,40 +337,22 @@ class SoAChordNetwork:
             return
         self.churn_epoch += 1
         before = store.patches
-        if _np is not None and store.slot_ids_np is not None:
-            np = _np
-            ids = store.ids_np.copy()
-            slots = store.order_np.copy()
-            idx = np.arange(n, dtype=np.int64)
-            width = max(1, min(self._slist_size, n))
-            if width > store._width:
-                store._grow_width(width)
-            for j in range(store.succ_mat.shape[1]):
-                col = ids[(idx + j + 1) % n] if j < width else -1
-                store.succ_mat[slots, j] = col
-            store.succ_first_np[slots] = ids[(idx + 1) % n]
-            size = 1 << self.m
-            for f in range(self.m):
-                targets = (ids + (1 << f)) % size
-                store.finger_mat[slots, f] = ids[np.searchsorted(ids, targets) % n]
-            if store.succ_lists is not None:  # mirrored mode: keep lists true
-                for p in range(n):
-                    slot = int(slots[p])
-                    store.succ_lists[slot] = tuple(
-                        int(v) for v in store.succ_mat[slot] if v >= 0
-                    )
-                    store.finger_lists[slot] = tuple(
-                        int(v) for v in store.finger_mat[slot]
-                    )
-            store.patches += 1
-        else:
-            ids = self.sorted_ids()
-            for p, node_id in enumerate(ids):
-                store.apply_update(
-                    node_id,
-                    self._oracle_succs(ids, p),
-                    self._oracle_fingers(ids, node_id),
-                )
+        np = _np
+        ids = store.ids_np.copy()
+        slots = store.order_np.copy()
+        idx = np.arange(n, dtype=np.int64)
+        width = max(1, min(self._slist_size, n))
+        if width > store._width:
+            store._grow_width(width)
+        for j in range(store.succ_mat.shape[1]):
+            col = ids[(idx + j + 1) % n] if j < width else -1
+            store.succ_mat[slots, j] = col
+        store.succ_first_np[slots] = ids[(idx + 1) % n]
+        size = 1 << self.m
+        for f in range(self.m):
+            targets = (ids + (1 << f)) % size
+            store.finger_mat[slots, f] = ids[np.searchsorted(ids, targets) % n]
+        store.patches += 1
         store.epoch = self.churn_epoch
         self.snapshot_patches += store.patches - before
 
@@ -533,7 +468,7 @@ class SoAChordDHT(EntryVantageMixin):
         return True
 
     def walk_view(self) -> WalkView | None:
-        """The store's walk view (None without numpy): charges are
+        """The store's walk view (None on an empty ring): charges are
         deterministic and there is no transport to trace, so walks
         always replay (see :meth:`ChordDHT.walk_view
         <repro.dht.chord.network.ChordDHT.walk_view>`)."""

@@ -18,15 +18,12 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from ..compat import load_numpy
+import numpy as _np
+
 from ..core.intervals import SortedCircle
 from .api import NUMPY_MIN_BATCH, CostMeter, PeerRef
 
 __all__ = ["CostModel", "LogCost", "IdealDHT"]
-
-# Optional acceleration for the bulk interface; None when numpy is
-# absent or REPRO_PURE_PYTHON pins the fallback lanes (see repro.compat).
-_np = load_numpy()
 
 
 @dataclass(frozen=True)
@@ -62,11 +59,8 @@ class IdealDHT:
         # Flat array-backed storage for the bulk interface: peer points in
         # sorted order, so index arithmetic replaces object traversal.
         self._flat = array("d", circle.points)
-        if _np is not None:
-            self._flat_np = _np.frombuffer(self._flat, dtype=_np.float64)
-            self._flat_np.setflags(write=False)  # it's a view into _flat
-        else:
-            self._flat_np = None
+        self._flat_np = _np.frombuffer(self._flat, dtype=_np.float64)
+        self._flat_np.setflags(write=False)  # it's a view into _flat
         self.cost = CostMeter()
 
     @classmethod
@@ -99,17 +93,16 @@ class IdealDHT:
     def h_many(self, xs: Sequence[float]) -> list[PeerRef]:
         """``h`` over a whole vector of points, metered as one batch.
 
-        Resolution is a vectorized ``searchsorted`` when numpy is
-        available and the batch is large enough to amortize its call
-        overhead, else a pure-Python ``bisect`` loop over the flat point
-        array.  Both charge the meter once via
+        Resolution is a vectorized ``searchsorted`` when the batch is
+        large enough to amortize its call overhead, else a ``bisect``
+        loop over the flat point array.  Both charge the meter once via
         :meth:`~repro.dht.api.CostMeter.charge_bulk` with totals
         identical to per-call :meth:`h`.
         """
         k = len(xs)
         peers = self._peers
         n = len(peers)
-        if self._flat_np is not None and k >= NUMPY_MIN_BATCH:
+        if k >= NUMPY_MIN_BATCH:
             arr = _np.asarray(xs, dtype=_np.float64)
             ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN slip through
             if not ok.all():
@@ -134,7 +127,7 @@ class IdealDHT:
 
     def points_array(self) -> Sequence[float]:
         """Sorted peer points as a flat float array (raw, uncharged access)."""
-        return self._flat_np if self._flat_np is not None else self._flat
+        return self._flat_np
 
     def successor_of_index(self, i: int) -> PeerRef:
         """Materialize the peer at sorted position ``i % n`` (uncharged)."""

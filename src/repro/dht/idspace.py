@@ -8,14 +8,17 @@ identifies 0 and 1).  The mapping is substrate-independent -- Chord
 arranges the identifiers clockwise on a ring, Kademlia measures them
 with the XOR metric -- so it lives here and each substrate layers its
 own routing geometry on top (:mod:`repro.dht.chord.idspace`,
-:mod:`repro.dht.kademlia.idspace`).
+:mod:`repro.dht.kademlia.idspace`).  The distinct uniform ids every
+overlay is built and joined from are drawn here too.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["id_to_point", "point_to_target_id"]
+import numpy as _np
+
+__all__ = ["draw_distinct_ids", "draw_sorted_ids", "id_to_point", "point_to_target_id"]
 
 
 def id_to_point(node_id: int, m: int) -> float:
@@ -39,3 +42,48 @@ def point_to_target_id(x: float, m: int) -> int:
         raise ValueError(f"point {x!r} outside the unit circle (0, 1]")
     size = 1 << m
     return math.ceil(x * size) % size
+
+
+def draw_distinct_ids(rng, m: int, count: int, taken=()) -> list[int]:
+    """``count`` distinct uniform ``m``-bit ids not in ``taken``, in draw order.
+
+    A rejection loop over ``rng.randrange(2**m)``: a candidate already
+    taken, or already drawn, is dropped and drawn again.  ``taken`` is
+    any container of the ids in use (only ``in`` is asked of it).
+    """
+    size = 1 << m
+    if count > size:
+        raise ValueError(f"cannot place {count} nodes in a 2^{m} id space")
+    chosen: set[int] = set()
+    fresh: list[int] = []
+    while len(fresh) < count:
+        candidate = rng.randrange(size)
+        if candidate not in taken and candidate not in chosen:
+            chosen.add(candidate)
+            fresh.append(candidate)
+    return fresh
+
+
+def draw_sorted_ids(rng, m: int, count: int):
+    """``count`` distinct uniform ids for a fresh ring, sorted: the
+    struct-of-arrays overlays' build.
+
+    Below 1,024 ids it is :func:`draw_distinct_ids`, sorted (a list).
+    A larger ring is drawn in bulk from a numpy generator seeded by
+    ``rng`` (a numpy array): over-draw, dedupe, then a uniform random
+    subset, so that truncating the (sorted) unique array cannot bias
+    low ids.
+    """
+    if count < 1024:
+        return sorted(draw_distinct_ids(rng, m, count))
+    size = 1 << m
+    np_rng = _np.random.default_rng(rng.randrange(1 << 63))
+    uniq = _np.unique(
+        np_rng.integers(0, size, size=count + count // 4 + 16, dtype=_np.int64)
+    )
+    while len(uniq) < count:
+        more = np_rng.integers(0, size, size=count, dtype=_np.int64)
+        uniq = _np.unique(_np.concatenate([uniq, more]))
+    subset = np_rng.choice(uniq, size=count, replace=False)
+    subset.sort()
+    return subset

@@ -39,6 +39,7 @@ from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
 from ..api import CostMeter, PeerRef
+from ..idspace import draw_distinct_ids
 from ..vantage import EntryVantageMixin
 from .idspace import bucket_index, bucket_range, id_to_point, point_to_target_id
 from .node import KademliaLookupError_, KademliaNode
@@ -128,7 +129,7 @@ class KademliaNetwork:
         net = cls(m=m, k=k, alpha=alpha, rng=rng, **kwargs)
         if n < 1:
             raise ValueError("need at least one node")
-        ids = net._draw_distinct_ids(n)
+        ids = draw_distinct_ids(net.rng, net.m, n, net.nodes)
         if perfect:
             for node_id in ids:
                 net._register(node_id)
@@ -145,19 +146,6 @@ class KademliaNetwork:
         self.nodes[node_id] = node
         self.transport.register(node_id, node)
         return node
-
-    def _draw_distinct_ids(self, count: int) -> list[int]:
-        size = 1 << self.m
-        if count > size:
-            raise ValueError(f"cannot place {count} nodes in a 2^{self.m} id space")
-        chosen: set[int] = set(self.nodes)
-        fresh: list[int] = []
-        while len(fresh) < count:
-            candidate = self.rng.randrange(size)
-            if candidate not in chosen:
-                chosen.add(candidate)
-                fresh.append(candidate)
-        return fresh
 
     def bump_epoch(self) -> None:
         """Invalidate epoch-keyed caches after a state mutation."""
@@ -195,7 +183,7 @@ class KademliaNetwork:
     def join_node(self, node_id: int | None = None) -> KademliaNode:
         """Add one node via the real bootstrap protocol (entry + self-lookup)."""
         if node_id is None:
-            node_id = self._draw_distinct_ids(1)[0]
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already in the overlay")
         entry = self._random_alive_id(excluding=node_id)

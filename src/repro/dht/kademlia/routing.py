@@ -36,24 +36,22 @@ substrate); budget and retry discipline mirror the live adapter
 (``lookup_budget(m, k)``, refresh between attempts).
 
 Like :mod:`repro.dht.chord.soa`, this substrate has no transport -- the
-conformance suite marks it ``transported=False`` -- and runs on plain
-Python lists under ``REPRO_PURE_PYTHON``.
+conformance suite marks it ``transported=False``.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 
-from ...compat import load_numpy
+import numpy as _np
+
 from ..api import CostMeter, PeerRef
+from ..idspace import draw_distinct_ids, draw_sorted_ids
 from ..vantage import EntryVantageMixin
 from .idspace import bucket_index, bucket_range, id_to_point, point_to_target_id
 from .node import KademliaLookupError_, lookup_budget
 
 __all__ = ["SoAKademliaNetwork", "SoAKademliaDHT"]
-
-_np = load_numpy()
 
 #: Same deterministic charge constants as the SoA Chord substrate (and
 #: the live transport defaults): one-way 1.0, round trip 2.0, dead 8.0.
@@ -63,15 +61,12 @@ TIMEOUT = 8.0
 
 
 class _SortedIds:
-    """A sorted id set as one flat array (numpy) or list (pure lane)."""
+    """A sorted id set as one flat numpy array."""
 
     __slots__ = ("_ids",)
 
     def __init__(self, ids):
-        if _np is not None:
-            self._ids = _np.ascontiguousarray(ids, dtype=_np.int64)
-        else:
-            self._ids = list(ids)
+        self._ids = _np.ascontiguousarray(ids, dtype=_np.int64)
 
     def __len__(self):
         return len(self._ids)
@@ -82,64 +77,46 @@ class _SortedIds:
 
     def _find(self, node_id: int) -> int:
         ids = self._ids
-        if _np is not None:
-            i = int(_np.searchsorted(ids, node_id))
-            if i < len(ids) and int(ids[i]) == node_id:
-                return i
-        else:
-            i = bisect.bisect_left(ids, node_id)
-            if i < len(ids) and ids[i] == node_id:
-                return i
+        i = int(_np.searchsorted(ids, node_id))
+        if i < len(ids) and int(ids[i]) == node_id:
+            return i
         return -1
 
     def insort(self, node_id: int) -> None:
         if node_id in self:
             return
-        if _np is not None:
-            i = int(_np.searchsorted(self._ids, node_id))
-            self._ids = _np.insert(self._ids, i, node_id)
-        else:
-            bisect.insort(self._ids, node_id)
+        i = int(_np.searchsorted(self._ids, node_id))
+        self._ids = _np.insert(self._ids, i, node_id)
 
     def discard(self, node_id: int) -> None:
         i = self._find(node_id)
         if i < 0:
             return
-        if _np is not None:
-            self._ids = _np.delete(self._ids, i)
-        else:
-            del self._ids[i]
+        self._ids = _np.delete(self._ids, i)
 
     def at(self, i: int) -> int:
         return int(self._ids[i])
 
     def bisect_left(self, value: int) -> int:
-        if _np is not None:
-            return int(_np.searchsorted(self._ids, value))
-        return bisect.bisect_left(self._ids, value)
+        return int(_np.searchsorted(self._ids, value))
 
     def slice_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Index bounds of ids in ``[lo, hi)``."""
-        if _np is not None:
-            return (
-                int(_np.searchsorted(self._ids, lo)),
-                int(_np.searchsorted(self._ids, hi)),
-            )
-        return bisect.bisect_left(self._ids, lo), bisect.bisect_left(self._ids, hi)
+        return (
+            int(_np.searchsorted(self._ids, lo)),
+            int(_np.searchsorted(self._ids, hi)),
+        )
 
     def to_list(self) -> list[int]:
         return [int(v) for v in self._ids]
 
     def copy(self) -> "_SortedIds":
         fresh = _SortedIds.__new__(_SortedIds)
-        if _np is not None:
-            fresh._ids = self._ids.copy()
-        else:
-            fresh._ids = list(self._ids)
+        fresh._ids = self._ids.copy()
         return fresh
 
     def nbytes(self) -> int:
-        return int(self._ids.nbytes) if _np is not None else 0
+        return int(self._ids.nbytes)
 
 
 class _MembersView:
@@ -207,40 +184,18 @@ class SoAKademliaNetwork:
         if n > (1 << m):
             raise ValueError(f"cannot place {n} nodes in a 2^{m} id space")
         net = cls(m=m, k=k, rng=rng)
-        ids = net._draw_distinct_ids(n)
+        ids = draw_sorted_ids(net.rng, m, n)
         net.live = _SortedIds(ids)
         net.basis = net.live.copy()
         net.snapshot_builds = 1
         return net
-
-    def _draw_distinct_ids(self, count: int):
-        size = 1 << self.m
-        if _np is None or count < 1024:
-            chosen: set[int] = set(self.live.to_list()) if len(self.live) else set()
-            fresh: list[int] = []
-            while len(fresh) < count:
-                candidate = self.rng.randrange(size)
-                if candidate not in chosen:
-                    chosen.add(candidate)
-                    fresh.append(candidate)
-            return sorted(fresh)
-        np_rng = _np.random.default_rng(self.rng.randrange(1 << 63))
-        uniq = _np.unique(
-            np_rng.integers(0, size, size=count + count // 4 + 16, dtype=_np.int64)
-        )
-        while len(uniq) < count:
-            more = np_rng.integers(0, size, size=count, dtype=_np.int64)
-            uniq = _np.unique(_np.concatenate([uniq, more]))
-        subset = np_rng.choice(uniq, size=count, replace=False)
-        subset.sort()
-        return subset
 
     # -- membership --------------------------------------------------------
 
     def join_node(self, node_id: int | None = None) -> int:
         """A join announces itself: it enters both membership and basis."""
         if node_id is None:
-            node_id = int(self._draw_distinct_ids(1)[0])
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self.live)[0]
         if node_id in self.live:
             raise ValueError(f"node {node_id} already in the overlay")
         self.live.insort(node_id)
@@ -299,10 +254,8 @@ class SoAKademliaNetwork:
 
     def routing_is_correct(self) -> bool:
         """Whether every implicit table reflects the true membership."""
-        if _np is not None:
-            a, b = self.basis._ids, self.live._ids
-            return len(a) == len(b) and bool((a == b).all())
-        return self.basis._ids == self.live._ids
+        a, b = self.basis._ids, self.live._ids
+        return len(a) == len(b) and bool((a == b).all())
 
     def array_bytes(self) -> int:
         return self.live.nbytes() + self.basis.nbytes()

@@ -3,12 +3,9 @@
 Same contract as ``tests/obs/test_determinism.py``, extended to the
 adversary subsystem.  Every lie is a deterministic function of the
 query and the colluder clique -- no adversary-side RNG -- so a seeded
-Byzantine run is pinned bit for bit, per backend, and verified
-identical under ``REPRO_PURE_PYTHON=1`` (the CI matrix runs this file
-in both modes; the numbers below were captured with the accelerator on
-and reproduced with it off).  The two backends must also emit the
-*same adversary-record schema*, so downstream tooling never branches on
-the substrate.
+Byzantine run is pinned bit for bit, per backend.  The two backends
+must also emit the *same adversary-record schema*, so downstream
+tooling never branches on the substrate.
 """
 
 from __future__ import annotations

@@ -22,13 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BatchSampler, ChordNetwork, IdealDHT, RandomPeerSampler
-from repro.compat import load_numpy
 from repro.core.engine import _WALK_SLAB
 from repro.dht.api import PeerUnreachableError
 from repro.dht.chord.soa import SoAChordNetwork
-
-#: Whether the numpy lane (and with it block classification) is live.
-NUMPY = load_numpy() is not None
 
 
 class ScalarReference:
@@ -194,7 +190,6 @@ def test_a_scalar_draw_continues_the_batch_stream(substrate):
     assert batched.cost.snapshot() == scalar.cost.snapshot()
 
 
-@pytest.mark.skipif(not NUMPY, reason="blocks are classified on the numpy lane only")
 def test_a_static_ring_is_classified_once_per_block():
     # A warmed, static ring keeps one classification for many calls: the
     # uncharged resolve runs once per block, not once per call.  A ring
@@ -229,7 +224,6 @@ def test_a_static_ring_is_classified_once_per_block():
     assert batched.cost.snapshot() - charged == twin.cost.snapshot() - twin_before
 
 
-@pytest.mark.skipif(not NUMPY, reason="blocks are classified on the numpy lane only")
 @pytest.mark.parametrize("substrate", ["ideal", "chord-table"])
 def test_a_large_call_leaves_at_most_one_slab_classified(substrate):
     # A call that classified far more points than it committed hands the

@@ -2,7 +2,7 @@
 
 A non-small trial whose arc exceeds its first ring position's ``reach``
 (the largest of Theorem 6's thresholds along its walk, widened by a
-rounding margin) exhausts its budget, so the numpy lane marks it
+rounding margin) exhausts its budget, so the engine marks it
 EXHAUSTED without running the walk kernel.  These tests pin the filter
 at its boundary against the scalar ``trial``, count how few trials still
 reach the kernel, and check that ``BatchSampler.warm()`` leaves the
@@ -15,17 +15,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro import BatchSampler, ChordNetwork, IdealDHT, RandomPeerSampler
-from repro.compat import load_numpy
 from repro.core import engine as engine_mod
 from repro.core.intervals import ring_gaps
 from repro.core.sampler import TrialOutcome
-
-np = load_numpy()
-
-pytestmark = pytest.mark.skipif(np is None, reason="the reach filter is the numpy lane's")
 
 
 def _largest_winning_arcs(gaps, lam: float, budget: int) -> list[Fraction]:

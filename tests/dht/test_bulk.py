@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.dht.api import BulkDHT, CostMeter, CostSnapshot, PeerRef
+from repro.dht.api import NUMPY_MIN_BATCH, BulkDHT, CostMeter, CostSnapshot, PeerRef
 from repro.dht.chord import ChordNetwork
 from repro.dht.ideal import IdealDHT
 
@@ -87,12 +87,17 @@ class TestIdealBulk:
         after_next = medium_dht.cost.snapshot() - before
         assert (after_next.messages, after_next.latency) == (nm, nl)
 
-    def test_pure_python_bisect_path(self, medium_dht, monkeypatch):
-        """With the numpy view disabled, h_many falls back to bisect."""
-        xs = [1.0 - random.Random(54).random() for _ in range(200)]
+    def test_pure_python_bisect_path(self, medium_dht):
+        """Below NUMPY_MIN_BATCH points, h_many is a ``bisect`` loop; it
+        agrees with scalar h and with the numpy path, on exact peer
+        points (ties) and on 1.0 (past the last peer) included."""
+        pts = medium_dht.circle.points
+        xs = [pts[0], pts[17], pts[-1], 1.0]
+        rng = random.Random(54)
+        xs += [1.0 - rng.random() for _ in range(NUMPY_MIN_BATCH - 1 - len(xs))]
         expected = [medium_dht.h(x) for x in xs]
-        monkeypatch.setattr(medium_dht, "_flat_np", None)
         assert medium_dht.h_many(xs) == expected
+        assert medium_dht.h_many(xs * 2)[: len(xs)] == expected  # numpy path
 
 
 class TestChordFallback:

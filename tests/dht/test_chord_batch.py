@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.adversary.state import AdversaryState
-from repro.compat import load_numpy
 from repro.core.engine import BatchSampler, _Block
 from repro.core.sampler import RandomPeerSampler
 from repro.dht.api import BulkDHT
@@ -36,10 +36,6 @@ from repro.dht.chord.node import LookupError_, hop_budget
 from repro.dht.chord.soa import SoAChordNetwork
 from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
-
-np = load_numpy()
-#: Whether the numpy lane (and with it the walk replay) is live.
-NUMPY = np is not None
 
 
 def build_twins(seed, n=64, m=16, crashes=0, mode="iterative", copies=2, **kwargs):
@@ -202,7 +198,7 @@ class TestStaticEquivalence:
         assert_lanes_equal(dht_a, lanes)
         assert dht_a.cost.h_calls == batch
         assert dht_a.batch_stats.lockstep == batch
-        assert table_reads == ([batch] if self.warm and NUMPY else [])
+        assert table_reads == ([batch] if self.warm else [])
 
     @pytest.mark.parametrize("batch", [8, 200])
     def test_hop_counts_match_scalar_lookups(self, batch, table_reads):
@@ -225,7 +221,7 @@ class TestStaticEquivalence:
         assert [t.owner for t in traces] == [r.node_id for r in scalar]
         assert [t.hops for t in traces] == [r.hops for r in scalar]
         assert all(t.ok for t in traces)
-        assert bool(table_reads) == (self.warm and NUMPY)
+        assert bool(table_reads) == self.warm
 
     def test_imperfect_ring_from_sequential_joins(self, table_reads):
         # A ring built by the real join protocol has imperfect tables;
@@ -236,7 +232,7 @@ class TestStaticEquivalence:
         assert dht_a.h_many(xs) == scalar_loop(dht_b, xs) == lanes.h_many(xs)
         assert_charges_equal(dht_a, dht_b)
         assert_lanes_equal(dht_a, lanes)
-        assert bool(table_reads) == (self.warm and NUMPY)
+        assert bool(table_reads) == self.warm
 
     def test_mid_batch_domain_error_matches_scalar_sequence(self):
         dht_a, dht_b = build_twins(14)
@@ -264,7 +260,7 @@ class TestStaticEquivalence:
         refs = dht.h_many(xs)
         assert all(r.peer_id == dht.entry_id for r in refs)
         assert dht.cost.messages == 0  # the entry owns everything locally
-        assert bool(table_reads) == (self.warm and NUMPY)
+        assert bool(table_reads) == self.warm
 
 
 class TestStaticEquivalenceWarm(TestStaticEquivalence):
@@ -382,11 +378,10 @@ STALE = {
 class TestRouteTable:
     """One lookup per owner arc, read while the ring stays as warmed.
 
-    Under ``REPRO_PURE_PYTHON`` no table is built and every batch runs
-    the lanes; the equivalences must hold either way.
+    A twin that is never warmed runs every batch through the lanes, and
+    the table's answers must equal theirs.
     """
 
-    @pytest.mark.skipif(not NUMPY, reason="route tables exist on the numpy lane only")
     def test_every_target_matches_the_python_replay(self, table_reads):
         # Every identifier of small spaces, so every target of every arc,
         # from an entry that is not the lowest id (once n > 1).
@@ -422,15 +417,14 @@ class TestRouteTable:
         for dht in (dht_a, dht_b, lanes):
             successor_only(dht._network)
         assert dht_a.warm_lockstep()
-        if NUMPY:
-            assert (dht_a._network.snapshot().route.hops < 0).any()
+        assert (dht_a._network.snapshot().route.hops < 0).any()
         xs = points(80, 34)
         expected = scalar_loop(dht_b, xs, tolerant=True)
         assert dht_a.resolve_many(xs) == expected == lanes.resolve_many(xs)
         assert_charges_equal(dht_a, dht_b)
         assert_lanes_equal(dht_a, lanes)
         assert dht_a.batch_stats.delegated > 0
-        assert bool(table_reads) == NUMPY
+        assert table_reads
 
     @pytest.mark.parametrize("change", sorted(STALE))
     def test_ring_changes_stop_table_reads(self, change, table_reads):
@@ -451,7 +445,7 @@ class TestRouteTable:
         # departed id stays in its neighbours' fingers until repaired.
         assert dht_a.warm_lockstep()
         rebuilt = dht_a._network.snapshot().route is not None
-        assert rebuilt == (NUMPY and change not in ("crash", "entry-failover", "leave"))
+        assert rebuilt == (change not in ("crash", "entry-failover", "leave"))
         xs = points(100, 31)
         assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
         assert_charges_equal(dht_a, dht_b)
@@ -469,7 +463,7 @@ class TestRouteTable:
         xs = points(100, 32)
         assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
         assert_charges_equal(dht_a, dht_b)
-        assert table_reads == ([100] if NUMPY else [])
+        assert table_reads == [100]
 
     def test_traced_batches_read_the_table(self, table_reads):
         dht_a, dht_b = build_twins(83, n=64)
@@ -479,7 +473,7 @@ class TestRouteTable:
         assert dht_a.warm_lockstep()
         xs = points(120, 33)
         assert dht_a.h_many(xs) == dht_b.h_many(xs)
-        assert table_reads == ([120] if NUMPY else [])
+        assert table_reads == [120]
         assert sinks[0].events == sinks[1].events
         assert [e[0] for e in sinks[0].events] == ["lookup"] * 120
 
@@ -493,12 +487,12 @@ class TestRouteTable:
                 net.crash_node(victim)
         dht_a, dht_b = (net.dht(lookup_mode=mode) for net in nets)
         assert dht_a.warm_lockstep()
-        assert (nets[0].store.route is not None) == (NUMPY and not crashes)
+        assert (nets[0].store.route is not None) == (not crashes)
         xs = points(60, 35)
         assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
         assert [dht_a.h(x) for x in xs[:3]] == scalar_loop(dht_b, xs[:3])
         assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
-        assert table_reads == ([60, 1, 1, 1] if NUMPY and not crashes else [])
+        assert table_reads == ([60, 1, 1, 1] if not crashes else [])
 
 
 class TestEligibility:
@@ -652,15 +646,10 @@ class TestSummedLookups:
             )
             for _ in range(300)
         ]
-        columns = [list(c) for c in zip(*rows)]
-        hops = [rng.randrange(30) for _ in rows]
-        if NUMPY:
-            columns = [np.array(c, dtype=d) for c, d in zip(columns, Lookups._DTYPES)]
-            hops = np.array(hops, dtype=np.int64)
+        columns = [np.array(c, dtype=d) for c, d in zip(zip(*rows), Lookups._DTYPES)]
+        hops = np.array([rng.randrange(30) for _ in rows], dtype=np.int64)
         found = Lookups(*columns)
-        codes = [2] * len(rows)  # all exhausted: no peer to materialize
-        if NUMPY:
-            codes = np.array(codes, dtype=np.int8)
+        codes = np.full(len(rows), 2, dtype=np.int8)  # all exhausted: no peer to materialize
         block = _Block(None, None, [0.5] * len(rows), codes, codes, hops, None, found=found)
         assert (block.cum_lookups[3] is None) == (delay != int(delay))
         for lo, hi in [(0, 300), (0, 1), (17, 18), (40, 123), (299, 300), (5, 5)]:
@@ -721,12 +710,11 @@ class TestSamplerIntegration:
             assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
             assert_walk_charges_equal(dht_a, dht_b)
         assert engine_a.stale_trials == engine_b.stale_trials
-        if NUMPY:
-            assert len(calls_a) < len(calls_b)
-            if case.get("crashes", 0) <= 3 and "mode" not in case:
-                assert len(calls_a) < len(calls_b) / 2
-            if "crashes" not in case:
-                assert not calls_a
+        assert len(calls_a) < len(calls_b)
+        if case.get("crashes", 0) <= 3 and "mode" not in case:
+            assert len(calls_a) < len(calls_b) / 2
+        if "crashes" not in case:
+            assert not calls_a
 
     def test_mid_round_stabilization_rereads_the_view(self):
         # A walk that meets the crashed node re-resolves through h, whose
@@ -752,8 +740,7 @@ class TestSamplerIntegration:
         assert_walk_charges_equal(dht_a, dht_b)
         assert net.churn_epoch > resolved_at[0]  # stabilized during the walks
         assert calls_a and len(calls_a) <= len(calls_b)
-        if NUMPY:
-            assert len(calls_a) < len(calls_b) / 10
+        assert len(calls_a) < len(calls_b) / 10
 
     @pytest.mark.parametrize("crashes", [0, 2])
     def test_soa_walk_replay_matches_per_call_walk(self, crashes):
@@ -769,10 +756,8 @@ class TestSamplerIntegration:
         xs = points(150, 19)
         assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
         assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
-        if NUMPY:
-            assert len(calls_a) < len(calls_b)
+        assert len(calls_a) < len(calls_b)
 
-    @pytest.mark.skipif(not NUMPY, reason="walks replay on the numpy lane only")
     def test_static_ring_serves_without_next(self):
         net = ChordNetwork.build(48, m=16, rng=random.Random(71))
         dht = net.dht()
@@ -785,7 +770,6 @@ class TestSamplerIntegration:
         assert transport.messages_by_method()["get_successor"] == 2 * dht.cost.next_calls
         assert sum(transport.messages_by_method().values()) == transport.messages_sent
 
-    @pytest.mark.skipif(not NUMPY, reason="the walk view exists on the numpy lane only")
     def test_walk_view_points_and_runs(self):
         net = ChordNetwork.build(40, m=16, rng=random.Random(73), perfect=False)
         for victim in random.Random(74).sample(net.sorted_ids(), 4):
@@ -839,10 +823,9 @@ class TestSamplerIntegration:
         assert_walk_charges_equal(dht_a, dht_b)
         assert sinks[0].events == sinks[1].events
         assert any(e[0] == "rpc" and e[3] == "get_successor" for e in sinks[0].events)
-        if NUMPY:
-            assert len(calls_a) < len(calls_b)
-            if not crashes:
-                assert not calls_a
+        assert len(calls_a) < len(calls_b)
+        if not crashes:
+            assert not calls_a
 
     def test_stale_trials_counted_on_terminal_failures(self):
         # recursive mode + crashes: some resolutions fail terminally and

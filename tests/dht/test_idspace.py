@@ -1,8 +1,10 @@
-"""Tests for Chord identifier-space arithmetic."""
+"""Tests for identifier-space arithmetic and the shared distinct-id draws."""
 
 from __future__ import annotations
 
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.dht.chord.idspace import (
     in_open_open,
     point_to_target_id,
 )
+from repro.dht.idspace import draw_distinct_ids, draw_sorted_ids
 
 M = 10
 SIZE = 1 << M
@@ -70,6 +73,44 @@ class TestPointToTargetId:
     @given(ids)
     def test_node_point_maps_to_itself(self, node_id):
         assert point_to_target_id(id_to_point(node_id, M), M) == node_id
+
+
+class TestDrawIds:
+    def test_distinct_ids_replay_the_rejection_loop(self):
+        """Ids come in draw order; a taken or repeated candidate is
+        skipped, and the next ``randrange`` replaces it."""
+        taken = {3, 5, 8}
+        got = draw_distinct_ids(random.Random(7), 4, 10, taken)
+        replay, rng = [], random.Random(7)
+        while len(replay) < 10:
+            c = rng.randrange(16)
+            if c not in taken and c not in replay:
+                replay.append(c)
+        assert got == replay
+        assert len(set(got)) == 10 and not taken & set(got)
+
+    def test_distinct_ids_fill_the_whole_space(self):
+        assert sorted(draw_distinct_ids(random.Random(1), 4, 16)) == list(range(16))
+        with pytest.raises(ValueError):
+            draw_distinct_ids(random.Random(1), 4, 17)
+
+    @pytest.mark.parametrize("count", [1, 40, 1023])
+    def test_sorted_ids_below_1024_are_the_loop_sorted(self, count):
+        a, b = random.Random(count), random.Random(count)
+        ids = draw_sorted_ids(a, 20, count)
+        assert ids == sorted(draw_distinct_ids(b, 20, count))
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("m,count", [(20, 3000), (11, 2000)])  # (11, 2000) tops up
+    def test_sorted_ids_in_bulk(self, m, count):
+        rng = random.Random(count)
+        ids = draw_sorted_ids(rng, m, count)
+        assert isinstance(ids, np.ndarray) and len(ids) == count
+        assert (np.diff(ids) > 0).all() and 0 <= ids[0] and ids[-1] < 1 << m
+        assert np.array_equal(ids, draw_sorted_ids(random.Random(count), m, count))
+        one_call = random.Random(count)
+        one_call.randrange(1 << 63)  # the bulk draw takes one seed from rng
+        assert rng.getstate() == one_call.getstate()
 
 
 class TestIntervals:

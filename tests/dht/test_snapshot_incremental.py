@@ -6,11 +6,12 @@ drained at arbitrary intermediate points, must leave the incrementally
 patched :class:`RingSnapshot` in exactly the state a from-scratch
 ``RingSnapshot.build`` would produce -- same ids, same finger rows,
 same successor lists, same liveness.  ``canonical_state()`` flattens
-both to comparable tuples (decoding the numpy arrays when present, so
-the comparison exercises the array maintenance, not the Python
-mirrors).  The CI matrix runs this file under both
-``REPRO_PURE_PYTHON`` lanes, so each backend is covered with and
-without numpy.
+both to comparable tuples, decoded from the numpy arrays, so the
+comparison exercises the array maintenance.  A live ring's snapshot
+also keeps Python mirrors of its rows (``ids``, ``pos``,
+``succ_lists``, ``finger_lists``), which the exact-replay lane routes
+on hop by hop; the Chord properties check that those decode to the
+rebuilt state too (:func:`_mirrored_state`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ def op_scripts(draw, min_ops=4, max_ops=24):
     return n, seed, ops
 
 
+def _mirrored_state(snap):
+    """A snapshot's Python list mirrors, spelled as ``canonical_state()``
+    spells its arrays: ``(id, successor-tuple, finger-tuple)`` per live
+    member in id order."""
+    return tuple(
+        (node_id, snap.succ_lists[snap.pos[node_id]], snap.finger_lists[snap.pos[node_id]])
+        for node_id in snap.ids
+    )
+
+
 def _run_script(net, ops, rng, *, min_live=3):
     """Apply an op script to any substrate exposing the churn verbs.
 
@@ -82,6 +93,7 @@ def test_chord_incremental_snapshot_matches_rebuild(case):
     incremental = net.snapshot()
     rebuilt = RingSnapshot.build(net)
     assert incremental.canonical_state() == rebuilt.canonical_state()
+    assert _mirrored_state(incremental) == rebuilt.canonical_state()
     # Draining again without churn must be a no-op on the same object.
     again = net.snapshot()
     assert again is incremental
@@ -98,10 +110,10 @@ def test_chord_mid_script_drains_stay_identical(case):
     net.snapshot()
     for op in ops:
         _run_script(net, [op], rng)
-        assert (
-            net.snapshot().canonical_state()
-            == RingSnapshot.build(net).canonical_state()
-        )
+        snap = net.snapshot()
+        rebuilt = RingSnapshot.build(net).canonical_state()
+        assert snap.canonical_state() == rebuilt
+        assert _mirrored_state(snap) == rebuilt
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,8 +5,7 @@ Two layers of protection:
 1. **Pinned outputs.**  The exact numbers below were first captured on
    the commit *before* the observability subsystem existed, and
    re-captured untraced when the batch engine stopped charging the
-   trials past each round's last needed success (verified identical
-   under ``REPRO_PURE_PYTHON=1`` both times).  An untraced run today
+   trials past each round's last needed success.  An untraced run today
    must still reproduce them bit-for-bit -- instrumentation that shifted
    a single RNG draw or reassociated one float add would show up here.
 2. **Traced == untraced.**  Running the same seed with a full tracer
