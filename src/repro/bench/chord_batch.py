@@ -12,7 +12,7 @@ about.  For each ring size it times ``k`` Chord lookups issued
 in a *static* phase (ring untouched; ``warm_lockstep`` builds the
 snapshot's route table once, and the batches read it) and under
 *moderate churn* (a burst of live joins/crashes before every batch, so
-each batch pays a snapshot patch and routes around dead fingers).
+each batch finds the route table stale and routes around dead fingers).
 
 Because the engine's contract is charge-identical replay -- not merely
 "fast" -- every phase verifies, on twin rings built from the same seed,
@@ -196,7 +196,7 @@ def measure(n: int, k: int, seed: int = 0, repeat: int = 2) -> list[dict]:
             scalar_dht.h(x)
         scalar_total += time.perf_counter() - t0
         t0 = time.perf_counter()
-        batch_dht.h_many(xs)  # pays the post-churn snapshot rebuild
+        batch_dht.h_many(xs)  # the post-churn ring: no current route table
         batch_total += time.perf_counter() - t0
     rows.append(
         {

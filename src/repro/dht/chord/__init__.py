@@ -6,7 +6,7 @@ stabilization, and churn tolerance.
 from .async_lookup import lookup_async, lookup_recursive_async
 from .batch import BatchLookupStats, LookupTrace, RingSnapshot, lockstep_resolve
 from .idspace import id_to_point, in_open_closed, in_open_open, point_to_target_id
-from .network import ChordDHT, ChordNetwork, SnapshotDelta
+from .network import ChordDHT, ChordNetwork
 from .node import ChordNode, LookupError_, LookupResult
 from .soa import SoAChordDHT, SoAChordNetwork
 from .virtual import VirtualChordNetwork
@@ -24,7 +24,6 @@ __all__ = [
     "ChordDHT",
     "ChordNetwork",
     "ChordNode",
-    "SnapshotDelta",
     "SoAChordDHT",
     "SoAChordNetwork",
     "LookupError_",

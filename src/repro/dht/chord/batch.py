@@ -1,11 +1,11 @@
-"""Lockstep batch lookup engine over a struct-of-arrays ring snapshot.
+"""Lockstep batch lookup engine over the struct-of-arrays ring store.
 
 The per-call Chord lookup pays Python RPC dispatch, metrics-counter and
 finger-scan overhead *per hop*.  For a batch of ``k`` lookups on a ring
 whose state is not changing, that work is pure interpretation overhead:
 every routing step is a deterministic function of frozen node state.
 This module resolves whole batches against a :class:`RingSnapshot` -- a
-flat struct-of-arrays view of the ring (sorted identifiers, a dense
+flat struct-of-arrays store of the ring (sorted identifiers, a dense
 finger matrix, a padded successor-list matrix, all indexed by stable
 free-list *slots*) -- advancing all in-flight lookups **in lockstep**,
 one hop per round, with the routing decisions of a round computed as a
@@ -19,16 +19,16 @@ membership change never moves another node's row.  Two thin sorted
 views -- the live id array and a parallel ``order`` array mapping each
 sorted position to its slot -- make id -> slot resolution a binary
 search (or one gather through the dense ``pos_table`` when the id space
-is small enough to materialize it).  The payoff is *incremental
-maintenance*: a join or crash splices one id in or out of the sorted
-views (an O(n) 1-D memmove of 8-byte words) and writes O(log n) row
-cells, instead of rebuilding every array from the node objects.  The
-:class:`~repro.dht.chord.network.ChordNetwork` drives this through an
-explicit delta log (see its ``snapshot`` method); the
-struct-of-arrays substrates (:mod:`repro.dht.chord.soa`) use the same
-class *as* their primary state, with no per-node objects at all
-(``compact`` construction: no Python list mirrors, id -> slot resolved
-through the arrays).
+is small enough to materialize it).  A join or crash splices one id in
+or out of the sorted views (an O(n) 1-D memmove of 8-byte words) and
+writes its rows, never touching another node's.  The store *is* the
+ring's state: :class:`~repro.dht.chord.network.ChordNetwork` creates
+one, splices it on every membership change, and its
+:class:`~repro.dht.chord.node.ChordNode` objects read and write their
+successor lists and finger tables through it; the struct-of-arrays
+substrates (:mod:`repro.dht.chord.soa`) hold the same store with no
+per-node objects at all.  Either way the engine routes on exactly the
+rows the live path reads -- there is no second copy to keep in step.
 
 Correctness contract
 --------------------
@@ -37,18 +37,8 @@ The engine is a *charge-identical replay*, not an approximation: for
 every target it must produce the same owner, the same hop count, and
 the same message/latency charges that :meth:`ChordNode.lookup` (or
 ``lookup_recursive``) would have produced against the same frozen node
-state.  Four design rules make that exact:
+state.  Three design rules make that exact:
 
-- **Delta-synced snapshots.**  :class:`~repro.dht.chord.network.ChordNetwork`
-  bumps a ``churn_epoch`` counter on every membership or maintenance
-  event (join, crash, leave, stabilize, rewire) and records what changed
-  in a ``SnapshotDelta`` log.  A snapshot records the epoch it is synced
-  to; the moment the counter moves, the network re-syncs it by applying
-  the pending deltas (splice joins/crashes, patch dirty rows) before the
-  engine routes on it -- the patched arrays are bit-identical to a
-  from-scratch rebuild (a pinned invariant), so the engine never routes
-  on state the live path would no longer see.  Direct node mutation
-  outside the network API (``bump_epoch``) still forces a full rebuild.
 - **Cost determinism.**  Offline replay is only charge-identical when
   the transport's per-call costs are deterministic (a ``deterministic``
   latency model and ``loss_rate == 0``); the adapter checks this before
@@ -95,7 +85,6 @@ the block's charge columns and hands a slice's totals to
 
 from __future__ import annotations
 
-import bisect as _bisect
 from dataclasses import dataclass
 
 import numpy as _np
@@ -244,8 +233,8 @@ class WalkView:
       pointer does).  A walk of ``j`` hops from ``p`` is exactly what
       ``j`` live ``next`` calls return iff ``j <= run[p]``.
 
-    ``key`` is the ``(epoch, patches)`` pair of the snapshot state the
-    view was read from.
+    ``key`` is the store's write count (``patches``) when the view was
+    read.
     """
 
     __slots__ = ("key", "ids", "points", "gaps", "run")
@@ -253,7 +242,7 @@ class WalkView:
     #: ``run`` of every position on a ring whose pointers all agree.
     ALL = 1 << 62
 
-    def __init__(self, snap: "RingSnapshot", key: tuple[int, int]):
+    def __init__(self, snap: "RingSnapshot", key: int):
         np = _np
         n = snap.n
         self.key = key
@@ -305,75 +294,31 @@ class RouteTable:
         self.hops = hops
 
 
-class _SlotMap:
-    """Dict-shaped id -> slot view over a compact snapshot's arrays.
-
-    Compact snapshots (the struct-of-arrays substrates) carry no Python
-    dict -- a million-entry dict would cost more than the arrays it
-    indexes -- so membership and slot resolution go through the dense
-    ``pos_table`` when present, else a binary search of the sorted id
-    view.  Read-only: the snapshot's splice methods maintain the arrays
-    this resolves against.
-    """
-
-    __slots__ = ("_snap",)
-
-    def __init__(self, snap: "RingSnapshot"):
-        self._snap = snap
-
-    def _slot(self, node_id: int) -> int:
-        snap = self._snap
-        table = snap.pos_table
-        if table is not None:
-            if node_id < 0 or node_id >= len(table):
-                return -1
-            return int(table[node_id]) - 1
-        ids = snap._ids_buf
-        i = int(_np.searchsorted(ids[: snap.n], node_id))
-        if i >= snap.n or int(ids[i]) != node_id:
-            return -1
-        return int(snap._order_buf[i])
-
-    def __getitem__(self, node_id: int) -> int:
-        slot = self._slot(node_id)
-        if slot < 0:
-            raise KeyError(node_id)
-        return slot
-
-    def __contains__(self, node_id: int) -> bool:
-        return self._slot(node_id) >= 0
-
-    def get(self, node_id: int, default=None):
-        slot = self._slot(node_id)
-        return default if slot < 0 else slot
-
-
 class RingSnapshot:
-    """Struct-of-arrays view of a Chord ring with incremental maintenance.
+    """The struct-of-arrays state of a Chord ring, rows at free-list slots.
 
-    Copies every node's successor list and finger table (the live lists
-    mutate in place during stabilization) and lays them out as dense
-    matrices indexed by free-list *slot*, so a lockstep round is a few
-    vectorized gathers instead of per-node attribute traffic.  Build
-    cost is O(n * m); membership events after that splice the sorted
-    views and rewrite single rows (:meth:`apply_join` /
-    :meth:`apply_remove` / :meth:`apply_update`) instead of
-    rebuilding, with :attr:`patches` counting the row-level edits
-    applied since construction.
+    Sorted live ids (``ids_np``, with each position's slot in
+    ``order_np``), then per slot: the id (``slot_ids_np``), the successor
+    list (``succ_mat``, ``-1``-padded), its first entry
+    (``succ_first_np``) and the finger table (``finger_mat``, ``-1`` =
+    unset).  A lockstep round is a few vectorized gathers over these.
+    Membership changes splice the sorted views (:meth:`apply_join` /
+    :meth:`apply_remove`) and rows are rewritten one at a time
+    (:meth:`write_succs` / :meth:`write_fingers` / :meth:`write_finger`)
+    or all at once (:meth:`wire_perfectly`); :attr:`patches` counts
+    these writes, so the cached :class:`WalkView` and the
+    :class:`RouteTable` are read only against the state they came from.
 
-    A snapshot built from a live network also keeps Python list mirrors
-    of the rows (``ids``, ``pos``, ``succ_lists``, ``finger_lists``),
-    which the exact-replay lane reads per hop; the ``compact``
-    construction path (:meth:`from_arrays`) keeps *only* the numpy
-    arrays, for substrates where per-node Python mirrors would dominate
-    memory.
+    This is the whole state of both Chord substrates: a
+    :class:`~repro.dht.chord.network.ChordNetwork`'s nodes read and write
+    their rows here, and the struct-of-arrays substrates
+    (:mod:`repro.dht.chord.soa`) hold nothing else.
     """
 
     __slots__ = (
-        "epoch", "m", "n", "pos", "succ_lists", "finger_lists", "free",
-        "ids", "patches", "_width", "slot_ids_np", "finger_mat", "succ_mat",
-        "succ_first_np", "_ids_buf", "_order_buf", "pos_table", "_walk",
-        "route",
+        "m", "n", "free", "patches", "_width", "slot_ids_np", "finger_mat",
+        "succ_mat", "succ_first_np", "_ids_buf", "_order_buf", "pos_table",
+        "_walk", "route", "_ints",
     )
 
     #: Largest identifier space for which a dense id -> slot table is
@@ -381,111 +326,39 @@ class RingSnapshot:
     #: back to binary search for liveness/slot queries.
     MAX_TABLE_BITS = 22
 
-    def __init__(self, epoch: int, m: int, ids, succ_lists, finger_lists):
-        self.epoch = epoch
+    def __init__(self, m: int, ids, width: int):
+        """A store holding the sorted, distinct ``ids`` at slots ``0..n-1``
+        (slot ``i`` is sorted position ``i``), with empty rows: no
+        fingers, no successors, ``width`` successor columns."""
+        np = _np
+        ids = np.array(ids, dtype=np.int64)
+        n = len(ids)
+        cap = max(n, 1)
         self.m = m
-        self.n = len(ids)
+        self.n = n
         self.patches = 0
         self._walk: WalkView | None = None
         #: The :class:`RouteTable` last built by :func:`build_route_table`
         #: (read only while its key matches the call and state).
         self.route: RouteTable | None = None
         self.free: list[int] = []
-        self._width = max((len(s) for s in succ_lists), default=1)
-        # Slots are handed out in sorted-id order at build time, so the
-        # initial order view is just 0..n-1.
-        self.ids = list(ids)
-        self.pos = {node_id: i for i, node_id in enumerate(ids)}
-        self.succ_lists = [tuple(s) for s in succ_lists]
-        self.finger_lists = [tuple(f) for f in finger_lists]
-        self._alloc_arrays()
-
-    def _alloc_arrays(self) -> None:
-        np = _np
-        n, m = self.n, self.m
-        cap = max(n, 1)
-        ids_arr = np.asarray(self.ids, dtype=np.int64)
+        self._ints: dict = {}
+        self._width = width
         self.slot_ids_np = np.empty(cap, dtype=np.int64)
-        self.slot_ids_np[:n] = ids_arr
+        self.slot_ids_np[:n] = ids
+        self.succ_first_np = self.slot_ids_np.copy()  # an empty list's get_successor()
+        self.succ_mat = np.full((cap, width), -1, dtype=np.int64)
         self.finger_mat = np.full((cap, m), -1, dtype=np.int64)
-        if n:
-            self.finger_mat[:n] = np.fromiter(
-                (-1 if f is None else f for fl in self.finger_lists for f in fl),
-                dtype=np.int64,
-                count=n * m,
-            ).reshape(n, m)
-        self.succ_mat = np.full((cap, self._width), -1, dtype=np.int64)
-        self.succ_first_np = np.empty(cap, dtype=np.int64)
-        for i, s in enumerate(self.succ_lists):
-            if s:
-                self.succ_mat[i, : len(s)] = s
-            self.succ_first_np[i] = s[0] if s else self.ids[i]
-        self._ids_buf = np.empty(cap, dtype=np.int64)
-        self._ids_buf[:n] = ids_arr
-        self._order_buf = np.empty(cap, dtype=np.int64)
-        self._order_buf[:n] = np.arange(n, dtype=np.int64)
+        self._ids_buf = ids if n else np.empty(1, dtype=np.int64)
+        self._order_buf = np.arange(cap, dtype=np.int64)
         if m <= self.MAX_TABLE_BITS:
             # Dense id -> slot + 1 (0 = dead): O(1) liveness and slot
             # gathers per round instead of binary searches.
             table = np.zeros(1 << m, dtype=np.int32)
-            if n:
-                table[ids_arr] = np.arange(1, n + 1, dtype=np.int32)
+            table[ids] = np.arange(1, n + 1, dtype=np.int32)
             self.pos_table = table
         else:
             self.pos_table = None
-
-    @classmethod
-    def build(cls, network) -> "RingSnapshot":
-        ids = list(network.sorted_ids())
-        nodes = network.nodes
-        succ_lists = [tuple(nodes[i].successors) for i in ids]
-        finger_lists = [tuple(nodes[i].fingers) for i in ids]
-        return cls(network.churn_epoch, network.m, ids, succ_lists, finger_lists)
-
-    @classmethod
-    def from_arrays(
-        cls, m: int, ids, succ_mat, finger_mat, epoch: int = 0
-    ) -> "RingSnapshot":
-        """Compact construction straight from prebuilt numpy arrays.
-
-        ``ids`` must be sorted and distinct; ``succ_mat``/``finger_mat``
-        are row-aligned with it (``-1`` = padding / empty finger).  No
-        Python list mirrors are kept: the exact-replay lane decodes rows
-        on demand and id -> slot goes through :class:`_SlotMap`.  This is
-        the construction the million-node substrates use -- per-node
-        memory is exactly the array rows.
-        """
-        np = _np
-        snap = object.__new__(cls)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        n = len(ids)
-        snap.epoch = epoch
-        snap.m = m
-        snap.n = n
-        snap.patches = 0
-        snap._walk = None
-        snap.route = None
-        snap.free = []
-        snap.ids = None
-        snap.succ_lists = None
-        snap.finger_lists = None
-        snap._width = succ_mat.shape[1] if succ_mat.ndim == 2 else 1
-        snap.slot_ids_np = ids.copy()
-        snap.succ_mat = np.ascontiguousarray(succ_mat, dtype=np.int64)
-        snap.finger_mat = np.ascontiguousarray(finger_mat, dtype=np.int64)
-        first = snap.succ_mat[:, 0] if n else np.empty(0, dtype=np.int64)
-        snap.succ_first_np = np.where(first >= 0, first, ids).astype(np.int64)
-        snap._ids_buf = ids.copy()
-        snap._order_buf = np.arange(n, dtype=np.int64)
-        if m <= cls.MAX_TABLE_BITS:
-            table = np.zeros(1 << m, dtype=np.int32)
-            if n:
-                table[ids] = np.arange(1, n + 1, dtype=np.int32)
-            snap.pos_table = table
-        else:
-            snap.pos_table = None
-        snap.pos = _SlotMap(snap)
-        return snap
 
     # -- sorted views -------------------------------------------------------
 
@@ -501,57 +374,71 @@ class RingSnapshot:
 
     def sorted_ids_list(self) -> list[int]:
         """The live membership in sorted order as plain ints."""
-        if self.ids is not None:
-            return list(self.ids)
-        return [int(v) for v in self._ids_buf[: self.n]]
+        return self._ids_buf[: self.n].tolist()
+
+    def slot(self, node_id: int) -> int:
+        """The slot holding live ``node_id``'s rows, ``-1`` if it is not live."""
+        table = self.pos_table
+        if table is not None:
+            if 0 <= node_id < len(table):
+                return table.item(node_id) - 1
+            return -1
+        ids = self._ids_buf[: self.n]
+        i = int(ids.searchsorted(node_id))
+        if i < self.n and ids.item(i) == node_id:
+            return self._order_buf.item(i)
+        return -1
 
     def alive(self, node_id: int) -> bool:
-        """Whether ``node_id`` is a live ring member in this snapshot."""
-        return node_id in self.pos
+        """Whether ``node_id`` is a live ring member."""
+        table = self.pos_table
+        if table is not None:
+            return 0 <= node_id < len(table) and table.item(node_id) > 0
+        return self.slot(node_id) >= 0
 
     def walk_view(self) -> WalkView | None:
         """The :class:`WalkView` of the current state (None on an empty ring).
 
-        Cached and keyed on ``(epoch, patches)``: every splice or row
-        patch moves one of the two, so a view is never read against a
-        state it was not built from.
+        Cached and keyed on :attr:`patches`: every splice and row write
+        moves it, so a view is never read against a state it was not
+        built from, and a maintenance round that writes nothing keeps it.
         """
         if self.n == 0:
             return None
-        key = (self.epoch, self.patches)
         view = self._walk
-        if view is None or view.key != key:
-            view = self._walk = WalkView(self, key)
+        if view is None or view.key != self.patches:
+            view = self._walk = WalkView(self, self.patches)
         return view
 
-    # -- row access (the exact-replay lane reads through these) ------------
+    # -- row access ----------------------------------------------------------
 
-    def succs_at(self, slot: int):
-        """The successor list stored at ``slot`` as a tuple of ids."""
-        lists = self.succ_lists
-        if lists is not None:
-            return lists[slot]
-        return tuple(int(v) for v in self.succ_mat[slot] if v >= 0)
+    def succs_at(self, slot: int) -> list[int]:
+        """A fresh list of the successor ids stored at ``slot``."""
+        row = self.succ_mat[slot].tolist()
+        if row and row[-1] < 0:
+            del row[row.index(-1):]  # the padding is a suffix
+        return row
 
-    def fingers_at(self, slot: int):
-        """The finger table stored at ``slot`` (None = unset finger)."""
-        lists = self.finger_lists
-        if lists is not None:
-            return lists[slot]
-        return tuple(None if v < 0 else int(v) for v in self.finger_mat[slot])
+    def fingers_at(self, slot: int) -> list[int | None]:
+        """A fresh list of the finger table stored at ``slot`` (None = unset)."""
+        row = self.finger_mat[slot].tolist()
+        if -1 in row:
+            return [None if v < 0 else v for v in row]
+        return row
 
-    # -- incremental maintenance -------------------------------------------
+    def intern_ids(self, row: list) -> list:
+        """``row`` with each id replaced by one int object shared per id.
 
-    def _alloc_slot(self) -> int:
-        if self.free:
-            return self.free.pop()
-        slot = self.n  # live + free == allocated; free is empty here
-        if slot >= len(self.slot_ids_np):
-            self._grow_slots(slot + 1)
-        if self.succ_lists is not None and slot == len(self.succ_lists):
-            self.succ_lists.append(())
-            self.finger_lists.append(())
-        return slot
+        A decoded row holds fresh int objects.  Rows that nodes keep use
+        shared ones instead, as rows built in Python do: a ring's lists
+        then reference one object per id, not one per cell, which keeps
+        the maintenance loops' working set small (unshared, chord-churn's
+        serve took ~13% more CPU time on a 2-vCPU x86-64 VM).
+        """
+        ints = self._ints
+        return [ints.setdefault(v, v) for v in row]
+
+    # -- writes ----------------------------------------------------------------
 
     def _grow_slots(self, need: int) -> None:
         np = _np
@@ -584,37 +471,72 @@ class RingSnapshot:
         self.succ_mat = fresh
         self._width = width
 
-    def _set_rows(self, slot: int, node_id: int, succs, fingers) -> None:
-        succs = tuple(succs)
-        fingers = tuple(fingers)
-        if self.succ_lists is not None:
-            self.succ_lists[slot] = succs
-            self.finger_lists[slot] = fingers
-        if len(succs) > self._width:
-            self._grow_width(len(succs))
+    def write_succs(self, slot: int, succs) -> None:
+        """Rewrite the successor list at ``slot``."""
+        self._put_succs(slot, succs)
+        self.patches += 1
+
+    def _put_succs(self, slot: int, succs) -> None:
+        k = len(succs)
+        if k > self._width:
+            self._grow_width(k)
         row = self.succ_mat[slot]
-        if succs:
-            row[: len(succs)] = succs
-        row[len(succs):] = -1
+        row[:k] = succs
+        row[k:] = -1
+        self.succ_first_np[slot] = succs[0] if k else self.slot_ids_np[slot]
+
+    def write_fingers(self, slot: int, fingers) -> None:
+        """Rewrite the whole finger table at ``slot`` (None = unset)."""
         self.finger_mat[slot] = [-1 if f is None else f for f in fingers]
-        self.slot_ids_np[slot] = node_id
-        self.succ_first_np[slot] = succs[0] if succs else node_id
+        self.patches += 1
 
-    def apply_join(self, node_id: int, succs, fingers) -> None:
-        """Splice a joined id into the sorted views and write its rows.
+    def write_finger(self, slot: int, f: int, value: int | None) -> None:
+        """Rewrite finger ``f`` at ``slot`` (None = unset)."""
+        self.finger_mat[slot, f] = -1 if value is None else value
+        self.patches += 1
 
-        O(log n) row cells written plus one O(n) 1-D memmove of the
-        sorted id/order views -- never a matrix rebuild.  An id already
-        present degrades to :meth:`apply_update` (re-join after a
-        remove processed in the same delta drain).
+    def wire_perfectly(self, successor_list_size: int) -> None:
+        """Set every live row to the ring's stabilized fixed point.
+
+        The oracle wiring, in O(m) vectorized passes: each node's first
+        ``min(successor_list_size, n)`` clockwise successors, and finger
+        ``f`` of ``x`` the first live id at or after ``x + 2^f``.
         """
-        if node_id in self.pos:
-            self.apply_update(node_id, succs, fingers)
+        n = self.n
+        if n == 0:
             return
-        slot = self._alloc_slot()
-        self._set_rows(slot, node_id, succs, fingers)
-        if self.ids is not None:
-            self.ids.insert(_bisect.bisect_left(self.ids, node_id), node_id)
+        np = _np
+        ids = self.ids_np
+        rows = self.order_np
+        width = max(1, min(successor_list_size, n))
+        if width > self._width:
+            self._grow_width(width)
+        idx = np.arange(n, dtype=np.int64)
+        for j in range(self._width):
+            self.succ_mat[rows, j] = ids[(idx + j + 1) % n] if j < width else -1
+        self.succ_first_np[rows] = ids[(idx + 1) % n]
+        size = 1 << self.m
+        for f in range(self.m):
+            targets = (ids + (1 << f)) % size
+            self.finger_mat[rows, f] = ids[np.searchsorted(ids, targets) % n]
+        self.patches += 1
+
+    def apply_join(self, node_id: int, succs, fingers) -> int:
+        """Splice a joined id into the sorted views, write its rows, and
+        return its slot.
+
+        Its own rows are written plus one O(n) 1-D memmove of the sorted
+        id/order views -- never a matrix rebuild.
+        """
+        if self.free:
+            slot = self.free.pop()
+        else:
+            slot = self.n  # live + free == allocated; free is empty here
+            if slot >= len(self.slot_ids_np):
+                self._grow_slots(slot + 1)
+        self.slot_ids_np[slot] = node_id
+        self._put_succs(slot, succs)
+        self.finger_mat[slot] = [-1 if f is None else f for f in fingers]
         if self.n == len(self._ids_buf):
             self._grow_sorted()
         i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
@@ -624,27 +546,21 @@ class RingSnapshot:
         self._order_buf[i] = slot
         if self.pos_table is not None:
             self.pos_table[node_id] = slot + 1
-        if isinstance(self.pos, dict):
-            self.pos[node_id] = slot
         self.n += 1
         self.patches += 1
+        return slot
 
     def apply_remove(self, node_id: int) -> None:
         """Splice a departed id out of the sorted views, freeing its slot.
 
-        The slot's row data is left stale on purpose: live nodes'
-        finger/successor entries still referencing the departed id are
-        exactly what the live ring holds after a crash, and the replay
-        lanes route around them through the same liveness checks.  A
-        no-op for ids not present (crashed before the delta drained).
+        The slot's rows are left as they were until a join reuses it;
+        live nodes' finger/successor entries still naming the departed
+        id are exactly what the live ring holds after a crash, and the
+        replay lanes route around them through the same liveness checks.
         """
-        if node_id not in self.pos:
-            return
-        slot = self.pos[node_id]
-        if isinstance(self.pos, dict):
-            del self.pos[node_id]
-        if self.ids is not None:
-            del self.ids[_bisect.bisect_left(self.ids, node_id)]
+        slot = self.slot(node_id)
+        if slot < 0:
+            raise KeyError(f"no node {node_id}")
         i = int(_np.searchsorted(self._ids_buf[: self.n], node_id))
         self._ids_buf[i : self.n - 1] = self._ids_buf[i + 1 : self.n]
         self._order_buf[i : self.n - 1] = self._order_buf[i + 1 : self.n]
@@ -654,58 +570,20 @@ class RingSnapshot:
         self.n -= 1
         self.patches += 1
 
-    def apply_update(self, node_id: int, succs, fingers) -> None:
-        """Rewrite one live id's successor/finger rows in place (O(log n))."""
-        self._set_rows(self.pos[node_id], node_id, succs, fingers)
-        self.patches += 1
-
-    def patch_fingers(self, node_id: int, entries: dict[int, int | None]) -> None:
-        """Point-patch individual finger cells of one live id's row.
-
-        Writes the arrays only: the struct-of-arrays substrates, the one
-        caller, keep a compact store with no list mirrors.
-        """
-        slot = self.pos[node_id]
-        for f, value in entries.items():
-            self.finger_mat[slot, f] = -1 if value is None else value
-        self.patches += 1
-
-    def patch_succs(self, node_id: int, succs) -> None:
-        """Rewrite one live id's successor list, leaving fingers alone
-        (arrays only, as :meth:`patch_fingers`)."""
-        slot = self.pos[node_id]
-        succs = tuple(succs)
-        if len(succs) > self._width:
-            self._grow_width(len(succs))
-        row = self.succ_mat[slot]
-        if succs:
-            row[: len(succs)] = succs
-        row[len(succs):] = -1
-        self.succ_first_np[slot] = succs[0] if succs else node_id
-        self.patches += 1
-
-    # -- equivalence (tests pin incremental == rebuild through this) --------
+    # -- equivalence ------------------------------------------------------------
 
     def canonical_state(self):
         """The logical ring state, id-ordered and representation-free.
 
         ``(id, successor-tuple, finger-tuple)`` per live member, decoded
-        from the numpy arrays, so the bit-identity property test
-        exercises the maintained arrays (it checks a live snapshot's
-        Python mirrors against this decode separately).  Two snapshots
-        are equivalent iff their canonical states are equal -- slot
-        numbering and free-list history are representation detail.
+        from the numpy arrays.  Two stores are equivalent iff their
+        canonical states are equal -- slot numbering and free-list
+        history are representation detail.
         """
-        out = []
-        for i in range(self.n):
-            slot = int(self._order_buf[i])
-            node_id = int(self._ids_buf[i])
-            succs = tuple(int(v) for v in self.succ_mat[slot] if v >= 0)
-            fingers = tuple(
-                None if v < 0 else int(v) for v in self.finger_mat[slot]
-            )
-            out.append((node_id, succs, fingers))
-        return tuple(out)
+        return tuple(
+            (node_id, tuple(self.succs_at(slot)), tuple(self.fingers_at(slot)))
+            for node_id, slot in zip(self.ids_np.tolist(), self.order_np.tolist())
+        )
 
 
 def lockstep_resolve(
@@ -755,7 +633,7 @@ def resolve_lookups(
     :data:`~repro.dht.api.NUMPY_MIN_BATCH` or more take the vectorized
     lane and smaller ones the Python replay.
     """
-    if entry_id not in snapshot.pos:
+    if not snapshot.alive(entry_id):
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
     budget = hop_budget(snapshot.m)
     recursive = mode != "iterative"
@@ -797,13 +675,13 @@ def build_route_table(
     dead reference, and the arcs are routed by the vectorized lane in
     chunks of the same size, with each arc's own end id as its target.
 
-    The key holds ``snapshot.patches``, which every row edit and splice
-    moves (a rebuilt snapshot is a new object), not the epoch: a
-    stabilization round that changes no row keeps the table.  Building
+    The key holds ``snapshot.patches``, which every row write and splice
+    moves: a stabilization round that changes no row keeps the table.
+    Building
     costs O(n log n) array work, so only the adapters' ``warm_lockstep``
     calls this, never the request path.
     """
-    if entry_id not in snapshot.pos:
+    if not snapshot.alive(entry_id):
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
     key = _route_key(snapshot, entry_id, mode, rpc_latency, oneway_latency, timeout)
     if snapshot.route is not None and snapshot.route.key == key:
@@ -843,8 +721,8 @@ def replay_key(view: WalkView | None, inputs: tuple) -> tuple | None:
     ``inputs`` is the adapter's tuple of lookup inputs ``(entry_id,
     mode, rpc_latency, oneway_latency, timeout)`` (see
     :func:`resolve_lookups`).  The view comes first, to be compared by
-    identity: it is a new object whenever the snapshot's epoch or patch
-    count moves or the snapshot is rebuilt.  The rest is the route
+    identity: it is a new object whenever the store's write count
+    (``patches``) moves.  The rest is the route
     table's key after its ring state, compared by value.  None when
     ``view`` is None (replay refused).
     """
@@ -908,9 +786,13 @@ def _sim_step(snapshot: RingSnapshot, node_id: int, target: int, excluded):
     hop falls through to the successor -- so replayed routes cannot
     drift from what the live node would have answered.
     """
-    slot = snapshot.pos[node_id]
-    succs = snapshot.succs_at(slot)
-    succ = next((s for s in succs if s not in excluded), node_id)
+    slot = snapshot.slot(node_id)
+    if excluded:
+        succs = snapshot.succs_at(slot)
+        succ = next((s for s in succs if s not in excluded), node_id)
+    else:  # the first entry, kept decoded: succs[0] if succs else node_id
+        succs = None
+        succ = snapshot.succ_first_np.item(slot)
     if succ == node_id or in_open_closed(target, node_id, succ):
         return "done", succ
     nxt = None
@@ -923,6 +805,8 @@ def _sim_step(snapshot: RingSnapshot, node_id: int, target: int, excluded):
             nxt = finger
             break
     if nxt is None:
+        if succs is None:
+            succs = snapshot.succs_at(slot)
         for s in reversed(succs):
             if s not in excluded and in_open_open(s, node_id, target):
                 nxt = s
@@ -1187,7 +1071,7 @@ def _vector_frontier(
         def pos_of(v):
             return order[np.searchsorted(ids, v)]
 
-    cur = np.full(k, snapshot.pos[entry_id], dtype=np.int64)
+    cur = np.full(k, snapshot.slot(entry_id), dtype=np.int64)
     hops = np.zeros(k, dtype=np.int64)
     owner = np.full(k, -1, dtype=np.int64)
     state = np.full(k, _ACTIVE, dtype=np.int8)

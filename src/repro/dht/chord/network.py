@@ -5,9 +5,7 @@ message-level cost accounting.
 
 from __future__ import annotations
 
-import bisect
 import random
-from dataclasses import dataclass
 
 import networkx as nx
 import numpy as _np
@@ -32,25 +30,7 @@ from .batch import (
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
 
-__all__ = ["ChordNetwork", "ChordDHT", "SnapshotDelta"]
-
-
-@dataclass(frozen=True, slots=True)
-class SnapshotDelta:
-    """One membership event in the network's snapshot delta log.
-
-    ``kind`` is ``"add"`` (join) or ``"remove"`` (crash/leave).  The log
-    records *which* ids changed membership, not their state: the drain in
-    :meth:`ChordNetwork.snapshot` reads each survivor's current
-    successor/finger state at patch time, which is what makes the patched
-    snapshot bit-identical to a from-scratch rebuild regardless of how
-    many maintenance rounds ran between drains.  Row-level changes to
-    nodes that stayed members travel separately, via the dirty set fed by
-    :attr:`ChordNode.on_change`.
-    """
-
-    kind: str
-    node_id: int
+__all__ = ["ChordNetwork", "ChordDHT"]
 
 
 class ChordNetwork:
@@ -60,7 +40,17 @@ class ChordNetwork:
     :class:`~repro.sim.kernel.Simulator` (optional) drives periodic
     maintenance for churn experiments, or callers invoke
     :meth:`stabilize_round` directly for lock-step experiments.
+
+    The ring's routing state -- every node's successor list and finger
+    table -- is one slot-indexed
+    :class:`~repro.dht.chord.batch.RingSnapshot` store: joins and
+    departures splice it, the nodes' protocol writes rewrite its rows,
+    and :meth:`snapshot` hands it to the lockstep engine as it stands.
     """
+
+    #: Ring stores built: the one store, made with the network and never
+    #: rebuilt (read by benches and shard reports).
+    snapshot_builds = 1
 
     def __init__(
         self,
@@ -101,29 +91,18 @@ class ChordNetwork:
         self.ring_merge = ring_merge
         self.nodes: dict[int, ChordNode] = {}
         #: Monotone counter bumped by every membership or maintenance
-        #: event (join/crash/leave/stabilize/rewire).  Epoch-keyed caches
-        #: -- the memoized :meth:`sorted_ids` and the lockstep engine's
-        #: :class:`~repro.dht.chord.batch.RingSnapshot` -- are rebuilt
-        #: lazily whenever this moves.  Callers that mutate node state
-        #: *directly* (bypassing the network API) must call
-        #: :meth:`bump_epoch` themselves.
+        #: event (join/crash/leave/stabilize/rewire); keys the memoized
+        #: :meth:`sorted_ids`.
         self.churn_epoch = 0
-        #: How many ring snapshots have been built *from scratch* -- with
-        #: incremental maintenance this stays at 1 under churn driven
-        #: through the network API; only direct node mutation
-        #: (:meth:`bump_epoch`) or a delta backlog larger than the ring
-        #: forces another full build.
-        self.snapshot_builds = 0
-        #: Row-level patch operations applied to the live snapshot in
-        #: lieu of full rebuilds (observability for benches/reports).
-        self.snapshot_patches = 0
         self._sorted_cache: list[int] | None = None
         self._sorted_epoch = -1
-        self._snapshot: RingSnapshot | None = None
-        #: Ordered membership-event log plus the row-dirty set, drained
-        #: into the live snapshot by :meth:`snapshot`.
-        self._deltas: list[SnapshotDelta] = []
-        self._dirty: set[int] = set()
+        self._store = RingSnapshot(m, (), successor_list_size)
+
+    @property
+    def snapshot_patches(self) -> int:
+        """Writes to the ring store: splices, row writes and rewirings
+        (observability for benches and shard reports)."""
+        return self._store.patches
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -149,84 +128,44 @@ class ChordNetwork:
             raise ValueError("need at least one node")
         ids = draw_distinct_ids(net.rng, net.m, n, net.nodes)
         if perfect:
-            for node_id in ids:
-                net._register_node(
-                    ChordNode(node_id, net.m, net.transport, net._slist_size)
-                )
+            # Splice the whole membership in at once: slot i holds the
+            # i-th smallest id; the rows are wired below.
+            ordered = sorted(ids)
+            net._store = RingSnapshot(net.m, ordered, net._slist_size)
+            slot_of = {node_id: slot for slot, node_id in enumerate(ordered)}
+            for node_id in ids:  # nodes stays in draw order
+                net._add_node(node_id, slot_of[node_id])
             net.rewire_perfectly()
         else:
-            first = ids[0]
-            net._register_node(
-                ChordNode(first, net.m, net.transport, net._slist_size)
-            )
+            net._add_node(ids[0])
             for node_id in ids[1:]:
                 net.join_node(node_id)
                 net.stabilize_round()
         return net
 
-    def bump_epoch(self) -> None:
-        """Invalidate epoch-keyed caches after a *direct* state mutation.
-
-        The conservative path for tests and tools that reach into node
-        state outside the network API (and for :meth:`rewire_perfectly`,
-        which rewrites every row anyway): the live snapshot is discarded
-        and the next :meth:`snapshot` call rebuilds from scratch, since
-        the delta log cannot know what changed.  Churn driven through the
-        network API does *not* come here -- joins, crashes, leaves and
-        stabilization record deltas via :meth:`_note_churn` and the
-        snapshot is patched incrementally.
-        """
-        self.churn_epoch += 1
-        self._snapshot = None
-        self._deltas.clear()
-        self._dirty.clear()
-
-    def _note_churn(self, delta: SnapshotDelta | None = None) -> None:
-        """Advance the epoch, logging a membership delta when one occurred.
-
-        A delta backlog larger than the ring means patching would cost
-        more than rebuilding (and the log would otherwise grow unbounded
-        if no one consumes snapshots), so the log collapses to a full
-        rebuild past that point.
-        """
-        self.churn_epoch += 1
-        if self._snapshot is None:
-            return  # nothing live to patch; next snapshot() rebuilds
-        if delta is not None:
-            self._deltas.append(delta)
-        if len(self._deltas) > max(64, 2 * len(self.nodes)):
-            self._snapshot = None
-            self._deltas.clear()
-            self._dirty.clear()
-
-    def _mark_dirty(self, node_id: int) -> None:
-        self._dirty.add(node_id)
-
-    def _register_node(self, node: ChordNode) -> None:
-        node.on_change = self._mark_dirty
-        self.nodes[node.node_id] = node
-        self.transport.register(node.node_id, node)
+    def _add_node(self, node_id: int, slot: int | None = None) -> ChordNode:
+        """Create and register the node for ``node_id``, its rows at
+        ``slot`` of the store (spliced in, self-looped, if None)."""
+        if slot is None:
+            slot = self._store.apply_join(node_id, [node_id], [None] * self.m)
+        node = ChordNode(
+            node_id, self.m, self.transport, self._slist_size, self._store, slot
+        )
+        self.nodes[node_id] = node
+        self.transport.register(node_id, node)
+        return node
 
     def rewire_perfectly(self) -> None:
         """Set every node's state to the stabilized fixed point (oracle)."""
-        ids = sorted(self.nodes)
+        self._store.wire_perfectly(self._slist_size)
+        ids = self._store.sorted_ids_list()
         n = len(ids)
-        size = 1 << self.m
+        nodes = self.nodes
         for i, node_id in enumerate(ids):
-            node = self.nodes[node_id]
-            node.successors = [ids[(i + k + 1) % n] for k in range(min(self._slist_size, n))]
-            if not node.successors:
-                node.successors = [node_id]
-            node.predecessor = ids[(i - 1) % n] if n > 1 else None
-            for f in range(self.m):
-                target = (node_id + (1 << f)) % size
-                node.fingers[f] = self._oracle_successor(ids, target)
-        self.bump_epoch()
-
-    @staticmethod
-    def _oracle_successor(sorted_ids: list[int], target: int) -> int:
-        i = bisect.bisect_left(sorted_ids, target)
-        return sorted_ids[i % len(sorted_ids)]
+            node = nodes[node_id]
+            node.predecessor = ids[i - 1] if n > 1 else None
+            node._reload_rows()
+        self.churn_epoch += 1
 
     # -- membership ----------------------------------------------------------
 
@@ -236,12 +175,11 @@ class ChordNetwork:
             node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already in the ring")
-        node = ChordNode(node_id, self.m, self.transport, self._slist_size)
         entry = self._random_alive_id()
-        self._register_node(node)
+        node = self._add_node(node_id)
         if entry is not None:
             node.join(entry)
-        self._note_churn(SnapshotDelta("add", node_id))
+        self.churn_epoch += 1
         return node
 
     def crash_node(self, node_id: int) -> None:
@@ -256,9 +194,13 @@ class ChordNetwork:
     def _remove(self, node_id: int) -> None:
         if node_id not in self.nodes:
             raise KeyError(f"no node {node_id}")
-        del self.nodes[node_id]
+        node = self.nodes.pop(node_id)
         self.transport.deregister(node_id)
-        self._note_churn(SnapshotDelta("remove", node_id))
+        # Its slot goes back to the free list for the next join; the
+        # object keeps its own last rows.
+        node._detach()
+        self._store.apply_remove(node_id)
+        self.churn_epoch += 1
 
     def _random_alive_id(self) -> int | None:
         others = [i for i in self.nodes]
@@ -291,9 +233,7 @@ class ChordNetwork:
                 node.fix_next_finger()
         if self.ring_merge:
             self._merge_rings()
-        # Maintenance only rewrites rows of existing members; the nodes'
-        # on_change hooks have already marked exactly which ones.
-        self._note_churn()
+        self.churn_epoch += 1
 
     def _merge_rings(self) -> None:
         """Re-join nodes that churn has split off the main ring.
@@ -388,64 +328,24 @@ class ChordNetwork:
     def sorted_ids(self) -> list[int]:
         """Alive identifiers in clockwise ring order (oracle view).
 
-        Memoized on :attr:`churn_epoch`: static phases pay the O(n log n)
-        sort once per epoch instead of on every call (the pre-memoization
-        behaviour re-sorted on *each* lookup failover, bench row and
-        oracle check).  The returned list is shared -- treat it as
-        read-only.  A length guard catches direct ``nodes`` mutations
-        that forgot :meth:`bump_epoch`.
+        Read from the ring store once per :attr:`churn_epoch`: static
+        phases pay the O(n) read once instead of on every call (lookup
+        failovers, bench rows and oracle checks all read it).  The
+        returned list is shared -- treat it as read-only.
         """
-        if (
-            self._sorted_cache is None
-            or self._sorted_epoch != self.churn_epoch
-            or len(self._sorted_cache) != len(self.nodes)
-        ):
-            self._sorted_cache = sorted(self.nodes)
+        if self._sorted_cache is None or self._sorted_epoch != self.churn_epoch:
+            self._sorted_cache = self._store.sorted_ids_list()
             self._sorted_epoch = self.churn_epoch
         return self._sorted_cache
 
     def snapshot(self) -> RingSnapshot:
-        """The live array view used by the lockstep lookup engine.
+        """The ring store, as the lockstep lookup engine routes on it.
 
-        Built from scratch once, then maintained *incrementally*: when
-        :attr:`churn_epoch` has moved, the pending membership deltas are
-        drained in order (joins spliced in, crashes/leaves spliced out)
-        and every surviving node the maintenance hooks marked dirty gets
-        its successor/finger rows rewritten from its current state --
-        O(changed) row patches instead of an O(n * m) rebuild.  The
-        patched snapshot is bit-identical to ``RingSnapshot.build(self)``
-        (pinned by the Hypothesis equivalence property), so the lockstep
-        engine's charge-identity guarantee is unaffected.  Only
-        :meth:`bump_epoch` (direct node mutation, perfect rewire) or a
-        delta backlog exceeding the ring size forces a fresh build.
+        The same object from construction on: the nodes read and write
+        their rows in it and membership changes splice it, so it always
+        holds exactly the state the live path reads.
         """
-        snap = self._snapshot
-        if snap is None:
-            self._deltas.clear()
-            self._dirty.clear()
-            snap = self._snapshot = RingSnapshot.build(self)
-            self.snapshot_builds += 1
-            return snap
-        if snap.epoch != self.churn_epoch:
-            before = snap.patches
-            for delta in self._deltas:
-                if delta.kind == "remove":
-                    snap.apply_remove(delta.node_id)
-                    continue
-                node = self.nodes.get(delta.node_id)
-                if node is None:
-                    continue  # joined and departed within one drain window
-                snap.apply_join(delta.node_id, node.successors, node.fingers)
-                self._dirty.discard(delta.node_id)
-            self._deltas.clear()
-            for node_id in self._dirty:
-                node = self.nodes.get(node_id)
-                if node is not None and node_id in snap.pos:
-                    snap.apply_update(node_id, node.successors, node.fingers)
-            self._dirty.clear()
-            self.snapshot_patches += snap.patches - before
-            snap.epoch = self.churn_epoch
-        return snap
+        return self._store
 
     def ring_is_correct(self) -> bool:
         """Every successor pointer equals the next alive id clockwise."""
@@ -735,8 +635,8 @@ class ChordDHT(EntryVantageMixin):
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.
 
-        Resolves all points in one pass over the epoch-cached
-        :class:`~repro.dht.chord.batch.RingSnapshot` -- every in-flight
+        Resolves all points in one pass over the ring store
+        (:class:`~repro.dht.chord.batch.RingSnapshot`) -- every in-flight
         lookup advanced one hop per round through array-indexed finger
         tables -- and charges the meter and transport counters the exact
         per-lookup amounts the equivalent ``[self.h(x) for x in xs]``

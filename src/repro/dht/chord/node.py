@@ -11,11 +11,14 @@ Theorem 7 accounts costs.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ...sim.network import RpcTimeout, RpcTransport
 from ..api import PeerUnreachableError
 from .idspace import id_to_point, in_open_closed, in_open_open
+
+if TYPE_CHECKING:
+    from .batch import RingSnapshot
 
 __all__ = ["ChordNode", "LookupError_", "LookupResult", "hop_budget"]
 
@@ -54,7 +57,23 @@ class LookupResult:
 
 
 class ChordNode:
-    """One Chord peer.  All remote interaction goes through the transport."""
+    """One Chord peer.  All remote interaction goes through the transport.
+
+    A node in a :class:`~repro.dht.chord.network.ChordNetwork` keeps its
+    successor list and finger table in the network's ring store (a
+    :class:`~repro.dht.chord.batch.RingSnapshot`), at ``slot``.  It
+    holds each row as a Python list once read, and every write compares
+    first, then updates the list and the store together.  So
+    :attr:`successors` and :attr:`fingers` are replaced through their
+    setters, never edited in place.  A node with no store (hand-wired in
+    tests, or removed from its ring) keeps its rows in those lists only.
+    """
+
+    __slots__ = (
+        "node_id", "m", "_transport", "_slist_size", "_store", "_slot",
+        "_succs", "_fingers", "predecessor", "_next_finger",
+        "_async_lookups", "_async_seq",
+    )
 
     def __init__(
         self,
@@ -62,6 +81,8 @@ class ChordNode:
         m: int,
         transport: RpcTransport,
         successor_list_size: int = 8,
+        store: RingSnapshot | None = None,
+        slot: int = -1,
     ):
         if successor_list_size < 1:
             raise ValueError("successor_list_size must be >= 1")
@@ -76,17 +97,13 @@ class ChordNode:
             make_endpoint(node_id) if make_endpoint is not None else transport
         )
         self._slist_size = successor_list_size
-        self.successors: list[int] = [node_id]
+        self._store = store
+        self._slot = slot
+        # The rows as lists: read from the store on first use.
+        self._succs: list[int] | None = None if store is not None else [node_id]
+        self._fingers: list[int | None] | None = None if store is not None else [None] * m
         self.predecessor: int | None = None
-        self.fingers: list[int | None] = [None] * m
         self._next_finger = 0
-        #: Fired with ``node_id`` whenever the successor list or a finger
-        #: actually changes (the predecessor is not snapshot-relevant).
-        #: The network installs its dirty-tracking hook here so the ring
-        #: snapshot can be patched incrementally instead of rebuilt; every
-        #: mutation site below compares before firing, so a stabilize
-        #: round on a converged ring marks nothing dirty.
-        self.on_change: Any = None
         #: Pending async recursive lookups this node originated:
         #: token -> completion callback (see repro.dht.chord.async_lookup).
         #: Plain bookkeeping; unused (and free) on the sync transport.
@@ -103,14 +120,69 @@ class ChordNode:
     def __repr__(self) -> str:
         return f"ChordNode(id={self.node_id}, m={self.m})"
 
-    def _changed(self) -> None:
-        if self.on_change is not None:
-            self.on_change(self.node_id)
+    # -- routing state (the rows) --------------------------------------------
+
+    @property
+    def successors(self) -> list[int]:
+        """The successor list, nearest first (assign to change it)."""
+        succs = self._succs
+        return succs if succs is not None else self._load_succs()
+
+    @successors.setter
+    def successors(self, value) -> None:
+        self._set_successors(list(value))
+
+    @property
+    def fingers(self) -> list[int | None]:
+        """Finger ``f`` is the believed owner of ``id + 2^f`` (None = unset;
+        assign to change it)."""
+        fingers = self._fingers
+        return fingers if fingers is not None else self._load_fingers()
+
+    @fingers.setter
+    def fingers(self, value) -> None:
+        value = list(value)
+        if value != self.fingers:
+            self._fingers = value
+            if self._store is not None:
+                self._store.write_fingers(self._slot, value)
+
+    def _load_succs(self) -> list[int]:
+        store = self._store
+        self._succs = succs = store.intern_ids(store.succs_at(self._slot))
+        return succs
+
+    def _load_fingers(self) -> list[int | None]:
+        store = self._store
+        self._fingers = fingers = store.intern_ids(store.fingers_at(self._slot))
+        return fingers
 
     def _set_successors(self, new: list[int]) -> None:
-        if new != self.successors:
-            self.successors = new
-            self._changed()
+        """The one successor-list writer: a no-op when nothing changes."""
+        succs = self._succs
+        if succs is None:
+            succs = self._load_succs()
+        if new != succs:
+            self._succs = new
+            if self._store is not None:
+                self._store.write_succs(self._slot, new)
+
+    def _reload_rows(self) -> None:
+        """Forget the row lists: the store was rewritten under this node."""
+        self._succs = self._fingers = None
+
+    def _detach(self) -> None:
+        """Keep the rows in this node's own lists from now on.
+
+        Called as the node leaves its ring, before its slot is freed for
+        a later join: the object can still run (an asynchronous hop in
+        flight resumes on it), and it must answer from, and write to,
+        its own last rows, never the next occupant's.
+        """
+        self._succs = self.successors
+        self._fingers = self.fingers
+        self._store = None
+        self._slot = -1
 
     # -- RPC-exposed methods (invoked via the transport) --------------------
 
@@ -120,10 +192,14 @@ class ChordNode:
 
     def get_successor(self) -> int:
         """The node's current first live-believed successor."""
-        return self.successors[0] if self.successors else self.node_id
+        succs = self._succs
+        if succs is None:
+            succs = self._load_succs()
+        return succs[0] if succs else self.node_id
 
     def get_successor_list(self) -> list[int]:
-        return list(self.successors)
+        succs = self._succs
+        return list(succs if succs is not None else self._load_succs())
 
     def get_predecessor(self) -> int | None:
         return self.predecessor
@@ -145,17 +221,23 @@ class ChordNode:
         ``excluded`` lists nodes the querying client found unresponsive,
         so retries route around fresh crashes.
         """
-        for finger in reversed(self.fingers):
+        fingers = self._fingers
+        if fingers is None:
+            fingers = self._load_fingers()
+        for finger in reversed(fingers):
             if (
                 finger is not None
                 and finger not in excluded
                 and in_open_open(finger, self.node_id, target_id)
             ):
                 return finger
-        for succ in reversed(self.successors):
+        succs = self._succs
+        if succs is None:
+            succs = self._load_succs()
+        for succ in reversed(succs):
             if succ not in excluded and in_open_open(succ, self.node_id, target_id):
                 return succ
-        return self.get_successor()
+        return succs[0] if succs else self.node_id  # get_successor()
 
     def lookup_step(
         self, target_id: int, excluded: tuple[int, ...] = ()
@@ -166,9 +248,10 @@ class ChordNode:
         ownership falls through to the first live successor-list entry --
         the behaviour that makes lookups converge mid-churn.
         """
-        succ = next(
-            (s for s in self.successors if s not in excluded), self.node_id
-        )
+        succs = self._succs
+        if succs is None:
+            succs = self._load_succs()
+        succ = next((s for s in succs if s not in excluded), self.node_id)
         if succ == self.node_id or in_open_closed(target_id, self.node_id, succ):
             return ("done", succ)
         nxt = self.closest_preceding_node(target_id, excluded)
@@ -412,20 +495,19 @@ class ChordNode:
 
     def _first_live_successor(self) -> int:
         """Pop dead entries off the successor list; never leaves it empty."""
+        succs = self._succs
+        if succs is None:
+            succs = self._load_succs()
         dropped = 0
-        while dropped < len(self.successors):
-            candidate = self.successors[dropped]
+        while dropped < len(succs):
+            candidate = succs[dropped]
             if candidate == self.node_id or self._is_alive(candidate):
                 break
             dropped += 1
-        if dropped:
-            del self.successors[:dropped]
-            self._changed()
-        if not self.successors:
-            self.successors = [self.node_id]
-            self._changed()
-            return self.node_id
-        return self.successors[0]
+        if dropped or not succs:
+            succs = succs[dropped:] or [self.node_id]
+            self._set_successors(succs)
+        return succs[0]
 
     def check_predecessor(self) -> None:
         """Forget a crashed predecessor so ``notify`` can install a new one."""
@@ -447,9 +529,7 @@ class ChordNode:
         if candidate_id == self.node_id or candidate_id == succ:
             return
         if succ == self.node_id or in_open_open(candidate_id, self.node_id, succ):
-            self.successors.insert(0, candidate_id)
-            del self.successors[self._slist_size :]
-            self._changed()
+            self._set_successors([candidate_id, *self.successors][: self._slist_size])
 
     def rectify(self, via: int | None = None) -> None:
         """Re-insert ourselves clockwise when the ring has bypassed us.
@@ -534,9 +614,13 @@ class ChordNode:
             new: int | None = self.lookup(target).node_id
         except LookupError_:
             new = None
-        if new != self.fingers[i]:
-            self.fingers[i] = new
-            self._changed()
+        fingers = self._fingers
+        if fingers is None:
+            fingers = self._load_fingers()
+        if new != fingers[i]:  # the one single-finger write
+            fingers[i] = new
+            if self._store is not None:
+                self._store.write_finger(self._slot, i, new)
 
     def fix_all_fingers(self) -> None:
         """Refresh the whole finger table (used at bootstrap)."""

@@ -1,13 +1,13 @@
 """Struct-of-arrays Chord substrate: a million-node ring with no node objects.
 
-:class:`~repro.dht.chord.network.ChordNetwork` carries one Python object
-per peer (~1 KiB each with successor/finger lists), which caps benches
-near n=1e5 and makes a from-scratch :class:`RingSnapshot` build O(n * m)
-object traffic.  This module keeps the *snapshot itself* as the primary
-state: the whole ring is the compact struct-of-arrays form of
-:class:`~repro.dht.chord.batch.RingSnapshot` -- a sorted id array, a
-dense finger matrix, a padded successor matrix, all slot-indexed with a
-free list -- built vectorized in O(m) array passes and patched
+:class:`~repro.dht.chord.network.ChordNetwork` keeps its ring in a
+:class:`~repro.dht.chord.batch.RingSnapshot` store too, but carries one
+Python node object and transport endpoint per peer beside it, which
+caps benches near n=1e5.  This module keeps *only* the store: a sorted
+id array, a dense finger matrix, a padded successor matrix, all
+slot-indexed with a free list -- wired vectorized in O(m) array passes
+(:meth:`RingSnapshot.wire_perfectly
+<repro.dht.chord.batch.RingSnapshot.wire_perfectly>`) and spliced
 incrementally under churn.  Per-node memory is exactly the array rows
 (~8 * (m + slist + 4) bytes), which is what makes n=1e6 servable and
 n=1e7 buildable on one machine (measured in ``benchmarks/bench_scale.py``).
@@ -38,17 +38,15 @@ Churn semantics mirror the live ring's observable behaviour:
 - **leave** (graceful) additionally repairs what the departing node's
   announcement would have: predecessors' successor lists and the finger
   cells that pointed at it are retargeted to its successor.
-- **stabilize** rewires every live row to the oracle fixed point in
-  vectorized passes -- the analogue of running pairwise stabilization
-  to convergence, used between lookup retry attempts.
+- **stabilize** rewires every live row to the oracle fixed point with
+  the same vectorized routine -- the analogue of running pairwise
+  stabilization to convergence, used between lookup retry attempts.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-
-import numpy as _np
 
 from ..api import CostMeter, PeerRef
 from ..idspace import draw_distinct_ids, draw_sorted_ids
@@ -96,13 +94,13 @@ class _MembersView:
         return self._net.store.n
 
     def __contains__(self, node_id):
-        return node_id in self._net.store.pos
+        return self._net.store.alive(node_id)
 
     def get(self, node_id, default=None):
-        return node_id if node_id in self._net.store.pos else default
+        return node_id if self._net.store.alive(node_id) else default
 
     def __getitem__(self, node_id):
-        if node_id not in self._net.store.pos:
+        if not self._net.store.alive(node_id):
             raise KeyError(node_id)
         return node_id
 
@@ -150,23 +148,10 @@ class SoAChordNetwork:
 
     def _build_store(self, sorted_ids) -> RingSnapshot:
         """Oracle-wire the whole ring as flat arrays (O(m) passes)."""
-        n = len(sorted_ids)
-        m = self.m
-        size = 1 << m
-        width = max(1, min(self._slist_size, n))
-        np = _np
-        ids = np.ascontiguousarray(sorted_ids, dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        succ_mat = np.full((n, width), -1, dtype=np.int64)
-        for j in range(width):
-            succ_mat[:, j] = ids[(idx + j + 1) % n]
-        finger_mat = np.empty((n, m), dtype=np.int64)
-        for f in range(m):
-            targets = (ids + (1 << f)) % size
-            finger_mat[:, f] = ids[np.searchsorted(ids, targets) % n]
-        return RingSnapshot.from_arrays(
-            m, ids, succ_mat, finger_mat, epoch=self.churn_epoch
-        )
+        width = max(1, min(self._slist_size, len(sorted_ids)))
+        store = RingSnapshot(self.m, sorted_ids, width)
+        store.wire_perfectly(self._slist_size)
+        return store
 
     # -- oracle views ------------------------------------------------------
 
@@ -194,7 +179,7 @@ class SoAChordNetwork:
         n = len(ids)
         store = self.store
         for i, node_id in enumerate(ids):
-            succs = store.succs_at(store.pos[node_id])
+            succs = store.succs_at(store.slot(node_id))
             first = succs[0] if succs else node_id
             if first != ids[(i + 1) % n]:
                 return False
@@ -242,7 +227,7 @@ class SoAChordNetwork:
         if node_id is None:
             node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
         store = self.store
-        if node_id in store.pos:
+        if store.alive(node_id):
             raise ValueError(f"node {node_id} already in the ring")
         size = 1 << self.m
         before = store.patches
@@ -261,7 +246,7 @@ class SoAChordNetwork:
         # their lists; recompute those rows against the new membership.
         for back in range(1, min(self._slist_size, n - 1) + 1):
             j = (i - back) % n
-            store.patch_succs(ids[j], self._oracle_succs(ids, j))
+            store.write_succs(store.slot(ids[j]), self._oracle_succs(ids, j))
         # Finger level f of x points at the new node iff x's finger
         # target landed in the arc the new id took over from its
         # successor: (predecessor_of_new, new].  Shift by 2^f to get the
@@ -273,14 +258,14 @@ class SoAChordNetwork:
                 hi = (node_id - (1 << f)) % size
                 for x in self._ids_in_interval(lo, hi):
                     if x != node_id:
-                        store.patch_fingers(x, {f: node_id})
+                        store.write_finger(store.slot(x), f, node_id)
         self.snapshot_patches += store.patches - before
         return node_id
 
     def crash_node(self, node_id: int) -> None:
         """Fail-stop: membership splice-out only; stale rows stay."""
         store = self.store
-        if node_id not in store.pos:
+        if not store.alive(node_id):
             raise KeyError(f"no node {node_id}")
         before = store.patches
         store.apply_remove(node_id)
@@ -291,7 +276,7 @@ class SoAChordNetwork:
     def leave_node(self, node_id: int) -> None:
         """Graceful departure: splice out and repair what it announced."""
         store = self.store
-        if node_id not in store.pos:
+        if not store.alive(node_id):
             raise KeyError(f"no node {node_id}")
         size = 1 << self.m
         before = store.patches
@@ -310,7 +295,7 @@ class SoAChordNetwork:
         # predecessors' successor lists and every finger that named it.
         for back in range(1, min(self._slist_size, n) + 1):
             j = (i - back) % n
-            store.patch_succs(ids[j], self._oracle_succs(ids, j))
+            store.write_succs(store.slot(ids[j]), self._oracle_succs(ids, j))
         succ_id = ids[i % n]
         prev_id = ids[(i - 1) % n]
         if n > 1:
@@ -318,7 +303,7 @@ class SoAChordNetwork:
                 lo = (prev_id - (1 << f)) % size
                 hi = (node_id - (1 << f)) % size
                 for x in self._ids_in_interval(lo, hi):
-                    store.patch_fingers(x, {f: succ_id})
+                    store.write_finger(store.slot(x), f, succ_id)
         self.snapshot_patches += store.patches - before
 
     # -- maintenance -------------------------------------------------------
@@ -332,28 +317,11 @@ class SoAChordNetwork:
         steady-state churn goes through the incremental splices.
         """
         store = self.store
-        n = store.n
-        if n == 0:
+        if store.n == 0:
             return
         self.churn_epoch += 1
         before = store.patches
-        np = _np
-        ids = store.ids_np.copy()
-        slots = store.order_np.copy()
-        idx = np.arange(n, dtype=np.int64)
-        width = max(1, min(self._slist_size, n))
-        if width > store._width:
-            store._grow_width(width)
-        for j in range(store.succ_mat.shape[1]):
-            col = ids[(idx + j + 1) % n] if j < width else -1
-            store.succ_mat[slots, j] = col
-        store.succ_first_np[slots] = ids[(idx + 1) % n]
-        size = 1 << self.m
-        for f in range(self.m):
-            targets = (ids + (1 << f)) % size
-            store.finger_mat[slots, f] = ids[np.searchsorted(ids, targets) % n]
-        store.patches += 1
-        store.epoch = self.churn_epoch
+        store.wire_perfectly(self._slist_size)
         self.snapshot_patches += store.patches - before
 
     def run_stabilization(self, rounds: int, fingers_per_round: int = 1) -> None:
@@ -556,8 +524,9 @@ class SoAChordDHT(EntryVantageMixin):
     def next(self, peer: PeerRef) -> PeerRef:
         """``next(p)``: read the successor row (charged as one RPC)."""
         store = self._network.store
-        if peer.peer_id in store.pos:
-            succs = store.succs_at(store.pos[peer.peer_id])
+        slot = store.slot(peer.peer_id)
+        if slot >= 0:
+            succs = store.succs_at(slot)
             self.cost.charge_next(2, RPC_LATENCY)
             return self._ref(succs[0] if succs else peer.peer_id)
         # Dead peer: the live path charges a timed-out call, then

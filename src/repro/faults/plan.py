@@ -10,8 +10,8 @@ themselves do the injecting, so "what went wrong and when" lives in one
 JSON-able record.
 
 Events operate on the backend-agnostic overlay vocabulary (``nodes``,
-``sorted_ids()``, ``crash_node``, ``transport.faults``, ``bump_epoch``),
-so every injector works unchanged on Chord and Kademlia networks.  All
+``sorted_ids()``, ``crash_node``, ``transport.faults``), so every
+injector works unchanged on Chord and Kademlia networks.  All
 victim selection draws from an explicitly passed RNG stream -- plans
 are deterministic under a fixed seed.
 
@@ -123,12 +123,10 @@ class Partition:
     def apply(self, network, rng: random.Random) -> list[list[int]]:
         groups = self.build_groups(network, rng)
         network.transport.faults.partition(groups, mode=self.mode)
-        network.bump_epoch()
         return groups
 
     def revert(self, network, token=None) -> None:
         network.transport.faults.heal_partition()
-        network.bump_epoch()
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,7 +82,7 @@ class ShardReport:
     stale_trials: int  # engine trials lost to unreachable peers
     lockstep_lookups: int  # lookups resolved by the snapshot engine
     delegated_lookups: int  # engine-flagged failures replayed live
-    snapshot_builds: int  # ring snapshots (re)built under churn epochs
+    snapshot_builds: int  # ring stores built (1: the store is never rebuilt)
     ring_correct_after_recovery: bool
     # -- adversarial accounting (defaults = honest run; see docs/ADVERSARY.md)
     byzantine: int = 0  # peers marked Byzantine in this shard
@@ -91,7 +91,7 @@ class ShardReport:
     bias_amplification: float | None = None  # capture_rate / live Byz fraction
     honest_chi2_p: float | None = None  # uniformity over *honest* survivors
     honest_tv: float | None = None  # TV from uniform over honest survivors
-    snapshot_patches: int = 0  # incremental row patches absorbed by the snapshot
+    snapshot_patches: int = 0  # writes to the ring store (splices, rows, rewirings)
 
     def to_record(self) -> dict:
         return dataclasses.asdict(self)

@@ -6,7 +6,7 @@ the identical meter/transport amounts, and take the identical hop
 counts as a loop of scalar ``h`` calls under the same seeds -- on
 healthy rings, with crashed nodes still referenced by finger tables and
 successor lists, and in both lookup modes.  These tests pin that
-contract, plus the epoch-keyed caching it rides on.
+contract, plus the one ring store it routes on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.chord import batch as batch_mod
 from repro.dht.chord.batch import (
     Lookups,
-    RingSnapshot,
     _sim_iterative,
     _sim_recursive,
     build_route_table,
@@ -34,6 +33,7 @@ from repro.dht.chord.batch import (
 from repro.dht.chord.idspace import id_to_point, point_to_target_id
 from repro.dht.chord.node import LookupError_, hop_budget
 from repro.dht.chord.soa import SoAChordNetwork
+from repro.faults.plan import Partition
 from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
 
@@ -350,7 +350,7 @@ class TestCrashedReferencesWarm(TestCrashedReferences):
 
 
 def successor_only(net):
-    """Strip every finger and all but the first successor (a direct edit).
+    """Strip every finger and all but the first successor (a direct write).
 
     Lookups then walk the ring one successor at a time, so on a ring
     longer than the hop budget some of them exhaust it with every
@@ -358,8 +358,14 @@ def successor_only(net):
     """
     for node in net.nodes.values():
         node.fingers = [None] * net.m
-        del node.successors[1:]
-    net.bump_epoch()
+        node.successors = node.successors[:1]
+
+
+def unset_a_finger(net):
+    """Clear one node's top finger through its setter (a direct row write)."""
+    node = net.nodes[net.sorted_ids()[4]]
+    assert node.fingers[-1] is not None
+    node.fingers = [*node.fingers[:-1], None]
 
 
 #: Ring and vantage changes applied to both twins after the batched twin
@@ -369,7 +375,7 @@ STALE = {
     "crash": lambda dht: dht._network.crash_node(dht._network.sorted_ids()[7]),
     "leave": lambda dht: dht._network.leave_node(dht._network.sorted_ids()[9]),
     "stabilize": lambda dht: dht._network.stabilize_round(),
-    "bump-epoch": lambda dht: dht._network.bump_epoch(),
+    "row-write": lambda dht: unset_a_finger(dht._network),
     "entry-failover": lambda dht: dht._network.crash_node(dht.entry_id),
     "entry-moved": lambda dht: dht.refresh_entry(dht._network.sorted_ids()[5]),
 }
@@ -461,6 +467,60 @@ class TestRouteTable:
         assert dht_a._network.churn_epoch > epoch
         assert dht_a._network.snapshot() is snap and snap.patches == patches
         xs = points(100, 32)
+        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
+        assert_charges_equal(dht_a, dht_b)
+        assert table_reads == [100]
+
+    def test_noop_stabilize_round_keeps_the_walk_view_and_block(self):
+        # A round that rewrites no row leaves the walk view, and so the
+        # engine's classified block, current: the calls between rounds
+        # keep committing from one block instead of classifying anew.
+        net = ChordNetwork.build(200, m=16, rng=random.Random(84))
+        dht = net.dht()
+        resolves = []
+        resolve = dht.resolve_many
+
+        def counting(xs, *, commit=True):
+            if not commit:
+                resolves.append(len(xs))
+            return resolve(xs, commit=commit)
+
+        dht.resolve_many = counting
+        engine = BatchSampler(dht, n_hat=200.0, rng=random.Random(85))
+        assert engine.warm()
+        engine.sample_many(1)
+        view, patches = dht.walk_view(), net.snapshot().patches
+        for _ in range(12):
+            block = engine._block
+            net.stabilize_round()
+            assert net.snapshot().patches == patches
+            assert dht.walk_view() is view
+            assert block is None or engine._is_current(block)
+            engine.sample_many(1)
+        # Each block was used up on the unchanged ring, so each next one
+        # is twice as large.
+        assert len(resolves) <= 4
+        assert resolves == [resolves[0] << i for i in range(len(resolves))]
+
+    def test_partition_keeps_the_store_and_its_table(self, table_reads):
+        # A partition changes reachability, not membership or rows: the
+        # store and its route table outlive apply and revert.
+        dht_a, dht_b = build_twins(87, n=48)
+        for dht in (dht_a, dht_b):
+            dht._network.transport.install_faults(FaultState())
+        assert dht_a.warm_lockstep()
+        snap = dht_a._network.snapshot()
+        route, builds = snap.route, dht_a._network.snapshot_builds
+        partition = Partition(groups=2)
+        for dht in (dht_a, dht_b):
+            partition.apply(dht._network, random.Random(3))
+            assert not dht.lockstep_eligible()
+            partition.revert(dht._network)
+        assert dht_a.lockstep_eligible()
+        assert dht_a._network.snapshot() is snap
+        assert snap.route is route
+        assert dht_a._network.snapshot_builds == builds == 1
+        xs = points(100, 35)
         assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
         assert_charges_equal(dht_a, dht_b)
         assert table_reads == [100]
@@ -561,47 +621,39 @@ class TestEpochCaching:
         ids=["join", "crash", "leave", "stabilize", "rewire"],
     )
     def test_every_mutator_bumps_the_epoch(self, mutate):
+        # ... and writes the one ring store: the same object from the
+        # build on, holding exactly the rows every node reports.
         net = ChordNetwork.build(16, m=16, rng=random.Random(42))
+        snap = net.snapshot()
         before = net.churn_epoch
         mutate(net)
         assert net.churn_epoch > before
-
-    def test_snapshot_patched_in_place_when_epoch_moves(self):
-        net = ChordNetwork.build(16, m=16, rng=random.Random(43))
-        snap = net.snapshot()
         assert net.snapshot() is snap
         assert net.snapshot_builds == 1
-        n_before = snap.n
-        net.crash_node(max(net.nodes))
-        fresh = net.snapshot()
-        # Churn through the network API patches the live snapshot
-        # incrementally -- no second full build.
-        assert fresh is snap
-        assert net.snapshot_builds == 1
-        assert net.snapshot_patches >= 1
-        assert fresh.n == n_before - 1
-        # ... and the patched state is exactly what a rebuild would give.
-        assert fresh.canonical_state() == RingSnapshot.build(net).canonical_state()
+        assert snap.canonical_state() == tuple(
+            (i, tuple(net.nodes[i].successors), tuple(net.nodes[i].fingers))
+            for i in sorted(net.nodes)
+        )
 
-    def test_direct_mutation_forces_full_rebuild(self):
+    def test_setters_write_through_to_the_store(self):
         net = ChordNetwork.build(16, m=16, rng=random.Random(47))
         snap = net.snapshot()
-        some_id = net.sorted_ids()[0]
-        net.nodes[some_id].successors.append(net.sorted_ids()[2])
-        net.bump_epoch()  # the documented contract for direct mutation
-        fresh = net.snapshot()
-        assert fresh is not snap
-        assert net.snapshot_builds == 2
-
-    def test_snapshot_copies_node_state(self):
-        # later in-place mutation of live lists must not leak into a
-        # snapshot someone may still be holding
-        net = ChordNetwork.build(8, m=16, rng=random.Random(44))
-        snap = net.snapshot()
-        some_id = net.sorted_ids()[0]
-        saved = tuple(snap.succ_lists[snap.pos[some_id]])
-        net.nodes[some_id].successors.append(12345)
-        assert tuple(snap.succ_lists[snap.pos[some_id]]) == saved
+        ids = net.sorted_ids()
+        node = net.nodes[ids[0]]
+        patches = snap.patches
+        node.successors = [ids[2], ids[3]]
+        fingers = list(node.fingers)
+        fingers[5] = None
+        node.fingers = fingers
+        fingers[6] = None  # the node keeps a copy of what it was given
+        assert snap.patches == patches + 2
+        row = {i: (s, f) for i, s, f in snap.canonical_state()}[ids[0]]
+        assert row == ((ids[2], ids[3]), tuple(node.fingers))
+        assert node.fingers[6] is not None
+        # Writing what is already there writes nothing.
+        node.successors = [ids[2], ids[3]]
+        node.fingers = list(node.fingers)
+        assert snap.patches == patches + 2
 
     def test_stale_snapshot_never_routes_after_churn(self):
         dht_a, dht_b = build_twins(45, n=48)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -24,12 +25,10 @@ def make_ring(ids, m=10, slist=4):
         node = nodes[node_id]
         node.successors = [ordered[(i + k + 1) % n] for k in range(min(slist, n))]
         node.predecessor = ordered[(i - 1) % n]
-        for f in range(m):
-            target = (node_id + (1 << f)) % (1 << m)
-            import bisect
-
-            j = bisect.bisect_left(ordered, target)
-            node.fingers[f] = ordered[j % n]
+        node.fingers = [
+            ordered[bisect.bisect_left(ordered, (node_id + (1 << f)) % (1 << m)) % n]
+            for f in range(m)
+        ]
     return transport, nodes
 
 

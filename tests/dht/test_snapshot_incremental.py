@@ -1,17 +1,12 @@
-"""Property: incremental snapshot maintenance is bit-identical to rebuild.
+"""Properties of the one ring state under any churn script.
 
-The tentpole invariant of the struct-of-arrays substrate: any
-interleaving of join / crash / leave / stabilize, with the snapshot
-drained at arbitrary intermediate points, must leave the incrementally
-patched :class:`RingSnapshot` in exactly the state a from-scratch
-``RingSnapshot.build`` would produce -- same ids, same finger rows,
-same successor lists, same liveness.  ``canonical_state()`` flattens
-both to comparable tuples, decoded from the numpy arrays, so the
-comparison exercises the array maintenance.  A live ring's snapshot
-also keeps Python mirrors of its rows (``ids``, ``pos``,
-``succ_lists``, ``finger_lists``), which the exact-replay lane routes
-on hop by hop; the Chord properties check that those decode to the
-rebuilt state too (:func:`_mirrored_state`).
+A :class:`~repro.dht.chord.network.ChordNetwork`'s ring store *is* its
+state: after any interleaving of join / crash / leave / stabilize, the
+store's arrays, decoded by ``canonical_state()``, must hold exactly the
+successor lists and finger tables every live node reports, and the
+lockstep replays routed on it must equal the live per-call path.  The
+struct-of-arrays substrates splice the same store class, and must
+converge to a from-scratch oracle build.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import BatchSampler
-from repro.dht.chord.batch import RingSnapshot
 from repro.dht.chord.network import ChordNetwork
 from repro.dht.chord.node import LookupError_
 from repro.dht.chord.soa import SoAChordNetwork
@@ -49,13 +43,13 @@ def op_scripts(draw, min_ops=4, max_ops=24):
     return n, seed, ops
 
 
-def _mirrored_state(snap):
-    """A snapshot's Python list mirrors, spelled as ``canonical_state()``
-    spells its arrays: ``(id, successor-tuple, finger-tuple)`` per live
-    member in id order."""
+def _reported_state(net):
+    """What every live node reports through ``successors`` and
+    ``fingers``, spelled as ``canonical_state()`` spells the store:
+    ``(id, successor-tuple, finger-tuple)`` per live member in id order."""
     return tuple(
-        (node_id, snap.succ_lists[snap.pos[node_id]], snap.finger_lists[snap.pos[node_id]])
-        for node_id in snap.ids
+        (node_id, tuple(net.nodes[node_id].successors), tuple(net.nodes[node_id].fingers))
+        for node_id in sorted(net.nodes)
     )
 
 
@@ -83,37 +77,59 @@ def _run_script(net, ops, rng, *, min_live=3):
 
 
 @settings(max_examples=20, deadline=None)
-@given(op_scripts())
-def test_chord_incremental_snapshot_matches_rebuild(case):
+@given(op_scripts(), st.booleans())
+def test_chord_store_holds_what_every_node_reports(case, perfect):
+    """After every op the store's arrays decode to every live node's rows.
+
+    The store is the one object ``snapshot()`` returns from the build
+    on, and never rebuilt.  Nodes read only some of their rows before
+    the check, so both rows a node has written and rows it never read
+    are compared.
+    """
     n, seed, ops = case
     rng = random.Random(seed)
-    net = ChordNetwork.build(n, m=M, rng=random.Random(seed + 1))
-    net.snapshot()  # seed the cache so churn goes down the patch path
-    _run_script(net, ops, rng)
-    incremental = net.snapshot()
-    rebuilt = RingSnapshot.build(net)
-    assert incremental.canonical_state() == rebuilt.canonical_state()
-    assert _mirrored_state(incremental) == rebuilt.canonical_state()
-    # Draining again without churn must be a no-op on the same object.
-    again = net.snapshot()
-    assert again is incremental
-    assert again.canonical_state() == rebuilt.canonical_state()
-
-
-@settings(max_examples=20, deadline=None)
-@given(op_scripts())
-def test_chord_mid_script_drains_stay_identical(case):
-    """Snapshot drains at every step, not just at the end."""
-    n, seed, ops = case
-    rng = random.Random(seed)
-    net = ChordNetwork.build(n, m=M, rng=random.Random(seed + 2))
-    net.snapshot()
+    net = ChordNetwork.build(n, m=M, rng=random.Random(seed + 1), perfect=perfect)
+    store = net.snapshot()
+    assert store.canonical_state() == _reported_state(net)
     for op in ops:
         _run_script(net, [op], rng)
-        snap = net.snapshot()
-        rebuilt = RingSnapshot.build(net).canonical_state()
-        assert snap.canonical_state() == rebuilt
-        assert _mirrored_state(snap) == rebuilt
+        assert net.snapshot() is store
+        assert store.canonical_state() == _reported_state(net)
+    assert net.snapshot_builds == 1
+
+
+def test_a_removed_node_keeps_its_own_rows():
+    """A crashed node's object outlives its slot in the store.
+
+    A join takes the freed slot over, while the crashed object can still
+    run (an asynchronous hop in flight resumes on it): it must answer
+    from, and write to, its own last rows, never the joiner's.  The twin
+    ring has the same crash and no join.
+    """
+    nets = [ChordNetwork.build(24, m=M, rng=random.Random(31)) for _ in range(2)]
+    victim_id = nets[0].sorted_ids()[5]
+    store = nets[0].snapshot()
+    slot = store.slot(victim_id)
+    last_rows = {i: (s, f) for i, s, f in store.canonical_state()}[victim_id]
+    victims = [net.nodes[victim_id] for net in nets]
+    for net in nets:
+        net.crash_node(victim_id)
+    joiner = nets[0].join_node()
+    assert store.slot(joiner.node_id) == slot
+    joiner_rows = (tuple(joiner.successors), tuple(joiner.fingers))
+
+    reused, untouched = victims
+    assert (tuple(reused.successors), tuple(reused.fingers)) == last_rows
+    for target in range(0, 1 << M, 37):
+        assert reused.lookup_step(target) == untouched.lookup_step(target)
+    candidate = victim_id + 1
+    assert candidate != reused.get_successor()
+    for victim in victims:
+        victim.offer_successor(candidate)  # a protocol write on the dead object
+    assert reused.successors == untouched.successors
+    assert reused.get_successor() == candidate
+    assert (tuple(joiner.successors), tuple(joiner.fingers)) == joiner_rows
+    assert store.canonical_state() == _reported_state(nets[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -246,7 +262,7 @@ def test_chord_join_leave_round_trip_is_exact(build_n):
     net.rewire_perfectly()
     before = net.snapshot().canonical_state()
     joined = [net.join_node().node_id for _ in range(3)]
-    net.rewire_perfectly()  # direct mutation path: forces a full rebuild
+    net.rewire_perfectly()  # every row rewritten at once
     assert net.snapshot().canonical_state() != before
     for node_id in joined:
         net.leave_node(node_id)
