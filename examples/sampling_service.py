@@ -47,7 +47,7 @@ def main(n: int = 5000) -> None:
     # --- 1. build: two substrate shards behind micro-batching queues ----
     print(f"building a 2-shard sampling service (n={n} peers per shard)")
     service = build_service(
-        n=n, shards=2, seed=seed, max_batch=32, max_wait=2.0, max_queue=256
+        n=n, shards=2, seed=seed, max_batch=32, max_queue=256
     )
     print(f"   router policy: {service.router.policy}, "
           f"admission bound: {service.admission.max_queue_depth}/shard")

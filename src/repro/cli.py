@@ -129,15 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run the micro-batching sampling service under open-loop load",
+        help="run the sampling service under open-loop load: an idle shard "
+             "dispatches a request on arrival, a busy one batches its queue",
     )
     p_serve.add_argument("--n", type=int, default=1000, help="peers per shard substrate")
     p_serve.add_argument("--rate", type=float, default=1.0, help="Poisson arrivals per time unit")
     p_serve.add_argument("--shards", type=int, default=2, help="substrate shard count")
     p_serve.add_argument("--requests", type=int, default=2000, help="total requests to offer")
-    p_serve.add_argument("--max-batch", type=int, default=32, help="micro-batch size cap")
-    p_serve.add_argument("--max-wait", type=float, default=2.0,
-                         help="max time units a request may wait for batchmates")
+    p_serve.add_argument("--max-batch", type=int, default=32,
+                         help="most queued requests one dispatch takes")
     p_serve.add_argument("--max-queue", type=int, default=256, help="per-shard admission bound")
     p_serve.add_argument("--policy", choices=POLICIES, default="round-robin")
     p_serve.add_argument("--dispatch", choices=DISPATCH_MODES, default="batch")
@@ -365,9 +365,9 @@ def _cmd_serve(args) -> int:
     if args.n < 1 or args.shards < 1 or args.requests < 1:
         print("error: --n, --shards and --requests must be positive", file=sys.stderr)
         return 2
-    if args.rate <= 0 or args.max_batch < 1 or args.max_wait < 0 or args.max_queue < 1:
-        print("error: --rate must be positive, --max-batch/--max-queue at least 1, "
-              "--max-wait non-negative", file=sys.stderr)
+    if args.rate <= 0 or args.max_batch < 1 or args.max_queue < 1:
+        print("error: --rate must be positive, --max-batch/--max-queue at least 1",
+              file=sys.stderr)
         return 2
     try:
         service = build_service(
@@ -381,7 +381,6 @@ def _cmd_serve(args) -> int:
             policy=args.policy,
             dispatch=args.dispatch,
             max_batch=args.max_batch,
-            max_wait=args.max_wait,
             max_queue=args.max_queue,
         )
     except ValueError as exc:  # e.g. chord id space too small for --n
@@ -396,7 +395,7 @@ def _cmd_serve(args) -> int:
     print(f"serve: n={args.n}/shard  shards={args.shards}  substrate={args.substrate}  "
           f"dispatch={args.dispatch}  policy={args.policy}")
     batching = (
-        f"micro-batch: max_batch={args.max_batch}, max_wait={args.max_wait:g}"
+        f"micro-batch: max_batch={args.max_batch}"
         if args.dispatch == "batch"
         else "per-request dispatch"
     )

@@ -231,9 +231,12 @@ def lookup_recursive_async(
     future = Future()
     token = node._async_seq
     node._async_seq = token + 1
+    pending = node._async_lookups
+    if pending is None:
+        pending = node._async_lookups = {}
 
     def expire() -> None:
-        if node._async_lookups.pop(token, None) is not None:
+        if pending.pop(token, None) is not None:
             future.fail(
                 LookupError_(
                     f"recursive lookup of {target_id} from {node.node_id}: "
@@ -247,6 +250,6 @@ def lookup_recursive_async(
         expire_event.cancel()
         future.resolve(LookupResult(node_id=owner_id, hops=hops))
 
-    node._async_lookups[token] = settle
+    pending[token] = settle
     ep.spawn(forward_hop(node, target_id, node.node_id, token, 0, budget))
     return future

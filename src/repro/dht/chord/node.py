@@ -106,8 +106,9 @@ class ChordNode:
         self._next_finger = 0
         #: Pending async recursive lookups this node originated:
         #: token -> completion callback (see repro.dht.chord.async_lookup).
-        #: Plain bookkeeping; unused (and free) on the sync transport.
-        self._async_lookups: dict[int, Any] = {}
+        #: Made by the first such lookup, so the sync transport never
+        #: allocates it; None means nothing is pending.
+        self._async_lookups: dict[int, Any] | None = None
         self._async_seq = 0
 
     # -- identity ---------------------------------------------------------
@@ -415,7 +416,8 @@ class ChordNode:
 
     def complete_async_lookup(self, token: int, owner_id: int, hops: int) -> None:
         """The owner's direct answer lands at the querier (RPC-exposed)."""
-        settle = self._async_lookups.pop(token, None)
+        pending = self._async_lookups
+        settle = pending.pop(token, None) if pending is not None else None
         if settle is not None:
             settle(owner_id, hops)
 

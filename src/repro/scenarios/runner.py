@@ -271,7 +271,6 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
         policy=spec.policy,
         dispatch=spec.dispatch,
         max_batch=spec.max_batch,
-        max_wait=spec.max_wait,
         max_queue=spec.max_queue,
         max_retries=spec.max_retries,
         retry_backoff=spec.retry_backoff,

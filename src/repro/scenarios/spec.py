@@ -86,7 +86,6 @@ class ScenarioSpec:
     dispatch: str = "batch"
     policy: str = "least-loaded"
     max_batch: int = 16
-    max_wait: float = 2.0
     max_queue: int = 256
     max_retries: int = 3
     retry_backoff: float = 2.0

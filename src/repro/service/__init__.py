@@ -3,8 +3,9 @@
 PR 1's :class:`~repro.core.engine.BatchSampler` made bulk draws fast;
 this package makes them *servable*.  Single-sample requests enter
 through :meth:`SamplingService.submit`, coalesce in per-shard
-micro-batching queues (dispatch on ``max_batch`` or ``max_wait``,
-whichever first), execute on the engine's bulk fast path, and come back
+micro-batching queues (an idle shard dispatches a request at once; a
+busy one sends what queued behind it, up to ``max_batch``, when its
+batch completes), execute on the engine's bulk fast path, and come back
 as per-request responses stamped with queue and service latency.
 Routing policies spread traffic across independent substrate shards,
 admission control turns overload into explicit rejections, and an

@@ -3,14 +3,14 @@
 A :class:`ShardWorker` owns one substrate's dispatch strategy behind a
 FIFO queue and models a single-server station on the simulation clock:
 
-- arriving requests wait in the queue;
-- a batch is *flushed* when the queue holds ``max_batch`` requests or
-  the oldest waiting request has aged ``max_wait`` time units, whichever
-  comes first (the classic micro-batching dispatch rule);
-- while a batch is in service the worker is busy; completion is a
-  scheduled event ``service_time`` later, at which point responses are
-  stamped (queue latency = dispatch - arrival, service latency =
-  completion - dispatch) and the next flush is considered.
+- the rule is work-conserving: an idle shard dispatches an arriving
+  request at once, so a request waits only behind a batch in service;
+- while a batch is in service the worker is busy and arrivals queue;
+  completion is a scheduled event ``service_time`` later, at which
+  point responses are stamped (queue latency = dispatch - arrival,
+  service latency = completion - dispatch) and everything that queued
+  meanwhile leaves as the next batch, up to ``max_batch`` requests (the
+  rest leave at the completion after).
 
 Queue *bounds* are not enforced here -- admission control
 (:mod:`repro.service.admission`) rejects before ``offer`` so
@@ -54,7 +54,6 @@ from typing import Callable
 
 from ..faults.retry import RetryPolicy
 from ..obs.tracer import NULL_TRACER
-from ..sim.events import Event
 from ..sim.kernel import Simulator
 from .dispatch import DispatchError, ServiceTimeModel
 from .metrics import ServiceMetrics
@@ -76,7 +75,6 @@ class ShardWorker:
         metrics: ServiceMetrics | None = None,
         sink: Callable[[SampleResponse], None] | None = None,
         max_batch: int = 32,
-        max_wait: float = 2.0,
         max_retries: int = 2,
         retry_backoff: float = 1.0,
         retry_policy: RetryPolicy | None = None,
@@ -85,8 +83,6 @@ class ShardWorker:
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if retry_backoff < 0:
@@ -101,7 +97,6 @@ class ShardWorker:
         #: keeps every tracing site a single ``enabled`` attribute read.
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         #: The cooldown/attempt discipline.  The legacy knobs map onto a
@@ -120,7 +115,6 @@ class ShardWorker:
         )
         self._retry_rng = retry_rng
         self._queue: deque[SampleRequest] = deque()
-        self._timer: Event | None = None
         self._in_flight = 0
         self._healthy = True
         self._cooling = False  # a retry backoff is pending; hold flushes
@@ -174,28 +168,17 @@ class ShardWorker:
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
-        """Flush if the batch is full; otherwise arm the age timer."""
-        if self.busy or self._cooling:
-            return  # single server: completion / retry will call us again
-        if len(self._queue) >= self.max_batch:
-            self._flush()
-            return
-        if self._queue and self._timer is None:
-            deadline = self._queue[0].arrival_time + self.max_wait
-            self._timer = self._sim.schedule(
-                max(0.0, deadline - self._sim.now), self._on_timer
-            )
+        """Dispatch what is queued, unless in service or cooling.
 
-    def _on_timer(self) -> None:
-        self._timer = None
-        if not self.busy and not self._cooling and self._queue:
+        Single server: a completion or a retry calls this again.  A
+        batch that fails outright leaves the shard idle, so the loop
+        sends the next queued batch at once.
+        """
+        while self._queue and not self.busy and not self._cooling:
             self._flush()
 
     def _flush(self) -> None:
         """Dispatch up to ``max_batch`` queued requests as one batch."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         batch = [self._queue.popleft() for _ in range(min(self.max_batch, len(self._queue)))]
         self._in_flight = len(batch)
         dispatched_at = self._sim.now
@@ -275,7 +258,6 @@ class ShardWorker:
             # retry of anything, so the policy's escalation curve (which
             # indexes by consecutive failures) does not apply to it.
             self._sim.schedule(self.retry_backoff, self._readmit_probe)
-            self._maybe_flush()
             return
         self.retries += 1
         self._queue.extendleft(reversed(batch))  # head of the line, same order
@@ -304,8 +286,7 @@ class ShardWorker:
         warm = getattr(self._dispatch, "warm", None)
         if warm is not None:
             warm()
-        if not self.busy and self._queue:
-            self._flush()
+        self._maybe_flush()
 
     def _readmit_probe(self) -> None:
         # A stale probe must not override a *newer* failure cycle: only

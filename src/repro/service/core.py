@@ -64,7 +64,6 @@ class SamplingService:
         policy: str = "round-robin",
         dispatch: str = "batch",
         max_batch: int = 32,
-        max_wait: float = 2.0,
         max_queue: int = 256,
         max_retries: int = 2,
         retry_backoff: float = 1.0,
@@ -126,7 +125,6 @@ class SamplingService:
                     metrics=self.metrics,
                     sink=sink,
                     max_batch=worker_batch,
-                    max_wait=max_wait,
                     max_retries=max_retries,
                     retry_backoff=retry_backoff,
                     retry_policy=retry_policy,

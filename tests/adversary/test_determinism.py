@@ -19,27 +19,27 @@ ADVERSARY_PINS = {
         "completed": 80,
         "failed": 0,
         "sim_time": 375.0,
-        "shard_messages": [339026, 257194],
-        "shard_draws": [39, 41],
+        "shard_messages": [349198, 257244],
+        "shard_draws": [40, 40],
         "shard_captured": [24, 32],
         "byzantine_total": 10,
         "capture_rate": 0.7,
         "committee_empirical": 1.0,
-        "lies_told": 10334,
-        "latency_mean": 133.608137724933,
+        "lies_told": 10481,
+        "latency_mean": 134.9367676753957,
     },
     "kademlia": {
         "completed": 80,
         "failed": 0,
-        "sim_time": 500.0,
-        "shard_messages": [68966, 490772],
-        "shard_draws": [61, 19],
+        "sim_time": 450.0,
+        "shard_messages": [68972, 443148],
+        "shard_draws": [62, 18],
         "shard_captured": [14, 3],
         "byzantine_total": 10,
         "capture_rate": 0.2125,
         "committee_empirical": 0.2,
-        "lies_told": 255037,
-        "latency_mean": 83.51258886356698,
+        "lies_told": 233031,
+        "latency_mean": 68.76963000760841,
     },
 }
 

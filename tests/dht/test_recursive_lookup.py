@@ -8,7 +8,10 @@ import pytest
 
 from repro import RandomPeerSampler
 from repro.dht.chord import ChordNetwork
+from repro.dht.chord.async_lookup import lookup_recursive_async
 from repro.dht.chord.node import LookupError_
+from repro.sim.async_net import drive
+from repro.sim.network import ConstantLatency
 
 
 @pytest.fixture
@@ -119,3 +122,50 @@ class TestFailureBehaviour:
         far_target = (ids[-1] + 1) % (1 << 18)
         with pytest.raises(LookupError_):
             entry.lookup_recursive(far_target, max_hops=0)
+
+
+class TestAsyncPendingTable:
+    """The querier's table of pending async recursive lookups is made by
+    its first such lookup and holds a token only while it is pending."""
+
+    @staticmethod
+    def _async_net(seed: int):
+        return ChordNetwork.build(
+            32, m=12, rng=random.Random(seed), latency=ConstantLatency(1.0),
+            async_transport=True,
+        )
+
+    def test_sync_build_allocates_no_table(self, net):
+        assert all(node._async_lookups is None for node in net.nodes.values())
+
+    def test_resolved_lookup_leaves_nothing_pending(self):
+        net = self._async_net(3)
+        ids = net.sorted_ids()
+        querier = net.nodes[ids[0]]
+        result = drive(net.sim, lookup_recursive_async(querier, ids[16] - 1))
+        assert result.node_id == ids[16]
+        assert querier._async_lookups == {}
+        # only the querier made a table
+        assert [n for n in net.nodes.values() if n._async_lookups is not None] == [querier]
+
+    def test_expired_lookup_fails_and_leaves_nothing_pending(self):
+        net = self._async_net(3)
+        ids = net.sorted_ids()
+        querier = net.nodes[ids[0]]
+        # a zero hop budget stops the chain at its first forward
+        future = lookup_recursive_async(querier, ids[16] - 1, max_hops=0)
+        with pytest.raises(LookupError_, match="no answer"):
+            drive(net.sim, future)
+        assert querier._async_lookups == {}
+
+    def test_chain_lost_to_churn_expires(self):
+        net = self._async_net(4)
+        ids = net.sorted_ids()
+        querier = net.nodes[ids[0]]
+        future = lookup_recursive_async(querier, ids[16] - 1)
+        net.sim.run_for(0.5)  # the first forward is on the wire
+        for node_id in ids[1:]:
+            net.crash_node(node_id)
+        with pytest.raises(LookupError_, match="no answer"):
+            drive(net.sim, future)
+        assert querier._async_lookups == {}

@@ -54,7 +54,7 @@ class TestServingOnLiveBackends:
     def test_factory_service_serves_all_requests(self, backend):
         service = build_service(
             n=32, shards=2, substrate=backend, seed=3, chord_m=16,
-            kad_bits=16, kad_k=6, max_batch=8, max_wait=1.0,
+            kad_bits=16, kad_k=6, max_batch=8,
         )
         build_load(service, rate=2.0, total=40, seed=3).start()
         service.run()
@@ -66,9 +66,7 @@ class TestServingOnLiveBackends:
 
     def test_completed_peers_are_live_ring_members(self, backend):
         net = make_network(backend, 24, seed=4)
-        service = SamplingService(
-            [net.dht()], seed=4, max_batch=4, max_wait=1.0
-        )
+        service = SamplingService([net.dht()], seed=4, max_batch=4)
         for _ in range(12):
             service.submit()
         service.run()
@@ -101,7 +99,6 @@ def make_worker_on(net, *, seed: int, max_retries: int = 1, max_trials: int = 2)
         metrics=metrics,
         sink=sink.append,
         max_batch=4,
-        max_wait=1.0,
         max_retries=max_retries,
         retry_backoff=2.0,
     )

@@ -60,7 +60,6 @@ def make_worker(failures: int, *, max_retries: int = 2, metrics: ServiceMetrics 
         metrics=metrics,
         sink=sink.append,
         max_batch=4,
-        max_wait=1.0,
         max_retries=max_retries,
         retry_backoff=3.0,
     )

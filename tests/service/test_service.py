@@ -66,7 +66,7 @@ class TestUniformityThroughService:
         n, total = 64, 8000
         service = build_service(
             n=n, shards=2, seed=13, replicate_rings=True,
-            max_batch=64, max_wait=1.0, max_queue=100_000,
+            max_batch=64, max_queue=100_000,
         )
         drive(service, rate=50.0, total=total, seed=13)
         completed = service.completed
@@ -89,7 +89,7 @@ class TestBackpressure:
         total = 600
         service = build_service(
             n=200, shards=2, seed=21,
-            max_batch=8, max_wait=1.0, max_queue=16,
+            max_batch=8, max_queue=16,
             time_model=ServiceTimeModel(dispatch_overhead=5.0, time_per_latency=0.01),
         )
         drive(service, rate=20.0, total=total, seed=21)  # far beyond capacity
@@ -107,8 +107,7 @@ class TestBackpressure:
         assert by_shard == m.rejected
 
     def test_queue_bound_is_respected_momentarily(self):
-        service = build_service(n=100, shards=1, seed=2, max_queue=4, max_batch=4,
-                                max_wait=10.0)
+        service = build_service(n=100, shards=1, seed=2, max_queue=4, max_batch=4)
         # submit a burst at t=0; the 5th+ must be rejected once load hits 4
         for _ in range(10):
             service.submit()
@@ -156,7 +155,7 @@ class TestDispatchModes:
         def batches(dispatch, max_batch):
             service = build_service(
                 n=150, shards=1, seed=9, dispatch=dispatch, max_batch=max_batch,
-                max_queue=10_000, max_wait=2.0,
+                max_queue=10_000,
             )
             drive(service, rate=5.0, total=300, seed=9)
             assert service.metrics.completed == 300
