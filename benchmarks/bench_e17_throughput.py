@@ -31,6 +31,18 @@ QUICK_K = 500
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
+#: Worst batch/scalar speedup each mode must reach.  The floors catch
+#: the engine falling back to the per-call loop, which reads ~1x; they
+#: sit below every reading of fifteen runs per mode by more than the
+#: readings' IQR (worst speedups on a 2-vCPU x86-64 VM: quick
+#: 4.8-6.5x, IQR 0.6; full 8.1-13.5x, IQR 1.3).  The scalar loop's
+#: walks are cut after ~3 hops, so the ratio is ~10x lower than when
+#: every failed trial walked its full budget; quick mode's one 500-draw
+#: call classifies about twice the trials it keeps and reads about half
+#: the full ratio.
+QUICK_FLOOR = 3.0
+FULL_FLOOR = 5.0
+
 
 def scalar_draw(sampler: RandomPeerSampler, rng: random.Random) -> PeerRef:
     """One draw through the per-call path: Figure 1's ``trial`` (one
@@ -111,7 +123,7 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
 
     worst = min(r["speedup"] for r in results)
-    floor = 3.0 if args.quick else 10.0
+    floor = QUICK_FLOOR if args.quick else FULL_FLOOR
     if worst < floor:
         print(f"FAIL: worst speedup {worst:.1f}x below the {floor:.0f}x floor", file=sys.stderr)
         return 1

@@ -39,8 +39,12 @@ import sys
 import time
 from pathlib import Path
 
+from repro.analysis.theory import expected_messages_per_sample
 from repro.bench.harness import Table, write_bench_json
+from repro.core.sampler import SamplerParams
+from repro.dht import LogCost
 from repro.service import build_load, build_service
+from repro.service.dispatch import ServiceTimeModel
 
 FULL_N = 100_000
 FULL_REQUESTS = 3_000
@@ -49,16 +53,17 @@ QUICK_N = 2_000
 QUICK_REQUESTS = 500
 QUICK_SHARDS = [1, 2]
 
-#: Offered load per shard (requests per simulated time unit) -- chosen
-#: above the scalar path's sim-time capacity so per-request dispatch
-#: saturates (exercising admission control) while micro-batch keeps up.
-RATE_PER_SHARD = 0.5
+#: Offered load per shard of the dispatch comparison, as a multiple of
+#: per-request dispatch's sim-time capacity (:func:`overload_rate`):
+#: above it, so per-request dispatch saturates (exercising admission
+#: control) while micro-batch keeps up.
+OVERLOAD = 1.5
 
 #: Offered loads per shard of the load sweep (one micro-batch shard).
 SWEEP_RATES = [0.1, 0.3, 0.5]
 
 #: Micro-batch over per-request sim throughput, required at every shard
-#: count (full mode reads 1.33x and 1.15x, quick 1.18x and 1.33x).
+#: count (full mode reads 1.40x and 1.64x, quick 1.44x and 1.52x).
 SIM_THROUGHPUT_FLOOR = 1.1
 
 MAX_BATCH = 32
@@ -67,15 +72,35 @@ SEED = 0
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 
+def overload_rate(n: int) -> float:
+    """``OVERLOAD`` times the requests per sim unit that one shard of
+    ``n`` ideal peers serves one dispatch at a time.
+
+    A per-request dispatch takes one dispatch overhead plus its draw's
+    latency (:class:`~repro.service.dispatch.ServiceTimeModel`); on the
+    ideal ring a draw's latency equals its messages, whose expectation
+    is Theorem 7's cost (:func:`expected_messages_per_sample` at
+    ``n_hat = n``, with the ring's ``h`` cost).
+    """
+    model = ServiceTimeModel()
+    messages = expected_messages_per_sample(
+        n, SamplerParams.from_estimate(float(n)), LogCost(n).h_messages
+    )
+    return OVERLOAD / (model.dispatch_overhead + messages * model.time_per_latency)
+
+
 def measure(
     n: int,
     shards: int,
     dispatch: str,
     requests: int,
     *,
-    rate_per_shard: float = RATE_PER_SHARD,
+    rate_per_shard: float | None = None,
 ) -> dict:
-    """Drive one configuration to completion; return its scorecard."""
+    """Drive one configuration to completion; return its scorecard.
+    ``rate_per_shard`` defaults to :func:`overload_rate`."""
+    if rate_per_shard is None:
+        rate_per_shard = overload_rate(n)
     service = build_service(
         n=n,
         shards=shards,
@@ -158,7 +183,7 @@ def emit(dispatch_results, load_results, out: Path, quick: bool) -> Path:
         "substrate": "IdealDHT",
         "quick": quick,
         "seed": SEED,
-        "rate_per_shard": RATE_PER_SHARD,
+        "overload": OVERLOAD,
         "max_batch": MAX_BATCH,
         "generated_unix": time.time(),
         "dispatch_comparison": dispatch_results,

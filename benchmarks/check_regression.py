@@ -109,9 +109,19 @@ def _metrics_chord_batch(record: dict) -> dict:
 
 def _metrics_service(record: dict) -> dict:
     out = {}
-    for row in record.get("dispatch_comparison", []):
+    rows = record.get("dispatch_comparison", [])
+    for row in rows:
         key = f"n={row['n']}/shards={row['shards']}/{row['dispatch']}"
         out[f"{key}/sustained_rps"] = (row["sustained_rps"], HIGHER)
+    # The floor's own ratio, keyed by shard count alone: quick (n=2,000)
+    # and full (n=1e5) runs share shards=1, so the quick run has a row
+    # to compare against the full baseline.
+    by_key = {(row["shards"], row["dispatch"]): row for row in rows}
+    for (shards, dispatch), batch in by_key.items():
+        scalar = by_key.get((shards, "scalar"))
+        if dispatch == "batch" and scalar and scalar["sim_throughput"]:
+            ratio = batch["sim_throughput"] / scalar["sim_throughput"]
+            out[f"shards={shards}/sim_throughput_ratio"] = (ratio, HIGHER)
     return out
 
 

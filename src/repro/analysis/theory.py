@@ -77,11 +77,13 @@ def expected_messages_per_sample(
 ) -> float:
     """First-order expected messages per successful sample.
 
-    Each trial pays one ``h`` (``m_h`` messages, default ``log2 n``) plus
-    the expected walk length; failed trials walk the full budget, while a
-    successful trial's walk is bounded by the budget too, so using the
-    budget for every trial gives a sound first-order upper estimate.
+    Each trial pays one ``h`` (``m_h`` messages, default ``log2 n``).  A
+    walk is cut once no hop left can bring ``T`` to zero, so a trial
+    from ``s`` passes at most the peers in ``(s, s + (budget + 1)
+    lambda]``: ``n (budget + 1) lambda`` ``next`` calls in expectation.
+    Over the ``1 / (n lambda)`` expected trials that is at most
+    ``budget + 1`` hops per sample, whatever ``n``.
     """
     if m_h is None:
         m_h = math.log2(max(2, n))
-    return expected_trials(n, params) * (m_h + params.walk_budget)
+    return expected_trials(n, params) * m_h + (params.walk_budget + 1)

@@ -12,7 +12,10 @@ upper-bounds ``n`` w.h.p.  Each *trial* draws ``s`` uniform on ``(0, 1]``:
   which ``T <= 0`` -- a supplementary interval donated by the long
   peerless arcs behind it;
 - if ``T`` stays positive for ``ceil(6 ln n')`` hops, ``s`` fell in
-  unassigned slack and the trial fails.
+  unassigned slack and the trial fails.  One hop lowers ``T`` by at most
+  ``lambda``, so the walk stops as soon as ``T`` exceeds what the hops
+  left could take off (the *cut*): a failed trial passes only the peers
+  within ``(budget + 1) lambda`` clockwise of ``s``, about three.
 
 Failed trials are retried with fresh randomness; successes are exactly
 uniform over peers (Theorem 6) and the expected number of trials is at
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..dht.api import DHT, CostSnapshot, PeerRef
 from .estimate import DEFAULT_C1, estimate_n
@@ -62,7 +65,7 @@ class TrialOutcome(enum.Enum):
 
     SMALL_HIT = "small-hit"  # line 2: I(s, l(h(s))] was small
     WALK_HIT = "walk-hit"  # line 3: T went non-positive during the walk
-    EXHAUSTED = "exhausted"  # walk budget spent with T still positive
+    EXHAUSTED = "exhausted"  # T stays positive for the whole budget (cut early)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,30 +78,41 @@ class TrialResult:
     walk_hops: int
 
 
-def _trial_from_first(dht: DHT, lam: float, walk_budget: int, s: float, first: PeerRef) -> TrialResult:
+def _trial_from_first(dht: DHT, params: SamplerParams, s: float, first: PeerRef) -> TrialResult:
     """Figure 1 for point ``s`` given an already-resolved ``first = h(s)``.
 
     Shared by the scalar :meth:`RandomPeerSampler.trial` and the batch
     engine's per-call fallback path, so both run byte-identical float
-    arithmetic and cannot drift apart.
+    arithmetic and cannot drift apart.  Before the first ``next`` and
+    after each hop ``k`` that is not a hit, a walk whose ``T`` exceeds
+    ``params.cuts[budget - k]`` cannot reach ``T <= 0`` in the hops left
+    and ends EXHAUSTED with ``k`` hops (see :attr:`SamplerParams.cuts`):
+    outcome and peer are those of the full-budget walk, only the wasted
+    ``next`` calls are skipped.
     """
+    lam = params.lam
     arc = clockwise_distance(s, first.point)
     if arc < lam:  # line 2: the interval I(s, l(h(s))] is SMALL
         return TrialResult(s=s, outcome=TrialOutcome.SMALL_HIT, peer=first, walk_hops=0)
 
     t_value = arc - lam
-    hops = 0
-    for _ in range(walk_budget):
+    cuts = params.cuts
+    left = params.walk_budget
+    while t_value <= cuts[left]:  # cuts[0] == 0: a positive T ends the budget
         nxt = dht.next(first)
-        hops += 1
+        left -= 1
         step = clockwise_distance(first.point, nxt.point)
         if nxt.peer_id == first.peer_id:
             step = 1.0  # a self-successor means a full lap of the circle
         t_value += step - lam
         if t_value <= 0.0:
-            return TrialResult(s=s, outcome=TrialOutcome.WALK_HIT, peer=nxt, walk_hops=hops)
+            return TrialResult(
+                s=s, outcome=TrialOutcome.WALK_HIT, peer=nxt, walk_hops=params.walk_budget - left
+            )
         first = nxt
-    return TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=hops)
+    return TrialResult(
+        s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=params.walk_budget - left
+    )
 
 
 @dataclass(frozen=True)
@@ -117,13 +131,39 @@ class SamplerParams:
     """Resolved parameters of the sampler, derived from ``n_hat``.
 
     ``lam`` is the per-peer measure; ``walk_budget`` the ``ceil(6 ln n')``
-    hop cap of Figure 1.
+    hop cap of Figure 1.  ``cuts[j]`` (``j = 0 .. walk_budget``), derived
+    from ``lam`` and ``walk_budget`` when the parameters are made (it is
+    not a constructor argument), bounds the ``T`` from which ``j`` more
+    hops can still reach ``T <= 0``: ``j lam`` widened by a bound on
+    rounding, so a walk whose ``T`` exceeds ``cuts[j]`` with ``j`` hops
+    left cannot end at a peer.
+
+    Why.  A hop adds ``fl(step - lam)``; steps are clockwise distances
+    (a self-successor's is 1.0), so ``step >= 0`` and, rounding being
+    monotone, the hop adds at least ``-lam``.  So after ``i`` more hops
+    ``T`` is at least ``g^i(t)``, with ``g(t) = fl(t - lam)`` and ``t``
+    its current value.  With ``u = 2**-53``, ``fl(x) >= x (1 - u)`` for
+    ``x >= 0``, and by induction ``g^i(t) >= t (1 - i u) - i lam`` while
+    that stays positive; so ``t > j lam / (1 - j u)`` keeps every later
+    ``T`` positive.  The table computes ``fl(fl(j lam) f)`` with the
+    factor ``f = 1 + 4 (j + 1) u``, exact in binary64; its two roundings
+    lose at most a relative ``2 u``, and ``(1 - u)^2 f >= 1 / (1 - j u)``
+    for every ``j`` a budget can take.  ``cuts[0] == 0``: the last hop
+    ends the walk as the budget does.  In exact arithmetic ``T > j lam``
+    after ``k`` hops means the walk's peer lies more than
+    ``(budget + 1) lam`` clockwise of ``s``.
     """
 
     n_hat: float
     n_prime: float
     lam: float
     walk_budget: int
+    cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lam = self.lam
+        cuts = tuple(j * lam * (1.0 + 4 * (j + 1) * 2.0**-53) for j in range(self.walk_budget + 1))
+        object.__setattr__(self, "cuts", cuts)
 
     @classmethod
     def from_estimate(
@@ -232,9 +272,7 @@ class RandomPeerSampler:
         Exposed separately so tests and the exact-assignment analysis can
         drive the deterministic part of the algorithm directly.
         """
-        return _trial_from_first(
-            self._dht, self.params.lam, self.params.walk_budget, s, self._dht.h(s)
-        )
+        return _trial_from_first(self._dht, self.params, s, self._dht.h(s))
 
     # -- public sampling API ----------------------------------------------
 

@@ -160,8 +160,9 @@ class ServiceTimeModel:
     scales the substrate's abstract latency units (one ``next`` = 1)
     into service-clock units; the default puts one request's sampling
     work (``1/(n lambda)`` trials in expectation, ~26 with the paper's
-    constants, each an ``h`` plus a walk; Theorem 7) at roughly the
-    same scale as one dispatch overhead, so batch-window effects are
+    constants, each an ``h``, plus walks of at most ``walk_budget + 1``
+    hops in all; Theorem 7) at about half of one dispatch overhead on
+    a 1e5-peer ideal ring (~500 latency units), so batching effects are
     visible at default settings.
     """
 

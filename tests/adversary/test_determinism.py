@@ -18,28 +18,28 @@ ADVERSARY_PINS = {
     "chord": {
         "completed": 80,
         "failed": 0,
-        "sim_time": 375.0,
-        "shard_messages": [349198, 257244],
-        "shard_draws": [40, 40],
-        "shard_captured": [24, 32],
+        "sim_time": 75.0,
+        "shard_messages": [26144, 17938],
+        "shard_draws": [42, 38],
+        "shard_captured": [24, 28],
         "byzantine_total": 10,
-        "capture_rate": 0.7,
-        "committee_empirical": 1.0,
-        "lies_told": 10481,
-        "latency_mean": 134.9367676753957,
+        "capture_rate": 0.65,
+        "committee_empirical": 0.8,
+        "lies_told": 8189,
+        "latency_mean": 2.4145119683914524,
     },
     "kademlia": {
         "completed": 80,
         "failed": 0,
-        "sim_time": 450.0,
-        "shard_messages": [68972, 443148],
-        "shard_draws": [62, 18],
-        "shard_captured": [14, 3],
+        "sim_time": 100.0,
+        "shard_messages": [12180, 46904],
+        "shard_draws": [58, 22],
+        "shard_captured": [11, 3],
         "byzantine_total": 10,
-        "capture_rate": 0.2125,
+        "capture_rate": 0.175,
         "committee_empirical": 0.2,
-        "lies_told": 233031,
-        "latency_mean": 68.76963000760841,
+        "lies_told": 9742,
+        "latency_mean": 3.150073387203172,
     },
 }
 

@@ -70,6 +70,24 @@ class TestCompare:
         flags = [r for r in rows if r["kind"] == "exact"]
         assert flags and all(r["regressed"] for r in flags)
 
+    def test_service_quick_and_full_share_the_floor_ratio(self):
+        def service_record(n, shard_counts, ratio):
+            rows = []
+            for shards in shard_counts:
+                for dispatch, thr in (("batch", ratio), ("scalar", 1.0)):
+                    rows.append({"n": n, "shards": shards, "dispatch": dispatch,
+                                 "sustained_rps": 100.0, "sim_throughput": thr})
+            return {"benchmark": "service_load", "dispatch_comparison": rows}
+
+        rows = check_regression.compare(
+            service_record(2000, [1, 2], 1.1),
+            service_record(100000, [1, 4], 1.5),
+            check_regression._metrics_service,
+            tolerance=0.4,
+        )
+        assert [r["metric"] for r in rows] == ["shards=1/sim_throughput_ratio"]
+        assert not rows[0]["regressed"]
+
     def test_disjoint_configurations_compare_nothing(self):
         rows = check_regression.compare(
             chord_record(4.0, n=1000),

@@ -771,8 +771,14 @@ class TestSamplerIntegration:
     def test_mid_round_stabilization_rereads_the_view(self):
         # A walk that meets the crashed node re-resolves through h, whose
         # recursive lookup fails and stabilizes the ring mid-round; the
-        # trials after it must see the stabilized ring.
+        # trials after it must see the stabilized ring.  Walks stop after
+        # a few hops, so the first point lies two lam counterclockwise of
+        # the crashed node's predecessor (the one live position whose
+        # successor pointer disagrees with the ring): its walk's second
+        # hop asks the crashed node.
         dht_a, dht_b = build_twins(61, n=64, crashes=1, mode="recursive")
+        view = dht_a.walk_view()
+        pred = int((view.run == 0).nonzero()[0][0])
         without_walk_view(dht_b)
         calls_a, calls_b = count_next(dht_a), count_next(dht_b)
         net = dht_a._network
@@ -787,7 +793,7 @@ class TestSamplerIntegration:
         dht_a.resolve_many = recording
         engine_a = BatchSampler(dht_a, n_hat=64.0)
         engine_b = BatchSampler(dht_b, params=engine_a.params)
-        xs = points(40, 62)
+        xs = [float(view.points[pred]) - 2 * engine_a.params.lam] + points(40, 62)
         assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
         assert_walk_charges_equal(dht_a, dht_b)
         assert net.churn_epoch > resolved_at[0]  # stabilized during the walks

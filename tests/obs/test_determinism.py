@@ -6,9 +6,10 @@ Two layers of protection:
    the commit *before* the observability subsystem existed, and
    re-captured untraced when the batch engine stopped charging the
    trials past each round's last needed success, and again when idle
-   shards stopped holding requests for batchmates (on the static
-   service ring that moved only timing and completion order: the same
-   200 draws, the same checksum).  An untraced run today
+   shards stopped holding requests for batchmates, and again when each
+   walk stopped once it could no longer win (on the static service ring
+   both moved only timing and completion order: the same 200 draws, the
+   same checksum).  An untraced run today
    must still reproduce them bit-for-bit -- instrumentation that shifted
    a single RNG draw or reassociated one float add would show up here.
 2. **Traced == untraced.**  Running the same seed with a full tracer
@@ -36,35 +37,35 @@ SCENARIO_PINS = {
         "failed": 0,
         "rejected": 0,
         "dispatch_failures": 0,
-        "churn_events": 14,
-        "sim_time": 150.2874472169523,
-        "shard_messages": [104970, 83262],
-        "shard_draws": [35, 45],
-        "latency_p50": 29.228697146370493,
-        "latency_p95": 56.7633094165208,
-        "latency_mean": 27.475651070412717,
+        "churn_events": 9,
+        "sim_time": 82.1959601054048,
+        "shard_messages": [15854, 9117],
+        "shard_draws": [43, 37],
+        "latency_p50": 1.8510958418753063,
+        "latency_p95": 3.0106579733842196,
+        "latency_mean": 1.8492833035589662,
     },
     "kademlia": {
         "completed": 80,
         "failed": 0,
         "rejected": 0,
         "dispatch_failures": 0,
-        "churn_events": 15,
-        "sim_time": 152.1014555661775,
-        "shard_messages": [124912, 84865],
-        "shard_draws": [37, 43],
-        "latency_p50": 33.739225997237114,
-        "latency_p95": 71.63054965390486,
-        "latency_mean": 32.33226290839609,
+        "churn_events": 9,
+        "sim_time": 82.1959601054048,
+        "shard_messages": [20341, 11296],
+        "shard_draws": [43, 37],
+        "latency_p50": 2.1438902779595566,
+        "latency_p95": 3.309262423213923,
+        "latency_mean": 2.095142710205515,
     },
 }
 
 SERVICE_PIN = {
     "completed": 200,
-    "first_peers": [235, 183, 138, 190, 70, 92, 255, 144, 131, 30],
+    "first_peers": [235, 183, 138, 190, 70, 92, 255, 30, 144, 147],
     "peer_checksum": 29872,
-    "final_time": 118.95864398563155,
-    "total_latency_mean": 30.06765506863376,
+    "final_time": 92.76603047831544,
+    "total_latency_mean": 2.052683805335275,
 }
 
 
