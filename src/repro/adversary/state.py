@@ -45,9 +45,7 @@ LIE_STRATEGIES = ("lookup", "census", "eclipse")
 
 #: Chord maintenance replies the eclipse strategy rewrites (lookup-path
 #: and Kademlia contact-list replies are handled per method below).
-_CHORD_ECLIPSED = frozenset(
-    {"closest_preceding_node", "get_predecessor", "get_successor_list"}
-)
+_CHORD_ECLIPSED = frozenset({"get_predecessor", "get_successor_list"})
 
 
 class AdversaryState:
@@ -238,5 +236,5 @@ class AdversaryState:
             self._tally(method)
             if method == "get_successor_list":
                 return list(self._colluders)
-            return self._deflect(target if method == "closest_preceding_node" else 0)
+            return self._deflect(0)
         return result

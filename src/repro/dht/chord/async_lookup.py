@@ -1,23 +1,16 @@
-"""Continuation-driven Chord lookups for the async message-level transport.
-
-The coroutines here are the event-clock twins of
-:meth:`ChordNode.lookup` and :meth:`ChordNode.lookup_recursive`: the
-same routing decisions (every step goes through ``lookup_step`` with the
-same excluded tuples), but every remote exchange is a yielded
-:class:`~repro.sim.async_net.Call`, so the lookup's pending state lives
-across scheduled deliveries rather than inside a blocking call chain.
-That is what lets a lookup survive a peer dying *mid-flight*: the
-in-flight hop times out as a real event, the coroutine resumes with
-:class:`~repro.sim.network.RpcTimeout` thrown in, and routing falls back
-to the next live successor-list entry -- all under a per-request
-deadline budget measured on the sim clock.
+"""Chord lookups on the async message-level transport.
 
 Two modes:
 
-* :func:`iterative_lookup` -- the querier drives every hop, keeping a
-  *path stack* of nodes that have answered so far; when the node it
-  would re-ask has itself died, it backs down the stack instead of
-  aborting (the sync path's one weakness under mid-lookup churn).
+* :func:`lookup_async` -- the iterative lookup.  It spawns the one
+  client-driven coroutine, :func:`~repro.dht.chord.node.iterative_lookup`,
+  that :meth:`ChordNode.lookup` runs inline on the synchronous transport
+  and the ring store replays: every exchange is a yielded request, so
+  the lookup's pending state lives across scheduled deliveries rather
+  than inside a blocking call chain.  A peer that dies *mid-flight*
+  times out as a real event, the coroutine resumes with
+  :class:`~repro.sim.network.RpcTimeout` thrown in, and routing falls
+  back down the path of nodes that have answered.
 * :func:`forward_hop` / :func:`lookup_recursive_async` -- recursive
   forwarding where each hop is an acked request (the ack means
   "accepted", so forwarding still pipelines), letting a forwarder
@@ -25,7 +18,9 @@ Two modes:
   The owner's answer travels as one direct message to the querier
   (:meth:`ChordNode.claim_async_lookup`), preserving the sync mode's
   direct-reply message economy; a querier-side deadline event bounds
-  the whole request.
+  the whole request.  This is a different protocol from the sync
+  plane's recursive chain (``lookup_recursive``/``forward_lookup``),
+  in which a dead hop fails the whole query.
 
 Only meaningful on :class:`~repro.sim.async_net.AsyncRpcTransport`
 endpoints (``spawn``/``cast``/``sim`` are async-plane surface); the
@@ -37,122 +32,29 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
-from ...sim.async_net import Call, Future
-from ...sim.network import RpcTimeout
-from .node import LookupError_, LookupResult, hop_budget
+from ...sim.async_net import Future
+from ...sim.network import Call, RpcTimeout
+from .node import LookupError_, LookupResult, hop_budget, iterative_lookup
 
 if TYPE_CHECKING:
     from .node import ChordNode
 
 __all__ = [
     "forward_hop",
-    "iterative_lookup",
     "lookup_async",
     "lookup_recursive_async",
 ]
 
 
-def iterative_lookup(
-    node: "ChordNode",
-    target_id: int,
-    *,
-    max_hops: int | None = None,
-    deadline: float | None = None,
-) -> Generator:
-    """Coroutine body of an iterative lookup (spawn via :func:`lookup_async`).
-
-    Mirrors :meth:`ChordNode.lookup` exchange-for-exchange under failure-
-    free conditions (same ``lookup_step`` sequence, same single owner
-    ``ping``), which is what the cross-transport equivalence property
-    pins.  Under churn it is *stronger* than the sync path: the nodes
-    that answered so far form a stack, and when the node we would re-ask
-    has died we back down the stack (ending at ourselves, answered
-    locally) instead of aborting the lookup.
-
-    ``deadline`` is a sim-clock budget for the whole request, checked
-    between exchanges; ``None`` leaves only the hop budget.
-    """
-    ep = node._transport
-    budget = max_hops if max_hops is not None else hop_budget(node.m)
-    expires = None if deadline is None else ep.now + deadline
-    excluded: tuple[int, ...] = ()
-    #: Nodes that have answered a routing step, query order; the bottom
-    #: entry is ourselves, so backing down always terminates locally.
-    path = [node.node_id]
-    kind, nxt = node.lookup_step(target_id)
-    hops = 0
-
-    def overdue() -> bool:
-        return expires is not None and ep.now >= expires
-
-    def fail(why: str) -> LookupError_:
-        return LookupError_(f"lookup of {target_id} from {node.node_id}: {why}")
-
-    def ask_down_the_path() -> Generator:
-        """Re-ask the most recent answerer, backing down past casualties."""
-        nonlocal excluded, hops
-        while True:
-            if overdue():
-                raise fail(f"deadline of {deadline:g} sim-seconds exceeded")
-            current = path[-1]
-            if current == node.node_id:
-                return node.lookup_step(target_id, excluded)
-            try:
-                return (yield Call(current, "lookup_step", target_id, excluded))
-            except RpcTimeout:
-                excluded = excluded + (current,)
-                path.pop()
-                hops += 1
-                if hops >= budget:
-                    raise fail(f"no live path within {budget} hops") from None
-
-    while True:
-        if overdue():
-            raise fail(f"deadline of {deadline:g} sim-seconds exceeded")
-        if kind == "done":
-            owner = nxt
-            if owner == node.node_id:
-                return LookupResult(node_id=owner, hops=hops)
-            # Verify the owner answers, as the sync path does with one
-            # ping; a stale pointer to a fresh crash gets excluded and
-            # the query re-asked, falling to the live successor.
-            try:
-                yield Call(owner, "ping")
-                return LookupResult(node_id=owner, hops=hops)
-            except RpcTimeout:
-                pass
-            excluded = excluded + (owner,)
-            hops += 1
-            if hops >= budget:
-                raise fail(f"no live owner within {budget} hops")
-            kind, nxt = yield from ask_down_the_path()
-            continue
-        if hops >= budget:
-            raise fail(f"exceeded {budget} hops")
-        try:
-            step = yield Call(nxt, "lookup_step", target_id, excluded)
-        except RpcTimeout:
-            # The hop died with our query in flight: route around it.
-            excluded = excluded + (nxt,)
-            hops += 1
-            kind, nxt = yield from ask_down_the_path()
-            continue
-        hops += 1
-        path.append(nxt)
-        kind, nxt = step
-
-
 def lookup_async(
-    node: "ChordNode",
-    target_id: int,
-    *,
-    max_hops: int | None = None,
-    deadline: float | None = None,
+    node: "ChordNode", target_id: int, *, max_hops: int | None = None
 ) -> Future:
-    """Start an iterative lookup on the async plane; resolves to
-    :class:`LookupResult`, fails with :class:`LookupError_`."""
+    """Spawn :func:`~repro.dht.chord.node.iterative_lookup` from ``node``
+    on the async plane; resolves to :class:`LookupResult`, fails with
+    :class:`LookupError_`."""
+    budget = max_hops if max_hops is not None else hop_budget(node.m)
     return node._transport.spawn(
-        iterative_lookup(node, target_id, max_hops=max_hops, deadline=deadline)
+        iterative_lookup(node.node_id, node.lookup_step, target_id, budget)
     )
 
 

@@ -46,9 +46,12 @@ state.  Three design rules make that exact:
 - **Exact fallback.**  The vectorized lane handles the hot path -- no
   crashed references, no exclusion lists.  A lookup that touches a dead
   node (a stale finger/successor pointing at a crashed peer) is replayed
-  from scratch by :func:`_sim_iterative`, a line-by-line Python
-  transcription of the client-driven loop *including* its
-  excluded-node rerouting, still against the snapshot.  A lookup that
+  from scratch by :func:`_sim_iterative`, which runs the live path's own
+  coroutine (:func:`~repro.dht.chord.node.iterative_lookup`) and answers
+  its requests from the stored rows through the live path's own
+  routing step (:func:`~repro.dht.chord.node.route_step`), charging
+  each as the transport would; :func:`_sim_recursive` replays the
+  recursive chain with the same step.  A lookup that
   fails terminally (hop budget exhausted, dead recursive hop) is
   reported with ``ok=False`` and the adapter re-executes it -- and
   everything after it -- through the live per-call path, which replays
@@ -86,13 +89,14 @@ the block's charge columns and hands a slice's totals to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as _np
 
 from ...core.intervals import ring_gaps
+from ...sim.network import RpcTimeout
 from ..api import NUMPY_MIN_BATCH, PeerRef
-from .idspace import in_open_closed, in_open_open
-from .node import hop_budget
+from .node import LookupError_, hop_budget, iterative_lookup, route_step
 
 __all__ = [
     "BatchLookupStats",
@@ -777,45 +781,13 @@ def _table_resolve(
 # -- exact Python replay (slow lane) -----------------------------------------
 
 
-def _sim_step(snapshot: RingSnapshot, node_id: int, target: int, excluded):
-    """``ChordNode.lookup_step`` evaluated against the snapshot.
-
-    Byte-for-byte transcription of the live routing step -- the
-    effective successor skips excluded ids, ``closest_preceding_node``
-    scans fingers then successors in reverse, and a self/excluded best
-    hop falls through to the successor -- so replayed routes cannot
-    drift from what the live node would have answered.
-    """
+def _sim_step(snapshot: RingSnapshot, node_id: int, target: int, excluded=()):
+    """:func:`~repro.dht.chord.node.route_step` over the stored rows of
+    live ``node_id``."""
     slot = snapshot.slot(node_id)
-    if excluded:
-        succs = snapshot.succs_at(slot)
-        succ = next((s for s in succs if s not in excluded), node_id)
-    else:  # the first entry, kept decoded: succs[0] if succs else node_id
-        succs = None
-        succ = snapshot.succ_first_np.item(slot)
-    if succ == node_id or in_open_closed(target, node_id, succ):
-        return "done", succ
-    nxt = None
-    for finger in reversed(snapshot.fingers_at(slot)):
-        if (
-            finger is not None
-            and finger not in excluded
-            and in_open_open(finger, node_id, target)
-        ):
-            nxt = finger
-            break
-    if nxt is None:
-        if succs is None:
-            succs = snapshot.succs_at(slot)
-        for s in reversed(succs):
-            if s not in excluded and in_open_open(s, node_id, target):
-                nxt = s
-                break
-    if nxt is None:
-        nxt = succs[0] if succs else node_id  # get_successor()
-    if nxt == node_id or nxt in excluded:
-        nxt = succ
-    return "forward", nxt
+    return route_step(
+        node_id, snapshot.succs_at(slot), snapshot.fingers_at(slot), target, excluded
+    )
 
 
 def _sim_iterative(
@@ -826,68 +798,56 @@ def _sim_iterative(
     rpc_latency: float,
     timeout: float,
 ) -> LookupTrace:
-    """Replay of the client-driven iterative loop, exclusions included.
+    """:func:`~repro.dht.chord.node.iterative_lookup` from ``entry_id``,
+    answered from the ring store.
 
-    Mirrors :meth:`ChordNode.lookup` statement for statement: the first
-    step is answered locally (uncharged), each forward is one charged
-    RPC, a dead owner is pinged (one lost message + timeout), excluded,
-    and the query re-asked from the last responsive node, and the hop
-    budget is checked at exactly the same points.
+    The responder charges each request as the live transport would: to a
+    live node, one RPC, two messages and ``rpc_latency``, answered from
+    its stored rows (a ping just succeeds); to a dead one, one RPC, one
+    lost message, a timeout tick and ``timeout``, with
+    :class:`~repro.sim.network.RpcTimeout` thrown in.  The entry's own
+    steps are answered locally, uncharged.  A lookup that runs out of
+    hops is reported with ``ok=False`` and the hops it reached.
     """
-    excluded: tuple[int, ...] = ()
-    current = entry_id
-    kind, nxt = _sim_step(snapshot, entry_id, target, excluded)
-    hops = 0
+    lookup = iterative_lookup(
+        entry_id, partial(_sim_step, snapshot, entry_id), target, budget
+    )
+    slot_of = snapshot.slot
     msgs = 0
     calls = 0
     touts = 0
     lat = 0.0
-
-    def ask(node_id: int):
-        nonlocal msgs, calls, lat
-        if node_id != entry_id:
+    try:
+        request = lookup.send(None)
+        while True:
             calls += 1
+            node_id = request[0]
+            slot = slot_of(node_id)
+            if slot < 0:
+                touts += 1
+                msgs += 1
+                lat += timeout
+                request = lookup.throw(RpcTimeout(f"node {node_id} is dead"))
+                continue
             msgs += 2
             lat += rpc_latency
-        return _sim_step(snapshot, node_id, target, excluded)
-
-    while True:
-        if kind == "done":
-            owner = nxt
-            if owner == entry_id:
-                return LookupTrace(owner, hops, msgs, lat, calls, touts, True)
-            if snapshot.alive(owner):
-                calls += 1
-                msgs += 2
-                lat += rpc_latency  # the liveness ping before handing out the owner
-                return LookupTrace(owner, hops, msgs, lat, calls, touts, True)
-            calls += 1
-            touts += 1
-            msgs += 1
-            lat += timeout
-            excluded = excluded + (owner,)
-            hops += 1
-            if hops >= budget:
-                return LookupTrace(-1, hops, msgs, lat, calls, touts, False)
-            kind, nxt = ask(current)
-            continue
-        if hops >= budget:
-            return LookupTrace(-1, hops, msgs, lat, calls, touts, False)
-        if snapshot.alive(nxt):
-            calls += 1
-            msgs += 2
-            lat += rpc_latency
-            kind, result = _sim_step(snapshot, nxt, target, excluded)
-            hops += 1
-            current, nxt = nxt, result
-        else:
-            calls += 1
-            touts += 1
-            msgs += 1
-            lat += timeout
-            excluded = excluded + (nxt,)
-            hops += 1
-            kind, nxt = ask(current)
+            if request[1] == "ping":
+                request = lookup.send(True)
+                continue
+            request = lookup.send(
+                route_step(
+                    node_id,
+                    snapshot.succs_at(slot),
+                    snapshot.fingers_at(slot),
+                    target,
+                    request[3],
+                )
+            )
+    except StopIteration as stop:
+        found = stop.value
+        return LookupTrace(found.node_id, found.hops, msgs, lat, calls, touts, True)
+    except LookupError_ as exc:
+        return LookupTrace(-1, exc.hops, msgs, lat, calls, touts, False)
 
 
 def _sim_recursive(
@@ -900,7 +860,9 @@ def _sim_recursive(
 ) -> LookupTrace:
     """Replay of the forwarded (recursive) chain.
 
-    Mirrors ``lookup_recursive``/``forward_lookup``: one charged one-way
+    Mirrors ``lookup_recursive``/``forward_lookup``, each step the live
+    node's :func:`~repro.dht.chord.node.route_step` over its stored
+    rows: one charged one-way
     message per forwarded hop, the budget checked on arrival, a dead hop
     or a dead owner failing the whole query (no client-side rerouting),
     and the owner's single direct reply charged as one message with no
@@ -915,7 +877,7 @@ def _sim_recursive(
     while True:
         if hops > budget:
             return LookupTrace(-1, hops, msgs, lat, calls, touts, False)
-        kind, nxt = _sim_step(snapshot, cur, target, ())
+        kind, nxt = _sim_step(snapshot, cur, target)
         if kind == "done":
             owner = nxt
             if owner != entry_id:
@@ -1126,8 +1088,8 @@ def _vector_frontier(
         node = slot_ids[c]
         tgt = t[f_idx]
         succ = succ_first[c]
-        # closest_preceding_node: the highest finger strictly inside
-        # (node, target), whole rows at once.  Reversing the column axis
+        # route_step's closest preceding node: the highest finger
+        # strictly inside (node, target), whole rows at once.  Reversing the column axis
         # makes argmax return the *first* admissible entry scanning from
         # the top finger down -- the live node's scan order.
         d_t = (tgt - node) & mask
@@ -1154,7 +1116,7 @@ def _vector_frontier(
             sub_found = rev[np.arange(rows.shape[0]), pick]
             sub_nxt = rows[np.arange(rows.shape[0]), rows.shape[1] - 1 - pick]
             nxt[miss] = np.where(sub_found, sub_nxt, succ[miss])
-        nxt = np.where(nxt == node, succ, nxt)  # lookup_step's self-fallback
+        nxt = np.where(nxt == node, succ, nxt)  # route_step's self-fallback
         alive = alive_of(nxt)
         state[f_idx[~alive]] = _REPLAY  # dead hop: reroute (or fail) exactly
         live_idx = f_idx[alive]

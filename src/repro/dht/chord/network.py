@@ -30,7 +30,7 @@ from .batch import (
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
 
-__all__ = ["ChordNetwork", "ChordDHT"]
+__all__ = ["ChordAdapterBase", "ChordNetwork", "ChordDHT"]
 
 
 class ChordNetwork:
@@ -437,7 +437,194 @@ def _targets_for(points, m: int):
     return _np.ceil(arr * size).astype(_np.int64) % size
 
 
-class ChordDHT(EntryVantageMixin):
+class ChordAdapterBase(EntryVantageMixin):
+    """What both Chord ``h``/``next`` adapters share.
+
+    The entry peer and its failover, and the batched lookups over the
+    ring store: ``h_many``/``resolve_many`` resolve a batch through the
+    lockstep engine (:mod:`repro.dht.chord.batch`), charge what they
+    keep through ``commit_lookups``, and hand every lookup the engine
+    predicts to fail to the scalar ``h``.  ``warm_lockstep``,
+    ``walk_view`` and ``replay_key`` expose the store's walk view and
+    route table.  A subclass provides what differs: ``h`` (its retry
+    discipline), ``next``, ``lockstep_eligible``, ``_lookup_inputs``
+    (the charge constants) and ``commit_lookups`` (where charges go).
+    """
+
+    def __init__(self, network, entry_id: int | None, lookup_mode: str):
+        if len(network) == 0:
+            raise ValueError("cannot adapt an empty network")
+        if lookup_mode not in ("iterative", "recursive"):
+            raise ValueError(f"unknown lookup_mode {lookup_mode!r}")
+        self._network = network
+        if entry_id is None:
+            # The lowest live id, read off the store's sorted view.
+            entry_id = int(network.snapshot().ids_np[0])
+        if entry_id not in network.nodes:
+            raise KeyError(f"entry node {entry_id} is not alive")
+        self._entry_id = entry_id
+        self._lookup_mode = lookup_mode
+        self.cost = CostMeter()
+        #: Where this adapter's batched lookups were resolved (lockstep
+        #: engine vs live per-call) -- read by benches and the scenario
+        #: runner's shard reports.
+        self.batch_stats = BatchLookupStats()
+
+    def _ref(self, node_id: int) -> PeerRef:
+        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
+
+    # entry_id / entry_is_alive / refresh_entry / _vantage_id come from
+    # EntryVantageMixin -- the failover discipline shared with Kademlia.
+
+    def any_peer(self) -> PeerRef:
+        return self._ref(self._vantage_id())
+
+    def successor_of_index(self, i: int) -> PeerRef:
+        """The live peer at clockwise ring position ``i % n`` (uncharged).
+
+        Oracle-style access backed by the epoch-memoized sorted-id view,
+        mirroring ``IdealDHT.successor_of_index`` for callers that
+        index the ring directly (tests, analysis tooling).
+        """
+        ids = self._network.sorted_ids()
+        return self._ref(ids[i % len(ids)])
+
+    # -- batched lookups (the lockstep engine) ---------------------------
+
+    def warm_lockstep(self) -> bool:
+        """Pre-build the ring store's walk view and route table.
+
+        Called before serving starts and after a shard's churn-recovery
+        refresh, so a dispatch does not pay these builds on the request
+        path.  The route table
+        (:func:`~repro.dht.chord.batch.build_route_table`) is built only
+        here: while the ring stays as warmed, every batch's lookups are
+        read from it.  A dead entry gets no table: the next lookup fails
+        over, and warming must not pick the new entry earlier than that.
+        Returns whether the lockstep engine is engaged for this adapter.
+        Free of charges and randomness.
+        """
+        if not self.lockstep_eligible():
+            return False
+        snapshot = self._network.snapshot()
+        snapshot.walk_view()
+        if self.entry_is_alive:
+            build_route_table(snapshot, *self._lookup_inputs(self._entry_id))
+        return True
+
+    def walk_view(self) -> WalkView | None:
+        """The ring as ``next`` walks it, when replaying walks is exact.
+
+        The batch engine replays Figure 1's clockwise walks from this
+        view instead of one ``get_successor`` RPC per hop, and charges
+        the replayed hops through ``commit_lookups``.  None -- keep the
+        per-call ``next`` walk -- unless lockstep replay is eligible
+        (``lockstep_eligible``).
+        """
+        if not self.lockstep_eligible():
+            return None
+        return self._network.snapshot().walk_view()
+
+    def replay_key(self) -> tuple | None:
+        """What ``resolve_many(..., commit=False)`` and :meth:`walk_view` read.
+
+        The current :meth:`walk_view`, then the entry peer, the lookup
+        mode and the replay costs
+        (:func:`~repro.dht.chord.batch.replay_key`): equal keys mean an
+        uncharged resolve would return the same rows.  None when
+        :meth:`walk_view` is None.  The entry is read as it stands, so a
+        caller reads the key after resolving (a resolve fails a dead
+        entry over).
+        """
+        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
+
+    def h_many(self, xs) -> list[PeerRef]:
+        """``h`` over a whole vector of points via lockstep batch routing.
+
+        Resolves every point in one pass over the ring store and charges
+        the exact amounts a ``[self.h(x) for x in xs]`` loop would,
+        routing around crashed fingers included.  From the first lookup
+        the engine predicts to fail, the batch cuts over to scalar ``h``
+        calls (which retry and stabilize), and resumes lockstep after
+        it; when replay cannot be charge-identical
+        (``lockstep_eligible`` is false) the whole batch is a scalar
+        loop.  Not a ``BulkDHT``: costs are metered per hop, not
+        unit-priced.
+        """
+        return self._h_many(list(xs), tolerant=False)
+
+    def resolve_many(self, xs, *, commit: bool = True):
+        """Failure-tolerant :meth:`h_many`, or its uncharged resolution.
+
+        With ``commit`` (the default): the same batched resolution and
+        identical charges, but a point whose lookup fails terminally
+        (after the scalar path's own retries and stabilization attempts)
+        yields ``None`` instead of raising.  Mirrors a loop of ``h``
+        calls with ``LookupError_`` caught per point.
+
+        With ``commit=False``: charges nothing and touches no node state.
+        Returns the store's replay of every point's lookup as
+        :class:`~repro.dht.chord.batch.Lookups`, for the caller to charge
+        the rows it keeps through ``commit_lookups``; a row with
+        ``ok=False`` is a lookup the scalar path must re-execute (it
+        would retry and stabilize).  None when replay is not eligible
+        (``lockstep_eligible``).  A dead entry peer is failed over
+        first, as the next scalar lookup would.
+        """
+        if commit:
+            return self._h_many(list(xs), tolerant=True)
+        if not self.lockstep_eligible():
+            return None
+        return self._lookups(list(xs))
+
+    def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
+        if not tolerant:
+            return self.h(x)
+        try:
+            return self.h(x)
+        except LookupError_:
+            return None
+
+    def _lookups(self, points: list) -> Lookups:
+        """The lockstep replay of the longest valid prefix of ``points``."""
+        network = self._network
+        return resolve_lookups(
+            network.snapshot(),
+            _targets_for(points, network.m),
+            *self._lookup_inputs(self._vantage_id()),
+        )
+
+    def _h_many(self, points: list, tolerant: bool) -> list:
+        if not self.lockstep_eligible():
+            self.batch_stats.percall += len(points)
+            return [self._h_scalar(x, tolerant) for x in points]
+        out: list = []
+        i = 0
+        while i < len(points):
+            found = self._lookups(points[i:])
+            n_ok = found.first_failure()
+            if n_ok:
+                ok = found[:n_ok]
+                self.commit_lookups(found, 0, n_ok, (*ok.totals(), 0))
+                out.extend(map(self._ref, ok.owners()))
+                i += n_ok
+            if n_ok < len(found):
+                # The engine predicts this lookup fails; the scalar path
+                # replays the failed attempt's charges, stabilizes and
+                # retries -- and may mutate the ring, so the loop
+                # re-resolves before resuming lockstep for the rest.
+                self.batch_stats.delegated += 1
+                out.append(self._h_scalar(points[i], tolerant))
+                i += 1
+            elif not n_ok:
+                # points[i] lies outside the circle: h raises as a
+                # scalar loop would.
+                out.append(self._h_scalar(points[i], tolerant))
+                i += 1
+        return out
+
+
+class ChordDHT(ChordAdapterBase):
     """The paper's DHT interface over a live :class:`ChordNetwork`.
 
     ``h(x)`` runs one Chord lookup from the entry node -- iterative
@@ -457,16 +644,7 @@ class ChordDHT(EntryVantageMixin):
         retry_policy: RetryPolicy | None = None,
         retry_rng: random.Random | None = None,
     ):
-        if not network.nodes:
-            raise ValueError("cannot adapt an empty network")
-        if lookup_mode not in ("iterative", "recursive"):
-            raise ValueError(f"unknown lookup_mode {lookup_mode!r}")
-        self._network = network
-        if entry_id is None:
-            entry_id = min(network.nodes)
-        if entry_id not in network.nodes:
-            raise KeyError(f"entry node {entry_id} is not alive")
-        self._entry_id = entry_id
+        super().__init__(network, entry_id, lookup_mode)
         #: The lookup retry discipline.  The default reproduces the
         #: historical behaviour exactly: ``retries`` back-to-back
         #: attempts with no backoff.  A policy with backoff charges the
@@ -479,23 +657,11 @@ class ChordDHT(EntryVantageMixin):
         )
         self._retry_rng = retry_rng
         self._retries = self._retry_policy.attempts
-        self._lookup_mode = lookup_mode
-        self.cost = CostMeter()
-        #: Where this adapter's batched lookups were resolved (lockstep
-        #: engine vs live per-call) -- read by benches and the scenario
-        #: runner's shard reports.
-        self.batch_stats = BatchLookupStats()
-
-    def _ref(self, node_id: int) -> PeerRef:
-        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
 
     @property
     def transport(self):
         """The underlying transport (tracer installation, introspection)."""
         return self._network.transport
-
-    # entry_id / entry_is_alive / refresh_entry / _entry_node come from
-    # EntryVantageMixin -- the failover discipline shared with KademliaDHT.
 
     def h(self, x: float) -> PeerRef:
         """``h(x)`` via an iterative lookup (cost: measured, ~O(log n))."""
@@ -508,7 +674,7 @@ class ChordDHT(EntryVantageMixin):
         result = None
         for failure in range(1, policy.attempts + 1):
             try:
-                entry = self._entry_node()
+                entry = self._network.nodes[self._vantage_id()]
                 if self._lookup_mode == "recursive":
                     result = entry.lookup_recursive(target)
                 else:
@@ -542,8 +708,6 @@ class ChordDHT(EntryVantageMixin):
             )
         return self._ref(result.node_id)
 
-    # -- batched lookups (the lockstep engine) ---------------------------
-
     def lockstep_eligible(self) -> bool:
         """Whether snapshot replay is charge-identical to live lookups.
 
@@ -572,27 +736,6 @@ class ChordDHT(EntryVantageMixin):
             and bool(getattr(transport.latency_model, "deterministic", False))
         )
 
-    def warm_lockstep(self) -> bool:
-        """Pre-build the ring snapshot, its walk view and its route table.
-
-        Called before serving starts and after a shard's churn-recovery
-        refresh, so a dispatch does not pay these builds on the request
-        path.  The route table
-        (:func:`~repro.dht.chord.batch.build_route_table`) is built only
-        here: while the ring stays as warmed, every batch's lookups are
-        read from it.  A dead entry gets no table: the next lookup fails
-        over, and warming must not pick the new entry earlier than that.
-        Returns whether the lockstep engine is engaged for this adapter.
-        Free of charges and randomness.
-        """
-        if not self.lockstep_eligible():
-            return False
-        snapshot = self._network.snapshot()
-        snapshot.walk_view()
-        if self.entry_is_alive:
-            build_route_table(snapshot, *self._lookup_inputs(self._entry_id))
-        return True
-
     def _lookup_inputs(self, entry_id: int) -> tuple:
         """What a lookup replayed from ``entry_id`` reads besides the ring:
         ``(entry_id, mode, rpc_latency, oneway_latency, timeout)``, the
@@ -605,127 +748,6 @@ class ChordDHT(EntryVantageMixin):
         # sampling here mirrors (not perturbs) the live per-call charges.
         one_way = transport.latency_model.sample(network.rng)
         return (entry_id, self._lookup_mode, one_way + one_way, one_way, transport.timeout)
-
-    def walk_view(self) -> WalkView | None:
-        """The ring as ``next`` walks it, when replaying walks is exact.
-
-        The batch engine replays Figure 1's clockwise walks from this
-        view instead of one ``get_successor`` RPC per hop, and charges
-        the replayed hops through :meth:`commit_lookups`.  None -- keep
-        the per-call ``next`` walk -- unless lockstep replay is eligible
-        (:meth:`lockstep_eligible`).
-        """
-        if not self.lockstep_eligible():
-            return None
-        return self._network.snapshot().walk_view()
-
-    def replay_key(self) -> tuple | None:
-        """What ``resolve_many(..., commit=False)`` and :meth:`walk_view` read.
-
-        The current :meth:`walk_view`, then the entry peer, the lookup
-        mode and the replay costs
-        (:func:`~repro.dht.chord.batch.replay_key`): equal keys mean an
-        uncharged resolve would return the same rows.  None when
-        :meth:`walk_view` is None.  The entry is read as it stands, so a
-        caller reads the key after resolving (a resolve fails a dead
-        entry over).
-        """
-        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
-
-    def h_many(self, xs) -> list[PeerRef]:
-        """``h`` over a whole vector of points via lockstep batch routing.
-
-        Resolves all points in one pass over the ring store
-        (:class:`~repro.dht.chord.batch.RingSnapshot`) -- every in-flight
-        lookup advanced one hop per round through array-indexed finger
-        tables -- and charges the meter and transport counters the exact
-        per-lookup amounts the equivalent ``[self.h(x) for x in xs]``
-        loop would have, including routing around crashed fingers.  A
-        lookup the engine cannot complete (the live path would raise and
-        stabilize) cuts the batch over to live per-call execution from
-        that index on, preserving the scalar loop's retry/stabilization
-        sequence exactly.  When replay cannot be charge-identical (lossy
-        transport, stochastic latency; see :meth:`lockstep_eligible`)
-        the whole batch takes the per-call loop.
-
-        ``ChordDHT`` still deliberately does *not* implement
-        ``points_array``/``bulk_op_costs`` and therefore fails the
-        ``BulkDHT`` check: a live overlay has no free flat point array,
-        and batch samplers must keep metering real per-hop costs rather
-        than synthetic unit costs.
-        """
-        return self._h_many(list(xs), tolerant=False)
-
-    def resolve_many(self, xs, *, commit: bool = True):
-        """Failure-tolerant :meth:`h_many`, or its uncharged resolution.
-
-        With ``commit`` (the default): the same batched resolution and
-        identical charges, but a point whose lookup fails terminally
-        (after the live path's own retries and stabilization attempts)
-        yields ``None`` instead of raising.  Mirrors a loop of ``h``
-        calls with ``LookupError_`` caught per point.
-
-        With ``commit=False``: charges nothing and touches no node state.
-        Returns the snapshot's replay of every point's lookup as
-        :class:`~repro.dht.chord.batch.Lookups`, for the caller to charge
-        the rows it keeps through :meth:`commit_lookups`; a row with
-        ``ok=False`` is a lookup the live path must re-execute (it would
-        retry and stabilize).  None when replay is not eligible
-        (:meth:`lockstep_eligible`).  A dead entry peer is failed over
-        first, as the next live lookup would.
-        """
-        if commit:
-            return self._h_many(list(xs), tolerant=True)
-        if not self.lockstep_eligible():
-            return None
-        return self._lookups(list(xs))
-
-    def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
-        if not tolerant:
-            return self.h(x)
-        try:
-            return self.h(x)
-        except LookupError_:
-            return None
-
-    def _lookups(self, points: list) -> Lookups:
-        """The lockstep replay of the longest valid prefix of ``points``."""
-        network = self._network
-        entry = self._entry_node()
-        return resolve_lookups(
-            network.snapshot(),
-            _targets_for(points, network.m),
-            *self._lookup_inputs(entry.node_id),
-        )
-
-    def _h_many(self, points: list, tolerant: bool) -> list:
-        if not self.lockstep_eligible():
-            self.batch_stats.percall += len(points)
-            return [self._h_scalar(x, tolerant) for x in points]
-        out: list = []
-        i = 0
-        while i < len(points):
-            found = self._lookups(points[i:])
-            n_ok = found.first_failure()
-            if n_ok:
-                ok = found[:n_ok]
-                self.commit_lookups(found, 0, n_ok, (*ok.totals(), 0))
-                out.extend(map(self._ref, ok.owners()))
-                i += n_ok
-            if n_ok < len(found):
-                # The engine predicts this lookup fails; the live path
-                # replays the failed attempt's charges, stabilizes and
-                # retries -- and may mutate the ring, so the loop
-                # re-snapshots before resuming lockstep for the rest.
-                self.batch_stats.delegated += 1
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-            elif not n_ok:
-                # points[i] lies outside the circle: h raises as a
-                # scalar loop would.
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-        return out
 
     def commit_lookups(self, lookups: Lookups, lo: int, hi: int, totals, walks=None) -> None:
         """Charge resolved lookups, and their trials' walks, as live calls.
@@ -806,16 +828,6 @@ class ChordDHT(EntryVantageMixin):
                 tracer.on_rpc(None, int(ids[q % n]), "get_successor", "rpc", t, t + rtt, "ok")
                 t += rtt
 
-    def successor_of_index(self, i: int) -> PeerRef:
-        """The live peer at clockwise ring position ``i % n`` (uncharged).
-
-        Oracle-style access backed by the epoch-memoized sorted-id view,
-        mirroring ``IdealDHT.successor_of_index`` for callers that
-        index the ring directly (tests, analysis tooling).
-        """
-        ids = self._network.sorted_ids()
-        return self._ref(ids[i % len(ids)])
-
     def next(self, peer: PeerRef) -> PeerRef:
         """``next(p)`` via one ``get_successor`` RPC (cost: O(1))."""
         transport = self._network.transport
@@ -835,6 +847,3 @@ class ChordDHT(EntryVantageMixin):
             transport.elapsed - before_time,
         )
         return self._ref(succ)
-
-    def any_peer(self) -> PeerRef:
-        return self._ref(self._entry_node().node_id)

@@ -4,23 +4,40 @@ The node follows Stoica et al. [16]: ``find_successor`` routes through
 finger tables in ``O(log n)`` hops; ``stabilize``/``notify``/
 ``fix_fingers``/``check_predecessor`` repair the overlay after joins,
 graceful departures, and crashes.  Lookups are *iterative*: the querying
-client drives the hop loop (see :meth:`ChordNode.lookup`), which is what
-lets the DHT adapter meter per-operation messages and latency the way
-Theorem 7 accounts costs.
+client drives the hop loop, which is what lets the DHT adapter meter
+per-operation messages and latency the way Theorem 7 accounts costs.
+
+The routing step and the client's loop are written once each:
+:func:`route_step` is one node's answer to "where next?", given its
+rows, and :func:`iterative_lookup` is the client's loop, a coroutine
+that yields one request per exchange.  Three drivers run that one
+coroutine: :meth:`ChordNode.lookup` inline on the synchronous
+transport (:func:`~repro.sim.network.run_inline`),
+:func:`~repro.dht.chord.async_lookup.lookup_async` spawned on the
+asynchronous one, and the ring store's replay
+(:func:`~repro.dht.chord.batch._sim_iterative`), which answers each
+request from the stored rows and charges what the transport would.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ...sim.network import RpcTimeout, RpcTransport
+from ...sim.network import RpcTimeout, RpcTransport, run_inline
 from ..api import PeerUnreachableError
 from .idspace import id_to_point, in_open_closed, in_open_open
 
 if TYPE_CHECKING:
     from .batch import RingSnapshot
 
-__all__ = ["ChordNode", "LookupError_", "LookupResult", "hop_budget"]
+__all__ = [
+    "ChordNode",
+    "LookupError_",
+    "LookupResult",
+    "hop_budget",
+    "iterative_lookup",
+    "route_step",
+]
 
 
 def hop_budget(m: int) -> int:
@@ -40,7 +57,12 @@ class LookupError_(PeerUnreachableError):
     Subclasses :class:`~repro.dht.api.PeerUnreachableError` so
     substrate-agnostic layers (the batch engine, the serving layer) can
     treat it as a retryable liveness failure without importing Chord.
+    ``hops`` is the hop count the failed lookup reached, where known.
     """
+
+    def __init__(self, message: str, hops: int | None = None):
+        super().__init__(message)
+        self.hops = hops
 
 
 class LookupResult:
@@ -54,6 +76,128 @@ class LookupResult:
 
     def __repr__(self) -> str:
         return f"LookupResult(node_id={self.node_id}, hops={self.hops})"
+
+
+def route_step(
+    node_id: int,
+    succs: list[int],
+    fingers: list[int | None],
+    target_id: int,
+    excluded: tuple[int, ...] = (),
+) -> tuple[str, int]:
+    """One node's routing step: ``('done', owner)`` or ``('forward', next)``.
+
+    ``succs`` and ``fingers`` are the node's rows; ``excluded`` lists
+    nodes the querying client found unresponsive.  The effective
+    successor is the first successor-list entry not excluded, so
+    ownership falls through to the first live entry -- the behaviour
+    that makes lookups converge mid-churn.  Otherwise the query goes to
+    the closest preceding node: the highest finger, then the last
+    successor-list entry, strictly inside ``(node_id, target_id)`` and
+    not excluded; with none, to the effective successor (the linear
+    fallback that guarantees progress).
+    """
+    succ = node_id
+    for s in succs:
+        if s not in excluded:
+            succ = s
+            break
+    if succ == node_id or in_open_closed(target_id, node_id, succ):
+        return ("done", succ)
+    for finger in reversed(fingers):
+        if (
+            finger is not None
+            and finger not in excluded
+            and in_open_open(finger, node_id, target_id)
+        ):
+            return ("forward", finger)
+    for s in reversed(succs):
+        if s not in excluded and in_open_open(s, node_id, target_id):
+            return ("forward", s)
+    return ("forward", succ)
+
+
+def iterative_lookup(client_id: int, local_step, target_id: int, budget: int):
+    """The client-driven iterative lookup, as a request-yielding coroutine.
+
+    ``local_step(target_id, excluded)`` is the client's own
+    :func:`route_step`, answered locally and uncharged; every other
+    exchange is a yielded request -- ``(node, "lookup_step", target_id,
+    excluded)`` or the owner's ``(owner, "ping")``, built as plain
+    tuples rather than through :func:`~repro.sim.network.Call` because
+    this loop runs once per hop of every live lookup -- and the driver
+    sends the reply back in or throws :class:`RpcTimeout` in.  Returns a
+    :class:`LookupResult`; raises :class:`LookupError_` (with ``hops``)
+    when the hop budget runs out.
+
+    The nodes that have answered so far form a path whose bottom entry
+    is the client.  A hop that times out is excluded and the latest
+    answerer re-asked; a dead owner is excluded the same way after its
+    ping.  When the answerer being re-asked times out too, it is
+    excluded and popped, and the one below it re-asked, down to the
+    client itself.  The budget is checked before each forward, after an
+    owner's ping times out and after a re-ask times out -- never
+    between a forward's timeout and its re-ask.
+    """
+    excluded: tuple[int, ...] = ()
+    path = [client_id]
+    kind, nxt = local_step(target_id, excluded)
+    hops = 0
+    while True:
+        if kind == "done":
+            if nxt == client_id:
+                return LookupResult(nxt, hops)
+            try:
+                # The client is about to hand the owner out: check it
+                # answers.  A stale pointer to a fresh crash is excluded
+                # and the query re-asked, falling to the live successor.
+                yield (nxt, "ping")
+                return LookupResult(nxt, hops)
+            except RpcTimeout:
+                pass
+            excluded += (nxt,)
+            hops += 1
+            if hops >= budget:
+                raise LookupError_(
+                    f"lookup of {target_id} from {client_id}: no live owner "
+                    f"within {budget} hops",
+                    hops,
+                )
+        elif hops >= budget:
+            raise LookupError_(
+                f"lookup of {target_id} from {client_id} exceeded {budget} hops",
+                hops,
+            )
+        else:
+            try:
+                step = yield (nxt, "lookup_step", target_id, excluded)
+            except RpcTimeout:
+                # The hop is dead: re-ask the latest answerer without it.
+                excluded += (nxt,)
+                hops += 1
+            else:
+                hops += 1
+                path.append(nxt)
+                kind, nxt = step
+                continue
+        while True:  # re-ask the latest answerer, backing down past casualties
+            current = path[-1]
+            if current == client_id:
+                kind, nxt = local_step(target_id, excluded)
+                break
+            try:
+                kind, nxt = yield (current, "lookup_step", target_id, excluded)
+                break
+            except RpcTimeout:
+                excluded += (current,)
+                path.pop()
+                hops += 1
+                if hops >= budget:
+                    raise LookupError_(
+                        f"lookup of {target_id} from {client_id}: no live path "
+                        f"within {budget} hops",
+                        hops,
+                    ) from None
 
 
 class ChordNode:
@@ -214,53 +358,17 @@ class ChordNode:
         ):
             self.predecessor = candidate_id
 
-    def closest_preceding_node(
-        self, target_id: int, excluded: tuple[int, ...] = ()
-    ) -> int:
-        """Best local routing step: the closest finger preceding ``target_id``.
-
-        ``excluded`` lists nodes the querying client found unresponsive,
-        so retries route around fresh crashes.
-        """
-        fingers = self._fingers
-        if fingers is None:
-            fingers = self._load_fingers()
-        for finger in reversed(fingers):
-            if (
-                finger is not None
-                and finger not in excluded
-                and in_open_open(finger, self.node_id, target_id)
-            ):
-                return finger
-        succs = self._succs
-        if succs is None:
-            succs = self._load_succs()
-        for succ in reversed(succs):
-            if succ not in excluded and in_open_open(succ, self.node_id, target_id):
-                return succ
-        return succs[0] if succs else self.node_id  # get_successor()
-
     def lookup_step(
         self, target_id: int, excluded: tuple[int, ...] = ()
     ) -> tuple[str, int]:
-        """One iterative-routing step: ``('done', owner)`` or ``('forward', next)``.
-
-        The effective successor skips entries the client reported dead, so
-        ownership falls through to the first live successor-list entry --
-        the behaviour that makes lookups converge mid-churn.
-        """
+        """This node's :func:`route_step` for ``target_id`` (RPC-exposed)."""
         succs = self._succs
         if succs is None:
             succs = self._load_succs()
-        succ = next((s for s in succs if s not in excluded), self.node_id)
-        if succ == self.node_id or in_open_closed(target_id, self.node_id, succ):
-            return ("done", succ)
-        nxt = self.closest_preceding_node(target_id, excluded)
-        if nxt == self.node_id or nxt in excluded:
-            # No better finger: hand the query to the successor to
-            # guarantee progress (linear fallback).
-            nxt = succ
-        return ("forward", nxt)
+        fingers = self._fingers
+        if fingers is None:
+            fingers = self._load_fingers()
+        return route_step(self.node_id, succs, fingers, target_id, excluded)
 
     def set_predecessor(self, candidate_id: int | None) -> None:
         """Used by gracefully departing neighbours to splice the ring."""
@@ -279,61 +387,17 @@ class ChordNode:
     def lookup(self, target_id: int, max_hops: int | None = None) -> LookupResult:
         """Iteratively resolve ``find_successor(target_id)`` from this node.
 
-        The loop runs at the client: each hop asks the current node for a
-        routing step via one RPC.  Raises :class:`LookupError_` when a hop
-        times out or the hop budget is exhausted (possible during churn
-        before stabilization catches up).
+        :func:`iterative_lookup` driven inline: each exchange is one
+        blocking RPC through this node's endpoint.  Raises
+        :class:`LookupError_` when the hop budget (default
+        :func:`hop_budget`) runs out, possible during churn before
+        stabilization catches up.
         """
         budget = max_hops if max_hops is not None else hop_budget(self.m)
-        excluded: tuple[int, ...] = ()
-        # First step is answered locally (no RPC): we are the client.
-        current = self.node_id
-        kind, nxt = self.lookup_step(target_id)
-        hops = 0
-
-        def ask(node_id: int) -> tuple[str, int]:
-            if node_id == self.node_id:
-                return self.lookup_step(target_id, excluded)
-            return self._transport.rpc(node_id, "lookup_step", target_id, excluded)
-
-        while True:
-            if kind == "done":
-                owner = nxt
-                # Verify the owner answers (the client is about to use it);
-                # a stale pointer to a fresh crash gets excluded and the
-                # query re-asked, falling through to the live successor.
-                if owner == self.node_id or self._is_alive(owner, attempts=1):
-                    return LookupResult(node_id=owner, hops=hops)
-                excluded = excluded + (owner,)
-                hops += 1
-                if hops >= budget:
-                    raise LookupError_(
-                        f"lookup of {target_id} from {self.node_id}: no live "
-                        f"owner within {budget} hops"
-                    )
-                try:
-                    kind, nxt = ask(current)
-                except RpcTimeout as exc:
-                    raise LookupError_(str(exc)) from exc
-                continue
-            if hops >= budget:
-                raise LookupError_(
-                    f"lookup of {target_id} from {self.node_id} exceeded {budget} hops"
-                )
-            try:
-                kind, result = self._transport.rpc(nxt, "lookup_step", target_id, excluded)
-            except RpcTimeout:
-                # Route around the dead hop: re-ask the node that sent us
-                # here, excluding the casualty.
-                excluded = excluded + (nxt,)
-                hops += 1
-                try:
-                    kind, nxt = ask(current)
-                except RpcTimeout as exc:
-                    raise LookupError_(str(exc)) from exc
-                continue
-            hops += 1
-            current, nxt = nxt, result
+        return run_inline(
+            self._transport,
+            iterative_lookup(self.node_id, self.lookup_step, target_id, budget),
+        )
 
     # -- recursive (forwarded) lookup -----------------------------------------
 

@@ -48,20 +48,11 @@ from __future__ import annotations
 import bisect
 import random
 
-from ..api import CostMeter, PeerRef
+from ..api import PeerRef
 from ..idspace import draw_distinct_ids, draw_sorted_ids
-from ..vantage import EntryVantageMixin
-from .batch import (
-    BatchLookupStats,
-    Lookups,
-    RingSnapshot,
-    WalkView,
-    build_route_table,
-    replay_key,
-    resolve_lookups,
-)
-from .idspace import id_to_point, point_to_target_id
-from .network import _targets_for
+from .batch import Lookups, RingSnapshot, resolve_lookups
+from .idspace import point_to_target_id
+from .network import ChordAdapterBase
 from .node import LookupError_
 
 __all__ = ["SoAChordNetwork", "SoAChordDHT"]
@@ -347,7 +338,7 @@ class SoAChordNetwork:
         return cls.build(n, m=m, rng=rng, **kwargs).dht(lookup_mode=lookup_mode)
 
 
-class SoAChordDHT(EntryVantageMixin):
+class SoAChordDHT(ChordAdapterBase):
     """The ``h``/``next`` adapter over :class:`SoAChordNetwork`.
 
     Every lookup is a lockstep replay over the array store, scalar calls
@@ -355,8 +346,9 @@ class SoAChordDHT(EntryVantageMixin):
     ``h_many`` equals a scalar ``h`` loop in peers and charges exactly
     (both are the same traces), and the retry discipline (stabilize
     between attempts, accumulate failed-attempt charges) mirrors
-    :class:`~repro.dht.chord.network.ChordDHT`.  Deliberately not a
-    ``BulkDHT``: costs are modeled per-hop, not unit-priced.
+    :class:`~repro.dht.chord.network.ChordDHT`.  The batched lookups,
+    the walk view and the replay key come from
+    :class:`~repro.dht.chord.network.ChordAdapterBase`.
     """
 
     def __init__(
@@ -366,28 +358,8 @@ class SoAChordDHT(EntryVantageMixin):
         retries: int = 3,
         lookup_mode: str = "iterative",
     ):
-        if len(network) == 0:
-            raise ValueError("cannot adapt an empty network")
-        if lookup_mode not in ("iterative", "recursive"):
-            raise ValueError(f"unknown lookup_mode {lookup_mode!r}")
-        self._network = network
-        if entry_id is None:
-            entry_id = network.sorted_ids()[0]
-        if entry_id not in network.nodes:
-            raise KeyError(f"entry node {entry_id} is not alive")
-        self._entry_id = entry_id
+        super().__init__(network, entry_id, lookup_mode)
         self._retries = max(1, retries)
-        self._lookup_mode = lookup_mode
-        self.cost = CostMeter()
-        self.batch_stats = BatchLookupStats()
-
-    def _ref(self, node_id: int) -> PeerRef:
-        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
-
-    def _vantage_id(self) -> int:
-        if self._entry_id not in self._network.nodes:
-            self._entry_id = self._nearest_alive(self._entry_id)
-        return self._entry_id
 
     def _lookup_inputs(self, entry_id: int) -> tuple:
         """The lookup inputs a replay from ``entry_id`` reads: the entry,
@@ -396,11 +368,6 @@ class SoAChordDHT(EntryVantageMixin):
         <repro.dht.chord.network.ChordDHT._lookup_inputs>`)."""
         return (entry_id, self._lookup_mode, RPC_LATENCY, ONE_WAY_LATENCY, TIMEOUT)
 
-    def _resolve_batch(self, targets) -> list:
-        return resolve_lookups(
-            self._network.snapshot(), targets, *self._lookup_inputs(self._vantage_id())
-        ).traces()
-
     def h(self, x: float) -> PeerRef:
         """``h(x)``: one replayed lookup, retried over stabilization."""
         target = point_to_target_id(x, self._network.m)
@@ -408,7 +375,11 @@ class SoAChordDHT(EntryVantageMixin):
         latency = 0.0
         owner: int | None = None
         for attempt in range(self._retries):
-            trace = self._resolve_batch([target])[0]
+            trace = resolve_lookups(
+                self._network.snapshot(),
+                [target],
+                *self._lookup_inputs(self._vantage_id()),
+            ).traces()[0]
             msgs += trace.messages
             latency += trace.latency
             if trace.ok:
@@ -425,79 +396,6 @@ class SoAChordDHT(EntryVantageMixin):
 
     def lockstep_eligible(self) -> bool:
         return True  # charges are deterministic by construction
-
-    def warm_lockstep(self) -> bool:
-        # The store *is* the snapshot; its walk view and route table
-        # are built here (see ChordDHT.warm_lockstep).
-        store = self._network.store
-        store.walk_view()
-        if self.entry_is_alive:
-            build_route_table(store, *self._lookup_inputs(self._entry_id))
-        return True
-
-    def walk_view(self) -> WalkView | None:
-        """The store's walk view (None on an empty ring): charges are
-        deterministic and there is no transport to trace, so walks
-        always replay (see :meth:`ChordDHT.walk_view
-        <repro.dht.chord.network.ChordDHT.walk_view>`)."""
-        return self._network.store.walk_view()
-
-    def replay_key(self) -> tuple | None:
-        """The store's walk view, entry peer, lookup mode and charge
-        constants: what an uncharged resolve reads (see
-        :meth:`ChordDHT.replay_key
-        <repro.dht.chord.network.ChordDHT.replay_key>`)."""
-        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
-
-    def h_many(self, xs) -> list[PeerRef]:
-        return self._h_many(list(xs), tolerant=False)
-
-    def resolve_many(self, xs, *, commit: bool = True):
-        """Tolerant :meth:`h_many`, or with ``commit=False`` the uncharged
-        :class:`~repro.dht.chord.batch.Lookups` of every point (see
-        :meth:`ChordDHT.resolve_many
-        <repro.dht.chord.network.ChordDHT.resolve_many>`)."""
-        if commit:
-            return self._h_many(list(xs), tolerant=True)
-        return self._lookups(list(xs))
-
-    def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
-        if not tolerant:
-            return self.h(x)
-        try:
-            return self.h(x)
-        except LookupError_:
-            return None
-
-    def _lookups(self, points: list) -> Lookups:
-        return resolve_lookups(
-            self._network.snapshot(),
-            _targets_for(points, self._network.m),
-            *self._lookup_inputs(self._vantage_id()),
-        )
-
-    def _h_many(self, points: list, tolerant: bool) -> list:
-        out: list = []
-        i = 0
-        while i < len(points):
-            found = self._lookups(points[i:])
-            n_ok = found.first_failure()
-            if n_ok:
-                ok = found[:n_ok]
-                self.commit_lookups(found, 0, n_ok, (*ok.totals(), 0))
-                out.extend(map(self._ref, ok.owners()))
-                i += n_ok
-            if n_ok < len(found):
-                # Scalar re-execution replays the failed attempt's
-                # charges and runs the stabilize-retry loop, exactly
-                # like the scalar twin would at this point.
-                self.batch_stats.delegated += 1
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-            elif not n_ok:
-                out.append(self._h_scalar(points[i], tolerant))
-                i += 1
-        return out
 
     def commit_lookups(self, lookups: Lookups, lo: int, hi: int, totals, walks=None) -> None:
         """Charge rows ``[lo, hi)`` of resolved lookups and their trials'
@@ -517,10 +415,6 @@ class SoAChordDHT(EntryVantageMixin):
         )
         self.batch_stats.lockstep += count
 
-    def successor_of_index(self, i: int) -> PeerRef:
-        ids = self._network.sorted_ids()
-        return self._ref(ids[i % len(ids)])
-
     def next(self, peer: PeerRef) -> PeerRef:
         """``next(p)``: read the successor row (charged as one RPC)."""
         store = self._network.store
@@ -533,6 +427,3 @@ class SoAChordDHT(EntryVantageMixin):
         # re-resolves the point via h.
         self.cost.charge_next(1, TIMEOUT)
         return self.h(peer.point)
-
-    def any_peer(self) -> PeerRef:
-        return self._ref(self._vantage_id())

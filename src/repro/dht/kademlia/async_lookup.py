@@ -16,12 +16,11 @@ With ``alpha == 1`` and no failures the probe sequence degenerates to
 exactly the sync loop's -- the property the cross-transport equivalence
 test pins.
 
-:func:`find_successor_async` re-runs the aligned-block certification of
-:meth:`KademliaNode.find_successor` decision-for-decision (same
-truncated-census escalation, same small-network census answer, same
-learned-owner liveness ping with exclude-and-reprobe fallback), as a
-callback state machine over :class:`~repro.sim.async_net.Future`
-completions instead of a blocking loop.
+:func:`find_successor_async` spawns the one aligned-block successor
+search, :func:`~repro.dht.kademlia.node.successor_search`, that
+:meth:`KademliaNode.find_successor` drives inline; here each probe is an
+awaited :func:`find_node_async` future, and the learned-owner ping an
+event-scheduled request.
 """
 
 from __future__ import annotations
@@ -29,15 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ...sim.async_net import Future
-from .idspace import aligned_limit, xor_distance
-from .node import (
-    KademliaLookupError_,
-    LookupOutcome,
-    SuccessorResult,
-    _clockwise_min,
-    _Shortlist,
-    lookup_budget,
-)
+from .node import LookupOutcome, _Shortlist, lookup_budget, successor_search
 
 if TYPE_CHECKING:
     from .node import KademliaNode
@@ -171,111 +162,22 @@ def find_node_async(
     return _ParallelFindNode(node, target_id, excluded, max_rpcs, thorough).start()
 
 
+def _find_node_awaited(node: "KademliaNode", target_id: int, excluded: frozenset):
+    """The async plane's probe: an awaited :func:`find_node_async`."""
+    return (yield find_node_async(node, target_id, excluded=excluded))
+
+
 def find_successor_async(
     node: "KademliaNode", target_id: int, max_probes: int | None = None
 ) -> Future:
-    """Async aligned-block successor resolution (see module docstring).
+    """Spawn :func:`~repro.dht.kademlia.node.successor_search` from
+    ``node`` on the async plane.
 
-    Resolves to :class:`SuccessorResult`; fails with
-    :class:`KademliaLookupError_` on a truncated census or an exhausted
-    probe budget, exactly where the sync loop raises.
+    Resolves to :class:`~repro.dht.kademlia.node.SuccessorResult`; fails
+    with :class:`~repro.dht.kademlia.node.KademliaLookupError_` on a
+    truncated census or an exhausted probe budget, exactly where the
+    sync search raises.
     """
-    size = 1 << node.m
-    budget = max_probes if max_probes is not None else 2 * node.m + 8
-    ep = node._transport
-    future = Future()
-    state = {"cur": target_id % size, "probes": 0, "rpcs": 0}
-    excluded: set[int] = set()
-
-    def probe() -> None:
-        if state["probes"] >= budget:
-            future.fail(
-                KademliaLookupError_(
-                    f"successor of {target_id} not certified within "
-                    f"{budget} probes"
-                )
-            )
-            return
-        find_node_async(
-            node, state["cur"], excluded=frozenset(excluded)
-        ).add_done_callback(on_probe)
-
-    def on_probe(inner: Future) -> None:
-        if inner.error is not None:
-            future.fail(inner.error)
-            return
-        out: LookupOutcome = inner.result
-        state["probes"] += 1
-        state["rpcs"] += out.rpcs
-        cur = state["cur"]
-        if len(out.ids) < node.k:
-            if not out.complete:
-                future.fail(
-                    KademliaLookupError_(
-                        f"successor of {target_id}: census truncated by "
-                        f"{out.failures} failures"
-                    )
-                )
-                return
-            ring = sorted(out.ids)
-            owner = _clockwise_min(out.ids, target_id)
-            pos = ring.index(owner)
-            future.resolve(
-                SuccessorResult(
-                    node_id=owner,
-                    probes=state["probes"],
-                    rpcs=state["rpcs"],
-                    census=tuple(ring[pos:] + ring[:pos]),
-                )
-            )
-            return
-        radius = max(xor_distance(cur, i) for i in out.ids)
-        if radius == 0:
-            future.resolve(
-                SuccessorResult(
-                    node_id=cur,
-                    probes=state["probes"],
-                    rpcs=state["rpcs"],
-                    census=(cur,),
-                )
-            )
-            return
-        limit = aligned_limit(cur, radius, node.m)
-        in_reach = sorted(i for i in out.ids if cur <= i < limit)
-        if in_reach:
-            owner = in_reach[0]
-            result = SuccessorResult(
-                node_id=owner,
-                probes=state["probes"],
-                rpcs=state["rpcs"],
-                census=tuple(in_reach),
-            )
-            if owner != node.node_id and owner not in out.queried:
-                state["rpcs"] += 1
-
-                def on_dead_owner(_exc) -> None:
-                    excluded.add(owner)
-                    node.forget(owner)
-                    probe()
-
-                ep.call(
-                    owner,
-                    "ping",
-                    on_reply=lambda _r: future.resolve(
-                        SuccessorResult(
-                            node_id=owner,
-                            probes=state["probes"],
-                            rpcs=state["rpcs"],
-                            census=tuple(in_reach),
-                        )
-                    ),
-                    on_timeout=on_dead_owner,
-                )
-                return
-            future.resolve(result)
-            return
-        state["cur"] = limit % size
-        probe()
-
-    probe()
-    return future
+    return node._transport.spawn(
+        successor_search(node, target_id, max_probes, _find_node_awaited)
+    )

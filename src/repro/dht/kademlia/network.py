@@ -485,7 +485,7 @@ class KademliaDHT(EntryVantageMixin):
         """The underlying transport (tracer installation, introspection)."""
         return self._network.transport
 
-    # entry_id / entry_is_alive / refresh_entry / _entry_node come from
+    # entry_id / entry_is_alive / refresh_entry / _vantage_id come from
     # EntryVantageMixin -- the failover discipline shared with ChordDHT.
 
     # -- the paper's primitives -------------------------------------------
@@ -504,7 +504,7 @@ class KademliaDHT(EntryVantageMixin):
         transport = self._network.transport
         last_error: Exception | None = None
         for failure in range(1, policy.attempts + 1):
-            entry = self._entry_node()
+            entry = self._network.nodes[self._vantage_id()]
             if failure > 1:
                 entry.probe_stale()
             try:
@@ -597,7 +597,7 @@ class KademliaDHT(EntryVantageMixin):
         return self._ref(owner)
 
     def any_peer(self) -> PeerRef:
-        return self._ref(self._entry_node().node_id)
+        return self._ref(self._vantage_id())
 
     # -- batched conveniences (charge-identical to per-call loops) ---------
 

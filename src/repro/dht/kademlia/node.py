@@ -21,7 +21,7 @@ The paper's ``h(x)`` needs the peer *clockwise-closest* to a point,
 which is not Kademlia's native metric: numeric adjacency and XOR
 adjacency disagree whenever an interval crosses a high bit boundary
 (``0x7ff -> 0x800`` is numerically adjacent but XOR-maximal).
-:meth:`KademliaNode.find_successor` bridges the metrics with *aligned
+:func:`successor_search` bridges the metrics with *aligned
 block certification*: a converged ``find_node(q)`` returns the ``k``
 XOR-closest live nodes to ``q``, i.e. a complete census of the XOR ball
 of radius ``D`` = the ``k``-th best distance.  Inside the aligned block
@@ -34,7 +34,11 @@ boundary to boundary clockwise; each hop lands ``q`` on an ever
 coarser-aligned base, so the certified stretch grows geometrically and
 the expected probe count is barely above one lookup (the worst case --
 an adversarially empty run of blocks -- is bounded by the ``O(m)``
-blocks of the ring decomposition).
+blocks of the ring decomposition).  The search is written once, as a
+coroutine: :meth:`KademliaNode.find_successor` drives it inline on the
+synchronous transport, and
+:func:`~repro.dht.kademlia.async_lookup.find_successor_async` spawns it
+on the asynchronous one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from ...sim.network import RpcTimeout, RpcTransport
+from ...sim.network import Call, RpcTimeout, RpcTransport, run_inline
 from ..api import PeerUnreachableError
 from .idspace import aligned_limit, bucket_index, id_to_point, xor_distance
 
@@ -53,6 +57,7 @@ __all__ = [
     "LookupOutcome",
     "SuccessorResult",
     "lookup_budget",
+    "successor_search",
 ]
 
 
@@ -380,7 +385,7 @@ class KademliaNode:
         enumeration).  The outcome lists the top-``k`` known (confirmed
         and learned; consumers ping learned entries before use).
         Failures never raise here -- the ``complete`` flag carries the
-        verdict and :meth:`find_successor` escalates a truncated census
+        verdict and :func:`successor_search` escalates a truncated census
         to the retryable :class:`KademliaLookupError_`.
 
         ``thorough`` widens the termination frontier from the
@@ -441,76 +446,14 @@ class KademliaNode:
     ) -> SuccessorResult:
         """The first node id clockwise of ``target_id`` (inclusive, wrapping).
 
-        Implements the aligned-block certification of the module
-        docstring: probe the XOR neighbourhood of the interval base,
-        read the certified numeric stretch off the converged shortlist,
-        and hop to the next aligned boundary while the stretch stays
-        empty.  Raises :class:`KademliaLookupError_` when a probe cannot
-        converge or the probe budget -- ``2 * m``, the worst-case block
-        count of the ring decomposition, plus retry headroom -- runs
-        out (both only plausible mid-churn).
+        :func:`successor_search` driven inline, each probe a blocking
+        :meth:`iterative_find_node`.  Raises :class:`KademliaLookupError_`
+        when a probe cannot converge or the probe budget runs out (both
+        only plausible mid-churn).
         """
-        size = 1 << self.m
-        budget = max_probes if max_probes is not None else 2 * self.m + 8
-        cur = target_id % size
-        probes = 0
-        rpcs = 0
-        excluded: set[int] = set()
-        while probes < budget:
-            out = self.iterative_find_node(cur, excluded=frozenset(excluded))
-            probes += 1
-            rpcs += out.rpcs
-            if len(out.ids) < self.k:
-                if not out.complete:
-                    raise KademliaLookupError_(
-                        f"successor of {target_id}: census truncated by "
-                        f"{out.failures} failures"
-                    )
-                # Fewer than k nodes reachable in total: the census is
-                # the whole network (every member was queried by the
-                # small-pool termination rule); answer from it directly,
-                # with the full wrap-around ring as the certified run.
-                ring = sorted(out.ids)
-                owner = _clockwise_min(out.ids, target_id)
-                pos = ring.index(owner)
-                return SuccessorResult(
-                    node_id=owner,
-                    probes=probes,
-                    rpcs=rpcs,
-                    census=tuple(ring[pos:] + ring[:pos]),
-                )
-            radius = max(xor_distance(cur, i) for i in out.ids)
-            if radius == 0:  # k == 1 and the sole census member sits on cur
-                return SuccessorResult(
-                    node_id=cur, probes=probes, rpcs=rpcs, census=(cur,)
-                )
-            limit = aligned_limit(cur, radius, self.m)
-            in_reach = sorted(i for i in out.ids if cur <= i < limit)
-            if in_reach:
-                # Certified complete and numerically ordered within the
-                # aligned stretch: in_reach[0] is the successor and the
-                # whole list is a consecutive clockwise run.  A learned
-                # (unconfirmed) owner is liveness-checked before being
-                # handed out; a dead one is routed around by re-probing
-                # the same base with it excluded.
-                owner = in_reach[0]
-                if owner != self.node_id and owner not in out.queried:
-                    rpcs += 1
-                    try:
-                        self._transport.rpc(owner, "ping")
-                    except RpcTimeout:
-                        excluded.add(owner)
-                        self.forget(owner)
-                        continue
-                return SuccessorResult(
-                    node_id=owner,
-                    probes=probes,
-                    rpcs=rpcs,
-                    census=tuple(in_reach),
-                )
-            cur = limit % size  # certified empty: hop to the next boundary
-        raise KademliaLookupError_(
-            f"successor of {target_id} not certified within {budget} probes"
+        return run_inline(
+            self._transport,
+            successor_search(self, target_id, max_probes, _find_node_inline),
         )
 
     # -- membership -------------------------------------------------------
@@ -585,6 +528,90 @@ class KademliaNode:
             except RpcTimeout:
                 self.forget(contact)
         self.probe_stale()
+
+
+def _find_node_inline(node: KademliaNode, target_id: int, excluded: frozenset):
+    """The synchronous plane's probe: a blocking :meth:`iterative_find_node`
+    (a sub-coroutine that never suspends)."""
+    return node.iterative_find_node(target_id, excluded=excluded)
+    yield  # unreachable: makes this a generator
+
+
+def successor_search(
+    node: KademliaNode, target_id: int, max_probes: int | None, probe
+):
+    """Aligned-block successor resolution, as a request-yielding coroutine.
+
+    Implements the certification of the module docstring: probe the XOR
+    neighbourhood of the interval base, read the certified numeric
+    stretch off the converged shortlist, and hop to the next aligned
+    boundary while the stretch stays empty.  ``probe(node, base,
+    excluded)`` is the probe as a sub-coroutine returning a
+    :class:`LookupOutcome`: a blocking :meth:`KademliaNode.iterative_find_node`
+    on the synchronous plane, an awaited
+    :func:`~repro.dht.kademlia.async_lookup.find_node_async` future on
+    the asynchronous one.  A learned (unconfirmed) owner is pinged with a
+    yielded ``Call(owner, "ping")``; when it times out the owner is
+    excluded and forgotten and the same base probed again.  Returns a
+    :class:`SuccessorResult`; raises :class:`KademliaLookupError_` on a
+    census truncated by failures or when the probe budget -- ``2 * m``,
+    the worst-case block count of the ring decomposition, plus retry
+    headroom -- runs out.
+    """
+    size = 1 << node.m
+    budget = max_probes if max_probes is not None else 2 * node.m + 8
+    cur = target_id % size
+    probes = 0
+    rpcs = 0
+    excluded: set[int] = set()
+    while probes < budget:
+        out = yield from probe(node, cur, frozenset(excluded))
+        probes += 1
+        rpcs += out.rpcs
+        if len(out.ids) < node.k:
+            if not out.complete:
+                raise KademliaLookupError_(
+                    f"successor of {target_id}: census truncated by "
+                    f"{out.failures} failures"
+                )
+            # Fewer than k nodes reachable in total: the census is the
+            # whole network (every member was queried by the small-pool
+            # termination rule); answer from it directly, with the full
+            # wrap-around ring as the certified run.
+            ring = sorted(out.ids)
+            owner = _clockwise_min(out.ids, target_id)
+            pos = ring.index(owner)
+            return SuccessorResult(
+                node_id=owner,
+                probes=probes,
+                rpcs=rpcs,
+                census=tuple(ring[pos:] + ring[:pos]),
+            )
+        radius = max(xor_distance(cur, i) for i in out.ids)
+        if radius == 0:  # k == 1 and the sole census member sits on cur
+            return SuccessorResult(node_id=cur, probes=probes, rpcs=rpcs, census=(cur,))
+        limit = aligned_limit(cur, radius, node.m)
+        in_reach = sorted(i for i in out.ids if cur <= i < limit)
+        if in_reach:
+            # Certified complete and numerically ordered within the
+            # aligned stretch: in_reach[0] is the successor and the whole
+            # list is a consecutive clockwise run.
+            owner = in_reach[0]
+            if owner != node.node_id and owner not in out.queried:
+                rpcs += 1
+                try:
+                    yield Call(owner, "ping")
+                except RpcTimeout:
+                    excluded.add(owner)
+                    node.forget(owner)
+                    continue
+            return SuccessorResult(
+                node_id=owner, probes=probes, rpcs=rpcs, census=tuple(in_reach)
+            )
+        cur = limit % size  # certified empty: hop to the next boundary
+    raise KademliaLookupError_(
+        f"successor of {target_id} not certified within {budget} probes"
+    )
 
 
 def _clockwise_min(ids, target_id: int) -> int:

@@ -309,11 +309,6 @@ class SoAKademliaDHT(EntryVantageMixin):
     def _ref(self, node_id: int) -> PeerRef:
         return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
 
-    def _vantage_id(self) -> int:
-        if self._entry_id not in self._network.nodes:
-            self._entry_id = self._nearest_alive(self._entry_id)
-        return self._entry_id
-
     # -- implicit routing --------------------------------------------------
 
     def _bucket_members(self, node_id: int, i: int) -> list[int]:

@@ -40,7 +40,7 @@ class EntryVantageMixin:
 
         With ``entry_id=None`` the clockwise-nearest live node to the
         old vantage is adopted -- the same failover rule
-        :meth:`_entry_node` applies lazily -- so callers can proactively
+        :meth:`_vantage_id` applies lazily -- so callers can proactively
         shed a stale entry (e.g. a serving shard re-admitting itself
         after churn).
         """
@@ -62,15 +62,13 @@ class EntryVantageMixin:
         i = bisect.bisect_left(ids, node_id)
         return ids[i % len(ids)]
 
-    def _entry_node(self):
-        """The live vantage node object, failing over if it departed.
+    def _vantage_id(self) -> int:
+        """The live vantage id, failing over if the peer departed.
 
         Re-roots at the clockwise-nearest survivor, which spreads
         re-rooted adapters around the ring instead of piling them onto
         one global node.
         """
-        node = self._network.nodes.get(self._entry_id)
-        if node is None:
+        if self._entry_id not in self._network.nodes:
             self._entry_id = self._nearest_alive(self._entry_id)
-            node = self._network.nodes[self._entry_id]
-        return node
+        return self._entry_id

@@ -15,10 +15,12 @@ functional and is what lock-step maintenance rounds and the seeded
 control paths keep using; the async plane is additive.  Callers of the
 async plane are *continuations*: :meth:`call_from` takes ``on_reply``/
 ``on_timeout`` callbacks, and :meth:`spawn_from` drives a generator
-coroutine that ``yield``\\ s :class:`Call` descriptors -- the reply is
-sent back into the generator, a timeout is thrown in as
-:class:`~repro.sim.network.RpcTimeout`, so protocol logic reads
-linearly while living on the event clock.
+coroutine that ``yield``\\ s requests (:func:`~repro.sim.network.Call`)
+or :class:`Future`\\ s -- the reply or result is sent back into the
+generator, a timeout or failure is thrown in (a timeout as
+:class:`~repro.sim.network.RpcTimeout`), so protocol logic reads
+linearly while living on the event clock.  The same coroutine runs on
+the synchronous plane through :func:`~repro.sim.network.run_inline`.
 
 Determinism: both one-way latency samples and the loss die are drawn at
 *send* time (in call order, from the same streams the sync plane uses),
@@ -43,7 +45,7 @@ from typing import Any, Callable, Generator
 
 from .kernel import Simulator
 from .metrics import MetricsRegistry
-from .network import LatencyModel, RpcTimeout, RpcTransport, TransportEndpoint
+from .network import Call, LatencyModel, RpcTimeout, RpcTransport, TransportEndpoint
 
 __all__ = ["AsyncCall", "AsyncEndpoint", "AsyncRpcTransport", "Call", "Future", "drive"]
 
@@ -52,35 +54,6 @@ _PENDING = 0
 _REPLIED = 1
 _TIMED_OUT = 2
 _CANCELLED = 3
-
-
-class Call:
-    """One awaited RPC, yielded by a coroutine to its driver.
-
-    ``yield Call(target, "method", *args)`` suspends the coroutine until
-    the reply is delivered (the reply value is the result of the
-    ``yield``) or the timeout event fires (:class:`RpcTimeout` is thrown
-    into the generator at the ``yield``).
-    """
-
-    __slots__ = ("target_id", "method", "args", "kwargs", "timeout")
-
-    def __init__(
-        self,
-        target_id: int,
-        method: str,
-        *args: Any,
-        timeout: float | None = None,
-        **kwargs: Any,
-    ):
-        self.target_id = target_id
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        self.timeout = timeout
-
-    def __repr__(self) -> str:
-        return f"Call(target={self.target_id}, method={self.method!r})"
 
 
 class Future:
@@ -498,11 +471,14 @@ class AsyncRpcTransport(RpcTransport):
         on_done: Callable[[Any], None] | None = None,
         on_error: Callable[[BaseException], None] | None = None,
     ) -> Future:
-        """Drive a generator coroutine that yields :class:`Call` objects.
+        """Drive a generator coroutine that yields requests or futures.
 
-        Each yielded call is issued on the async plane attributed to
-        ``source_id``; the coroutine resumes with the reply value, or
-        has :class:`RpcTimeout` thrown in when the timeout event fires.
+        Each yielded request (:func:`~repro.sim.network.Call`) is issued
+        on the async plane attributed to ``source_id``; the coroutine
+        resumes with the reply value, or has :class:`RpcTimeout` thrown
+        in when the timeout event fires.  A yielded :class:`Future` is
+        awaited: the coroutine resumes with its result, or has its error
+        thrown in.
         ``StopIteration``'s value resolves the returned :class:`Future`;
         any other exception fails it (and goes to ``on_error`` when
         given).  The failure is never re-raised out of the resuming
@@ -533,21 +509,23 @@ class AsyncRpcTransport(RpcTransport):
             except Exception as exc:  # noqa: BLE001 -- see docstring
                 settle_err(exc)
                 return
-            if not isinstance(item, Call):
-                settle_err(
-                    TypeError(f"async coroutine must yield Call, got {item!r}")
+            if type(item) is tuple:
+                self.call_from(
+                    source_id,
+                    *item,
+                    on_reply=lambda result: step(send_value=result),
+                    on_timeout=lambda exc: step(throw_exc=exc),
                 )
-                return
-            self.call_from(
-                source_id,
-                item.target_id,
-                item.method,
-                *item.args,
-                on_reply=lambda result: step(send_value=result),
-                on_timeout=lambda exc: step(throw_exc=exc),
-                timeout=item.timeout,
-                **item.kwargs,
-            )
+            elif isinstance(item, Future):
+                item.add_done_callback(
+                    lambda done: step(done.result, done.error)
+                )
+            else:
+                settle_err(
+                    TypeError(
+                        f"async coroutine must yield a Call or a Future, got {item!r}"
+                    )
+                )
 
         step()
         return future

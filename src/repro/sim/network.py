@@ -11,6 +11,11 @@ protocol actions happen (stabilization ticks, churn, workload arrivals).
 This sequential-RPC simplification keeps protocol code linear and
 testable while preserving exactly the quantities the paper's Theorem 7
 accounts for: message counts and additive per-operation latency.
+
+A protocol written once as a generator coroutine that yields requests
+(:func:`Call`) runs on this plane through :func:`run_inline`, and on
+the asynchronous plane through
+:meth:`~repro.sim.async_net.AsyncRpcTransport.spawn_from`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .metrics import MetricsRegistry
 from .rng import derive_seed
 
 __all__ = [
+    "Call",
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
@@ -34,6 +40,7 @@ __all__ = [
     "RpcTimeout",
     "RpcTransport",
     "TransportEndpoint",
+    "run_inline",
 ]
 
 
@@ -99,6 +106,42 @@ class RpcError(Exception):
 
 class RpcTimeout(RpcError):
     """The target did not answer (dead, departed, or dropped packet)."""
+
+
+def Call(target_id: int, method: str, *args: Any) -> tuple:
+    """One request a protocol coroutine yields to its driver.
+
+    ``yield Call(target, "method", *args)`` suspends the coroutine until
+    the reply comes back (the value of the ``yield``) or the call times
+    out (:class:`RpcTimeout` is raised at the ``yield``).  A request is
+    the plain tuple ``(target, method, *args)``, so a hot coroutine may
+    yield the tuple itself.
+    """
+    return (target_id, method, *args)
+
+
+def run_inline(endpoint: Any, coroutine) -> Any:
+    """Drive a request-yielding coroutine on the synchronous plane.
+
+    Each yielded request becomes one blocking ``endpoint.rpc``; the
+    reply is sent back in, and an :class:`RpcTimeout` is thrown in at
+    the ``yield``.  Returns the coroutine's return value; anything else
+    it raises propagates.  The synchronous counterpart of
+    :meth:`~repro.sim.async_net.AsyncRpcTransport.spawn_from`.
+    """
+    rpc = endpoint.rpc
+    send = coroutine.send
+    try:
+        request = send(None)
+        while True:
+            try:
+                reply = rpc(*request)
+            except RpcTimeout as exc:
+                request = coroutine.throw(exc)
+            else:
+                request = send(reply)
+    except StopIteration as stop:
+        return stop.value
 
 
 class NullFaults:

@@ -34,9 +34,6 @@ class _Node:
     def get_predecessor(self):
         return (self.node_id - 1) % 256
 
-    def closest_preceding_node(self, target):
-        return (target - 1) % 256
-
 
 def _transport(byzantine, strategy, honest=(3, 7)):
     t = RpcTransport()
@@ -167,7 +164,6 @@ class TestEclipseLies:
         t, adv = _transport({5, 9}, "eclipse")
         assert t.rpc(5, "get_predecessor") in adv.byzantine_ids
         assert set(t.rpc(5, "get_successor_list")) == adv.byzantine_ids
-        assert t.rpc(5, "closest_preceding_node", 100) in adv.byzantine_ids
 
 
 class TestTransportSurface:

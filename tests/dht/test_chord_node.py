@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.dht.chord.node import ChordNode, LookupError_
-from repro.sim.network import RpcTransport
+from repro.sim.network import RpcTimeout, RpcTransport
 
 
 def make_ring(ids, m=10, slist=4):
@@ -122,6 +122,39 @@ class TestLookup:
         transport.deregister(600)
         result = nodes[10].lookup(590)
         assert result.node_id in ids
+
+    def test_lookup_backs_down_past_a_silent_answerer(self, monkeypatch):
+        # The route client -> a -> b takes two remote hops.  b is crashed,
+        # so the client re-asks a -- and that re-ask times out too (a lost
+        # reply).  The lookup excludes a as well and routes on from the
+        # client itself, to the owner a correct ring gives.
+        ids = sorted(random.Random(3).sample(range(1 << 10), 24))
+        transport, nodes = make_ring(ids)
+        client = ids[0]
+        target, a, b = next(
+            (target, a, b)
+            for target in range(1 << 10)
+            for kind_a, a in [nodes[client].lookup_step(target)]
+            if kind_a == "forward" and a != client
+            for kind_b, b in [nodes[a].lookup_step(target)]
+            if kind_b == "forward" and b not in (a, client)
+        )
+        transport.deregister(b)
+        asks_of_a = []
+        deliver = transport.rpc_from
+
+        def rpc_from(source, target_id, method, *args):
+            if (source, target_id, method) == (client, a, "lookup_step"):
+                asks_of_a.append(args)
+                if len(asks_of_a) == 2:
+                    raise RpcTimeout(f"lookup_step to node {a}: silent")
+            return deliver(source, target_id, method, *args)
+
+        monkeypatch.setattr(transport, "rpc_from", rpc_from)
+        live = [i for i in ids if i != b]
+        owner = live[bisect.bisect_left(live, target) % len(live)]
+        assert nodes[client].lookup(target).node_id == owner
+        assert [excluded for _, excluded in asks_of_a] == [(), (b,)]
 
 
 class TestStabilize:

@@ -212,7 +212,7 @@ class TestCoroutineDriver:
 
         def proto():
             pong = yield Call(1, "ping")
-            total = yield Call(2, "add", 3, b=4)
+            total = yield Call(2, "add", 3, 4)
             return (pong, total)
 
         future = t.spawn(proto())
