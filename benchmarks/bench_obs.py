@@ -68,11 +68,15 @@ RECONSTRUCTION_FLOOR = 0.99
 # ``start = self.elapsed; self.elapsed = start + x`` are the same float
 # operation, so the twin is bit-identical by construction; what it lacks
 # is the per-delivery tracer guard and per-method counter update -- the
-# entire disabled-mode overhead.
+# entire disabled-mode overhead.  It keeps the node lookup itself as the
+# transport does it (the directory consulted on a miss), since a Chord
+# ring's nodes are created on first delivery.
 
 
 def _bare_admit(self, source_id, target_id, method, kind):
     target = self._nodes.get(target_id)
+    if target is None and self.directory is not None:
+        target = self.directory.get(target_id)
     faults = self.faults
     if target is not None and not faults.blocked(source_id, target_id):
         p = self._loss_rate

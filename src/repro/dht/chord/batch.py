@@ -24,7 +24,8 @@ or out of the sorted views (an O(n) 1-D memmove of 8-byte words) and
 writes its rows, never touching another node's.  The store *is* the
 ring's state: :class:`~repro.dht.chord.network.ChordNetwork` creates
 one, splices it on every membership change, and its
-:class:`~repro.dht.chord.node.ChordNode` objects read and write their
+:class:`~repro.dht.chord.node.ChordNode` objects, each created when
+something first addresses its peer, read and write their
 successor lists and finger tables through it; the struct-of-arrays
 substrates (:mod:`repro.dht.chord.soa`) hold the same store with no
 per-node objects at all.  Either way the engine routes on exactly the

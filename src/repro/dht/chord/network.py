@@ -1,11 +1,18 @@
 """The Chord overlay: membership, bootstrap, stabilization, and the DHT
 adapter that exposes the paper's ``h``/``next`` interface with real
 message-level cost accounting.
+
+A ring's routing state is its ring store alone: a perfect build writes
+the store and nothing per peer.  The membership table holds each peer's
+:class:`~repro.dht.chord.node.ChordNode` once something first addresses
+it -- a delivery, a maintenance round, ``nodes[...]`` -- and the node is
+then created from its store rows, with its transport endpoint.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import networkx as nx
 import numpy as _np
@@ -33,6 +40,39 @@ from .node import ChordNode, LookupError_
 __all__ = ["ChordAdapterBase", "ChordNetwork", "ChordDHT"]
 
 
+class _Members(Mapping):
+    """A ring's live membership, id -> node, in draw/join order.
+
+    Backed by the network's table of ``id -> ChordNode | None``: ``in``,
+    ``len`` and iteration read the table alone, while ``[]``, ``get``,
+    ``values()`` and ``items()`` create a member's node the first time
+    they are asked for it.  Read-only: membership changes go through the
+    network's ``join_node``/``crash_node``/``leave_node``.
+    """
+
+    __slots__ = ("_table", "_create")
+
+    def __init__(self, table: dict, create):
+        self._table = table
+        self._create = create
+
+    def __contains__(self, node_id) -> bool:
+        return node_id in self._table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __getitem__(self, node_id) -> ChordNode:
+        node = self._table[node_id]
+        return node if node is not None else self._create(node_id)
+
+    def get(self, node_id, default=None):
+        return self[node_id] if node_id in self._table else default
+
+
 class ChordNetwork:
     """A simulated Chord ring plus the machinery to keep it stabilized.
 
@@ -46,6 +86,10 @@ class ChordNetwork:
     :class:`~repro.dht.chord.batch.RingSnapshot` store: joins and
     departures splice it, the nodes' protocol writes rewrite its rows,
     and :meth:`snapshot` hands it to the lockstep engine as it stands.
+    :attr:`nodes` is the membership in draw/join order; a member's node
+    object and endpoint are created when something first addresses it
+    (the transport asks :attr:`nodes` for a target it has not seen), so
+    the oracle checks below read the store and create nothing.
     """
 
     #: Ring stores built: the one store, made with the network and never
@@ -89,7 +133,13 @@ class ChordNetwork:
         #: models the merge protocol deployments layer on Chord -- but
         #: can be disabled to study *pure* pairwise stabilization.
         self.ring_merge = ring_merge
-        self.nodes: dict[int, ChordNode] = {}
+        #: id -> node, None until the node is first used, in draw/join
+        #: order; read through :attr:`nodes`.
+        self._table: dict[int, ChordNode | None] = {}
+        self.nodes: Mapping[int, ChordNode] = _Members(self._table, self._materialize)
+        self.transport.directory = self.nodes
+        #: Sorted ids of the last perfect wiring (see :meth:`_materialize`).
+        self._wired_ids = _np.empty(0, dtype=_np.int64)
         #: Monotone counter bumped by every membership or maintenance
         #: event (join/crash/leave/stabilize/rewire); keys the memoized
         #: :meth:`sorted_ids`.
@@ -126,15 +176,13 @@ class ChordNetwork:
         net = cls(m=m, rng=rng, **kwargs)
         if n < 1:
             raise ValueError("need at least one node")
-        ids = draw_distinct_ids(net.rng, net.m, n, net.nodes)
+        ids = draw_distinct_ids(net.rng, net.m, n)
         if perfect:
-            # Splice the whole membership in at once: slot i holds the
-            # i-th smallest id; the rows are wired below.
-            ordered = sorted(ids)
-            net._store = RingSnapshot(net.m, ordered, net._slist_size)
-            slot_of = {node_id: slot for slot, node_id in enumerate(ordered)}
-            for node_id in ids:  # nodes stays in draw order
-                net._add_node(node_id, slot_of[node_id])
+            # The whole membership at once: slot i of the store holds the
+            # i-th smallest id, the table lists the ids in draw order, and
+            # no node exists until something addresses it.
+            net._store = RingSnapshot(net.m, sorted(ids), net._slist_size)
+            net._table.update(dict.fromkeys(ids))
             net.rewire_perfectly()
         else:
             net._add_node(ids[0])
@@ -143,28 +191,56 @@ class ChordNetwork:
                 net.stabilize_round()
         return net
 
-    def _add_node(self, node_id: int, slot: int | None = None) -> ChordNode:
+    def _add_node(
+        self, node_id: int, slot: int | None = None, predecessor: int | None = None
+    ) -> ChordNode:
         """Create and register the node for ``node_id``, its rows at
-        ``slot`` of the store (spliced in, self-looped, if None)."""
+        ``slot`` of the store (spliced in, self-looped, if None), its
+        predecessor ``predecessor``."""
         if slot is None:
             slot = self._store.apply_join(node_id, [node_id], [None] * self.m)
         node = ChordNode(
             node_id, self.m, self.transport, self._slist_size, self._store, slot
         )
-        self.nodes[node_id] = node
+        node.predecessor = predecessor
+        self._table[node_id] = node
         self.transport.register(node_id, node)
         return node
 
+    def _materialize(self, node_id: int) -> ChordNode:
+        """Create a member's node, first asked for, from its store rows.
+
+        Its predecessor is the one the last perfect wiring gave it.
+        Until a node exists nothing can change its predecessor:
+        ``notify``, ``set_predecessor`` and ``check_predecessor`` run on
+        the node itself, through a delivery or its own maintenance turn,
+        and both create it first.
+        """
+        return self._add_node(
+            node_id, self._store.slot(node_id), self._wired_predecessor(node_id)
+        )
+
+    def _wired_predecessor(self, node_id: int) -> int | None:
+        """``node_id``'s predecessor in the last perfect wiring."""
+        wired = self._wired_ids
+        if len(wired) < 2:
+            return None
+        return wired.item(int(wired.searchsorted(node_id)) - 1)
+
     def rewire_perfectly(self) -> None:
-        """Set every node's state to the stabilized fixed point (oracle)."""
-        self._store.wire_perfectly(self._slist_size)
-        ids = self._store.sorted_ids_list()
-        n = len(ids)
-        nodes = self.nodes
-        for i, node_id in enumerate(ids):
-            node = nodes[node_id]
-            node.predecessor = ids[i - 1] if n > 1 else None
-            node._reload_rows()
+        """Set every node's state to the stabilized fixed point (oracle).
+
+        Rewrites the store and records its ids for the nodes created
+        later; only the nodes that exist reset their predecessor and row
+        lists.
+        """
+        store = self._store
+        store.wire_perfectly(self._slist_size)
+        self._wired_ids = store.ids_np.copy()
+        for node in self._table.values():
+            if node is not None:
+                node.predecessor = self._wired_predecessor(node.node_id)
+                node._reload_rows()
         self.churn_epoch += 1
 
     # -- membership ----------------------------------------------------------
@@ -172,8 +248,8 @@ class ChordNetwork:
     def join_node(self, node_id: int | None = None) -> ChordNode:
         """Add one node via the real join protocol (needs stabilization after)."""
         if node_id is None:
-            node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
-        if node_id in self.nodes:
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self._table)[0]
+        if node_id in self._table:
             raise ValueError(f"node {node_id} already in the ring")
         entry = self._random_alive_id()
         node = self._add_node(node_id)
@@ -192,33 +268,38 @@ class ChordNetwork:
         self._remove(node_id)
 
     def _remove(self, node_id: int) -> None:
-        if node_id not in self.nodes:
+        if node_id not in self._table:
             raise KeyError(f"no node {node_id}")
-        node = self.nodes.pop(node_id)
-        self.transport.deregister(node_id)
-        # Its slot goes back to the free list for the next join; the
-        # object keeps its own last rows.
-        node._detach()
+        node = self._table.pop(node_id)
+        if node is not None:
+            self.transport.deregister(node_id)
+            # Its slot goes back to the free list for the next join; the
+            # object keeps its own last rows.
+            node._detach()
         self._store.apply_remove(node_id)
         self.churn_epoch += 1
 
     def _random_alive_id(self) -> int | None:
-        others = [i for i in self.nodes]
+        others = list(self._table)
         if not others:
             return None
         return self.rng.choice(others)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._table)
 
     # -- maintenance -----------------------------------------------------------
 
     def stabilize_round(self, fingers_per_round: int = 1) -> None:
         """One lock-step maintenance round over all nodes (random order)."""
-        order = list(self.nodes)
+        nodes = self._table
+        for node_id, node in nodes.items():  # the round visits every member
+            if node is None:
+                self._materialize(node_id)  # rebinds the value, not the key
+        order = list(nodes)
         self.rng.shuffle(order)
         for node_id in order:
-            node = self.nodes.get(node_id)
+            node = nodes.get(node_id)
             if node is None:  # removed mid-round
                 continue
             node.check_predecessor()
@@ -227,15 +308,15 @@ class ChordNetwork:
             # (correlated kill took its predecessor and the ring failed
             # over past it) re-inserts itself by self-search -- rectify,
             # O(log n) messages, cold on a healthy ring.
-            if len(self.nodes) > 1 and node.predecessor is None:
+            if len(nodes) > 1 and node.predecessor is None:
                 node.rectify()
             for _ in range(fingers_per_round):
                 node.fix_next_finger()
         if self.ring_merge:
-            self._merge_rings()
+            self._merge_rings(nodes)
         self.churn_epoch += 1
 
-    def _merge_rings(self) -> None:
+    def _merge_rings(self, nodes: dict[int, ChordNode]) -> None:
         """Re-join nodes that churn has split off the main ring.
 
         Crash-heavy churn can orphan a node (its entire successor list
@@ -266,14 +347,15 @@ class ChordNetwork:
         ``stabilize`` repairs the dangling pointer first.  All searches
         run the real lookup protocol and are metered like any other
         traffic; on a healthy ring every node sits in the single main
-        cycle and this pass does nothing.
+        cycle and this pass does nothing.  ``nodes`` is the membership
+        table with every node created.
         """
-        if len(self.nodes) < 2:
+        if len(nodes) < 2:
             return
         succ = {}
-        for node_id, node in self.nodes.items():
+        for node_id, node in nodes.items():
             s = node.get_successor()
-            succ[node_id] = s if s in self.nodes else None
+            succ[node_id] = s if s in nodes else None
         # Walk the (partial) functional graph once, recording for every
         # node whether its chain reaches a cycle or dead-ends (None).
         visited: dict[int, int] = {}  # node -> walk it was first seen in
@@ -307,7 +389,7 @@ class ChordNetwork:
             return
         entry_pool = sorted(main)
         for node_id in stranded:
-            node = self.nodes.get(node_id)
+            node = nodes.get(node_id)
             if node is None:
                 continue
             entry = self.rng.choice(entry_pool)
@@ -348,41 +430,54 @@ class ChordNetwork:
         return self._store
 
     def ring_is_correct(self) -> bool:
-        """Every successor pointer equals the next alive id clockwise."""
-        ids = self.sorted_ids()
-        n = len(ids)
-        for i, node_id in enumerate(ids):
-            expected = ids[(i + 1) % n]
-            if self.nodes[node_id].get_successor() != expected:
-                return False
-        return True
+        """Every successor pointer equals the next alive id clockwise
+        (read from the store)."""
+        store = self._store
+        succ = store.succ_first_np[store.order_np]
+        return bool((succ == _np.roll(store.ids_np, -1)).all())
 
     def predecessors_correct(self) -> bool:
-        """Every predecessor pointer equals the previous alive id."""
+        """Every predecessor pointer equals the previous alive id (a node
+        not created yet holds its wired predecessor)."""
         ids = self.sorted_ids()
         n = len(ids)
         if n == 1:
             return True
-        return all(
-            self.nodes[ids[i]].predecessor == ids[(i - 1) % n] for i in range(n)
-        )
+        table = self._table
+        for i, node_id in enumerate(ids):
+            node = table[node_id]
+            if node is None:
+                predecessor = self._wired_predecessor(node_id)
+            else:
+                predecessor = node.predecessor
+            if predecessor != ids[i - 1]:
+                return False
+        return True
 
     def to_circle(self) -> SortedCircle:
         """The analytic view: alive peer points on the unit circle."""
-        return SortedCircle(id_to_point(i, self.m) for i in self.nodes)
+        return SortedCircle(id_to_point(i, self.m) for i in self.sorted_ids())
 
     def overlay_graph(self, include_fingers: bool = True) -> nx.Graph:
-        """The overlay as an undirected graph (successor + finger edges)."""
+        """The overlay as an undirected graph (successor + finger edges).
+
+        Read from the store's rows, in membership order, node by node:
+        successor edge first, then finger edges.
+        """
+        members = self._table
+        ids = list(members)
+        store = self._store
+        slots = store.order_np[store.ids_np.searchsorted(_np.array(ids, dtype=_np.int64))]
+        succs = store.succ_first_np[slots].tolist()
+        rows = store.finger_mat[slots].tolist() if include_fingers else [()] * len(ids)
         g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        for node_id, node in self.nodes.items():
-            succ = node.get_successor()
-            if succ in self.nodes and succ != node_id:
+        g.add_nodes_from(ids)
+        for node_id, succ, fingers in zip(ids, succs, rows):
+            if succ in members and succ != node_id:
                 g.add_edge(node_id, succ)
-            if include_fingers:
-                for finger in node.fingers:
-                    if finger is not None and finger in self.nodes and finger != node_id:
-                        g.add_edge(node_id, finger)
+            for finger in fingers:  # an unset finger (-1) is never a member
+                if finger in members and finger != node_id:
+                    g.add_edge(node_id, finger)
         return g
 
     def dht(

@@ -1,11 +1,13 @@
 """Struct-of-arrays Chord substrate: a million-node ring with no node objects.
 
 :class:`~repro.dht.chord.network.ChordNetwork` keeps its ring in a
-:class:`~repro.dht.chord.batch.RingSnapshot` store too, but carries one
-Python node object and transport endpoint per peer beside it, which
-caps benches near n=1e5.  This module keeps *only* the store: a sorted
-id array, a dense finger matrix, a padded successor matrix, all
-slot-indexed with a free list -- wired vectorized in O(m) array passes
+:class:`~repro.dht.chord.batch.RingSnapshot` store too, beside a
+membership table in draw/join order and a Python node object and
+transport endpoint for each peer something has addressed (a
+maintenance round addresses them all).  This module keeps *only* the
+store: a sorted id array, a dense finger matrix, a padded successor
+matrix, all slot-indexed with a free list -- wired vectorized in O(m)
+array passes
 (:meth:`RingSnapshot.wire_perfectly
 <repro.dht.chord.batch.RingSnapshot.wire_perfectly>`) and spliced
 incrementally under churn.  Per-node memory is exactly the array rows

@@ -35,7 +35,10 @@ messages and two one-way samples to the same counters as a sync
 ``start``/``end`` being actual sim-clock send/delivery instants, so
 span timestamps downstream are real delivery times.  A timed-out call
 charges one message (the lost request), one ``rpc.timeouts`` tick and
-the full timeout interval, like the sync plane's ``_admit``.
+the full timeout interval, like the sync plane's ``_admit``, and its
+span's outcome names the cause as that plane does (``"lost"``, ``"dead
+or unknown"``, ``"partitioned"``, ``"reply-partitioned"``; ``"timeout"``
+for a reply that was merely late).
 """
 
 from __future__ import annotations
@@ -124,6 +127,10 @@ class AsyncCall:
     timeout} to fire wins and cancels the other path;
     :meth:`cancel` abandons the call (straggler probes a lookup no
     longer needs) -- a late reply is then dropped and counted.
+    ``cause`` is why the reply cannot come, in the sync plane's words
+    (``"lost"``, ``"dead or unknown"``, ``"partitioned"``,
+    ``"reply-partitioned"``), recorded where the plane learns it;
+    ``"timeout"`` while the reply is merely late.
     """
 
     __slots__ = (
@@ -135,6 +142,7 @@ class AsyncCall:
         "on_reply",
         "on_timeout",
         "state",
+        "cause",
         "_timeout_event",
     )
 
@@ -147,6 +155,7 @@ class AsyncCall:
         self.on_reply = on_reply
         self.on_timeout = on_timeout
         self.state = _PENDING
+        self.cause = "timeout"
         self._timeout_event = None
 
     @property
@@ -327,7 +336,9 @@ class AsyncRpcTransport(RpcTransport):
             self._timeout if timeout is None else timeout,
             lambda: self._fire_timeout(call),
         )
-        if not lost:
+        if lost:
+            call.cause = "lost"
+        else:
             sim.schedule(
                 request_delay,
                 lambda: self._deliver_request(call, args, kwargs, reply_delay),
@@ -337,17 +348,24 @@ class AsyncRpcTransport(RpcTransport):
     def _deliver_request(self, call: AsyncCall, args, kwargs, reply_delay: float) -> None:
         """The request leg lands: liveness/partition judged *now*."""
         target = self._nodes.get(call.target_id)
+        if target is None and self.directory is not None:
+            target = self.directory.get(call.target_id)
         if target is None:
-            return  # died (possibly mid-flight); the timeout will fire
+            # Died (possibly mid-flight); the timeout will fire.
+            call.cause = "dead or unknown"
+            return
         faults = self.faults
         if faults.active and faults.blocked(call.source_id, call.target_id):
+            call.cause = "partitioned"
             return
         result = getattr(target, call.method)(*args, **kwargs)
         adversary = self.adversary
         if adversary.active:
             result = adversary.rewrite(call.target_id, call.method, args, result)
         if faults.active and faults.blocked(call.target_id, call.source_id):
-            return  # one-way partition: the reply leg is severed
+            # One-way partition: the reply leg is severed.
+            call.cause = "reply-partitioned"
+            return
         if call.state != _PENDING:
             return  # caller already gave up; don't charge a reply nobody reads
         # The reply leaves the target now.
@@ -392,7 +410,7 @@ class AsyncRpcTransport(RpcTransport):
         if tracer.active:
             tracer.on_rpc(
                 call.source_id, call.target_id, call.method, "rpc",
-                call.sent_at, now, "timeout",
+                call.sent_at, now, call.cause,
             )
         if call.on_timeout is not None:
             call.on_timeout(
@@ -441,6 +459,8 @@ class AsyncRpcTransport(RpcTransport):
 
     def _deliver_cast(self, source_id, target_id, method, args, kwargs, sent_at) -> None:
         target = self._nodes.get(target_id)
+        if target is None and self.directory is not None:
+            target = self.directory.get(target_id)
         if target is None:
             return
         faults = self.faults

@@ -335,6 +335,12 @@ class RpcTransport:
         #: by :meth:`method_message_counters`.
         self._method_messages: dict[str, int] = {}
         self._nodes: dict[int, Any] = {}
+        #: Where a target missing from the registered nodes is looked up:
+        #: None, or a mapping whose ``get(node_id)`` returns the node
+        #: (registering it) or None.  An overlay that creates its nodes
+        #: on first use (``ChordNetwork``) sets it to its membership; the
+        #: delivery paths ask it only when the exact-dict ``get`` misses.
+        self.directory: Any | None = None
         #: Total simulated latency accrued by RPCs (additive, per Theorem 7).
         self.elapsed: float = 0.0
 
@@ -389,11 +395,17 @@ class RpcTransport:
         self._nodes.pop(node_id, None)
 
     def is_registered(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        directory = self.directory
+        return node_id in self._nodes or (directory is not None and node_id in directory)
 
     def node(self, node_id: int) -> Any:
         """Direct (cost-free) access to a node object, for tests/oracles."""
-        return self._nodes[node_id]
+        node = self._nodes.get(node_id)
+        if node is None and self.directory is not None:
+            node = self.directory.get(node_id)
+        if node is None:
+            raise KeyError(node_id)
+        return node
 
     # -- cost-model introspection (read-only) ---------------------------
     #
@@ -415,7 +427,8 @@ class RpcTransport:
 
     @property
     def node_ids(self) -> list[int]:
-        return list(self._nodes)
+        directory = self.directory
+        return list(self._nodes if directory is None else directory)
 
     # -- the RPC fabric ---------------------------------------------------
 
@@ -431,6 +444,8 @@ class RpcTransport:
         loss stream, and only when some loss source is actually in play.
         """
         target = self._nodes.get(target_id)
+        if target is None and self.directory is not None:
+            target = self.directory.get(target_id)
         faults = self.faults
         if target is not None and not faults.blocked(source_id, target_id):
             p = self._loss_rate

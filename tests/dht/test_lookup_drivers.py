@@ -28,13 +28,9 @@ from repro.sim.network import ConstantLatency
 M = 10
 
 
-class AnsweredSink:
-    """Records each exchange and whether it was answered.
-
-    The planes word an unanswered call differently (the sync transport
-    reports why, the async one that its timer fired), so the outcome is
-    kept as answered or not.
-    """
+class OutcomeSink:
+    """Records each exchange and its outcome: ``"ok"``, or why it went
+    unanswered, which both planes word alike."""
 
     active = True
 
@@ -42,7 +38,7 @@ class AnsweredSink:
         self.events = []
 
     def on_rpc(self, source, target, method, kind, start, end, outcome):
-        self.events.append((source, target, method, kind, outcome == "ok"))
+        self.events.append((source, target, method, kind, outcome))
 
 
 def _counters(transport):
@@ -94,7 +90,7 @@ def test_three_drivers_agree_on_crashed_rings(case):
     for net in (sync_net, async_net):
         for victim in victims:
             net.crash_node(victim)
-    sync_sink, async_sink = AnsweredSink(), AnsweredSink()
+    sync_sink, async_sink = OutcomeSink(), OutcomeSink()
     sync_net.transport.install_tracer(sync_sink)
     async_net.transport.install_tracer(async_sink)
     budget = max_hops if max_hops is not None else 4 * M

@@ -35,6 +35,21 @@ class Echo:
         self.casts.append(value)
 
 
+class OutcomeSink:
+    active = True
+
+    def __init__(self):
+        self.outcomes = []
+
+    def on_rpc(self, source, target, method, kind, start, end, outcome):
+        self.outcomes.append(outcome)
+
+
+class AlwaysDrop(random.Random):
+    def random(self):
+        return 0.0
+
+
 def _transport(latency=None, **kwargs) -> tuple[Simulator, AsyncRpcTransport]:
     sim = Simulator()
     t = AsyncRpcTransport(
@@ -118,15 +133,50 @@ class TestAsyncCallPlane:
         # Timeout shorter than the round trip: the timeout event wins,
         # the reply arrives to no one and only bumps rpc.late_replies.
         sim, t = _transport(latency=ConstantLatency(3.0), timeout=4.0)
+        sink = t.install_tracer(OutcomeSink())
         replies, timeouts = [], []
         t.call(1, "ping", on_reply=replies.append, on_timeout=timeouts.append)
         sim.run()
         assert replies == []
         assert len(timeouts) == 1
+        assert sink.outcomes == ["timeout"]  # merely late: no other cause
         # both legs were charged (the reply was already on the wire when
         # the timeout fired), plus the timeout interval
         assert t.messages_sent == 2
         assert t.metrics.counters()["rpc.late_replies"] == 1
+
+    @pytest.mark.parametrize(
+        "cause", ["dead or unknown", "lost", "partitioned", "reply-partitioned"]
+    )
+    def test_an_unanswered_call_names_its_cause_as_the_sync_plane_does(self, cause):
+        from repro.faults.state import FaultState
+
+        outcomes = []
+        for asynchronous in (False, True):
+            sim = Simulator()
+            kwargs = dict(latency=ConstantLatency(1.0), rng=random.Random(0))
+            if cause == "lost":
+                kwargs.update(loss_rate=0.5, loss_rng=AlwaysDrop())
+            t = AsyncRpcTransport(sim, **kwargs) if asynchronous else RpcTransport(**kwargs)
+            t.register(1, Echo())
+            t.register(2, Echo())
+            faults = t.install_faults(FaultState())
+            if cause == "partitioned":
+                faults.partition([[1], [2]], mode="full")
+            elif cause == "reply-partitioned":
+                faults.partition([[1], [2]], mode="oneway")  # 1 -> 2 crosses
+            sink = t.install_tracer(OutcomeSink())
+            target = 99 if cause == "dead or unknown" else 2
+            if asynchronous:
+                t.call_from(1, target, "ping")
+                sim.run()
+            else:
+                with pytest.raises(RpcTimeout):
+                    t.endpoint(1).rpc(target, "ping")
+            # The last span is the unanswered exchange (the sync plane
+            # reports a reply-partitioned call's delivered request first).
+            outcomes.append(sink.outcomes[-1])
+        assert outcomes == [cause, cause]
 
     def test_cancel_before_delivery_suppresses_the_reply(self):
         sim, t = _transport()
