@@ -38,6 +38,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+# The scenario report's chi-square imports scipy on first use, and this bench times run_scenario.
+import scipy.stats  # noqa: F401
+
 from repro.adversary.verify import verify_capture, verify_uniformity
 from repro.bench.harness import Table, write_bench_json
 from repro.scenarios import adversary_table, preset, run_scenario

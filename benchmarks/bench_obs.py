@@ -41,6 +41,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+# The scenario report's chi-square imports scipy on first use, and this bench times run_scenario.
+import scipy.stats  # noqa: F401
+
 from repro.bench.harness import Table, write_bench_json
 from repro.obs import Tracer, analyze
 from repro.scenarios import critical_path_table, hop_table, preset, run_scenario

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..baselines.random_walk import WalkKind, _transition_matrix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SpectralReport", "spectral_report", "mixing_time_bound"]
 

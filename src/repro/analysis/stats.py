@@ -15,7 +15,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "empirical_distribution",
@@ -99,6 +98,8 @@ def chi_square_uniform(counts: Sequence[int]) -> ChiSquareResult:
         raise ValueError("counts must be non-negative")
     if sum(counts) == 0:
         raise ValueError("need at least one observation")
+    import scipy.stats as sps
+
     statistic, p_value = sps.chisquare(counts)
     return ChiSquareResult(
         statistic=float(statistic), p_value=float(p_value), dof=len(counts) - 1
@@ -120,6 +121,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
+    import scipy.stats as sps
+
     z = sps.norm.ppf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -135,6 +138,8 @@ def mean_confidence_interval(
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least two observations")
+    import scipy.stats as sps
+
     mean = float(arr.mean())
     sem = float(sps.sem(arr))
     if sem == 0.0:

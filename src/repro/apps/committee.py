@@ -14,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from scipy import stats as sps
-
 __all__ = [
     "CommitteeSpec",
     "committee_failure_probability",
@@ -52,6 +50,8 @@ def committee_failure_probability(
     """
     if not 0 <= byzantine <= n:
         raise ValueError("byzantine count must lie in [0, n]")
+    import scipy.stats as sps
+
     p = byzantine / n
     return float(sps.binom.sf(spec.max_byzantine, spec.size, p))
 

@@ -12,10 +12,12 @@ membership churns.
 from __future__ import annotations
 
 import random
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.adaptive import AdaptiveSampler
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RandomLinkMaintainer"]
 
@@ -83,6 +85,8 @@ class RandomLinkMaintainer:
 
     def graph(self) -> nx.Graph:
         """The maintained overlay (undirected, live nodes only)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self._network.nodes)
         for owner, targets in self._links.items():

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_random_link_overlay", "RobustnessPoint", "deletion_robustness"]
 
@@ -26,6 +28,8 @@ def build_random_link_overlay(sampler, n_nodes: int, links_per_node: int) -> nx.
     """
     if links_per_node < 1:
         raise ValueError("need at least one link per node")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n_nodes))
     for u in range(n_nodes):
@@ -61,6 +65,8 @@ def deletion_robustness(
     first.  ``targeted=False`` deletes uniformly at random.  The input
     graph is never mutated.
     """
+    import networkx as nx
+
     rng = rng if rng is not None else random.Random()
     order = sorted(graph.nodes, key=lambda u: graph.degree(u), reverse=True)
     if not targeted:

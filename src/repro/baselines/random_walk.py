@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Hashable, Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "WalkKind",

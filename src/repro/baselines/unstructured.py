@@ -16,8 +16,10 @@ guarantee is topology-independent.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["make_overlay", "OVERLAY_KINDS"]
 
@@ -40,6 +42,8 @@ def make_overlay(kind: str, n: int, rng: random.Random) -> nx.Graph:
         raise ValueError(f"kind must be one of {OVERLAY_KINDS}, got {kind!r}")
     if n < 10:
         raise ValueError("need at least 10 peers for a meaningful overlay")
+    import networkx as nx
+
     seed = rng.randrange(2**31)
     if kind == "random-regular":
         graph = nx.random_regular_graph(6, n if n % 2 == 0 else n + 1, seed=seed)

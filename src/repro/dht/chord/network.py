@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as _np
 
 from ...core.intervals import SortedCircle
@@ -36,6 +36,9 @@ from .batch import (
 )
 from .idspace import id_to_point, point_to_target_id
 from .node import ChordNode, LookupError_
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ChordAdapterBase", "ChordNetwork", "ChordDHT"]
 
@@ -470,6 +473,8 @@ class ChordNetwork:
         slots = store.order_np[store.ids_np.searchsorted(_np.array(ids, dtype=_np.int64))]
         succs = store.succ_first_np[slots].tolist()
         rows = store.finger_mat[slots].tolist() if include_fingers else [()] * len(ids)
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(ids)
         for node_id, succ, fingers in zip(ids, succs, rows):

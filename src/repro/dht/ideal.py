@@ -6,6 +6,11 @@ DHT: ``t_h = m_h = ceil(log2 n)`` for ``h`` and unit cost for ``next``.
 It makes large-``n`` experiments cheap and keeps the analytic model of
 the paper (peer points i.i.d. uniform on the circle) exact.
 
+The oracle keeps its peer points as one sorted array and makes a peer's
+:class:`~repro.dht.api.PeerRef` when it first returns that peer; from
+then on it returns that same object.  A serve builds handles only for
+the peers it returns, not one per peer of the ring.
+
 The message-level counterpart is :class:`repro.dht.chord.ChordDHT`,
 which realizes the same interface on a simulated Chord overlay.
 """
@@ -53,9 +58,10 @@ class IdealDHT:
     def __init__(self, circle: SortedCircle, cost_model: CostModel | None = None):
         self._circle = circle
         self._model = cost_model if cost_model is not None else LogCost(len(circle))
-        self._peers = tuple(
-            PeerRef(peer_id=i, point=p) for i, p in enumerate(circle.points)
-        )
+        # Slot i holds the handle of the i-th peer clockwise once it has
+        # been returned (``_peer``), None before.
+        self._peers: list[PeerRef | None] = [None] * len(circle)
+        self._all: tuple[PeerRef, ...] | None = None  # ``peers``, once read
         # Flat array-backed storage for the bulk interface: peer points in
         # sorted order, so index arithmetic replaces object traversal.
         self._flat = array("d", circle.points)
@@ -72,21 +78,28 @@ class IdealDHT:
     def from_points(cls, points: Iterable[float], **kwargs) -> "IdealDHT":
         return cls(SortedCircle(points), **kwargs)
 
+    def _peer(self, i: int) -> PeerRef:
+        """The handle of the peer at sorted position ``i``, made on first use."""
+        ref = self._peers[i]
+        if ref is None:
+            ref = self._peers[i] = PeerRef(i, self._circle.points[i])
+        return ref
+
     # -- DHT interface ---------------------------------------------------
 
     def h(self, x: float) -> PeerRef:
         """The peer closest clockwise to ``x`` (Chord's ``successor``)."""
         self.cost.charge_h(self._model.h_messages, self._model.h_latency)
-        return self._peers[self._circle.successor_index(x)]
+        return self._peer(self._circle.successor_index(x))
 
     def next(self, peer: PeerRef) -> PeerRef:
         """The clockwise successor of ``peer``."""
         self.cost.charge_next(self._model.next_messages, self._model.next_latency)
-        return self._peers[self._circle.next_index(peer.peer_id)]
+        return self._peer(self._circle.next_index(peer.peer_id))
 
     def any_peer(self) -> PeerRef:
         """An arbitrary live peer, the algorithms' local vantage point."""
-        return self._peers[0]
+        return self._peer(0)
 
     # -- BulkDHT interface ------------------------------------------------
 
@@ -100,8 +113,8 @@ class IdealDHT:
         identical to per-call :meth:`h`.
         """
         k = len(xs)
-        peers = self._peers
-        n = len(peers)
+        peer = self._peer
+        n = len(self._peers)
         if k >= NUMPY_MIN_BATCH:
             arr = _np.asarray(xs, dtype=_np.float64)
             ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN slip through
@@ -110,14 +123,14 @@ class IdealDHT:
                 raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
             idx = _np.searchsorted(self._flat_np, arr, side="left")
             idx[idx == n] = 0
-            refs = [peers[i] for i in idx.tolist()]
+            refs = [peer(i) for i in idx.tolist()]
         else:
             flat = self._flat
             refs = []
             for x in xs:
                 if not 0.0 < x <= 1.0:
                     raise ValueError(f"point {x!r} is outside the unit circle (0, 1]")
-                refs.append(peers[bisect_left(flat, x) % n])
+                refs.append(peer(bisect_left(flat, x) % n))
         self.cost.charge_bulk(
             h_calls=k,
             messages=k * self._model.h_messages,
@@ -131,7 +144,12 @@ class IdealDHT:
 
     def successor_of_index(self, i: int) -> PeerRef:
         """Materialize the peer at sorted position ``i % n`` (uncharged)."""
-        return self._peers[i % len(self._peers)]
+        slots = self._peers
+        i %= len(slots)
+        ref = slots[i]  # ``_peer`` inline: the engine calls this per drawn peer
+        if ref is None:
+            ref = slots[i] = PeerRef(i, self._circle.points[i])
+        return ref
 
     def bulk_op_costs(self) -> tuple[int, float, int, float]:
         """Per-op unit costs for callers charging the meter in bulk."""
@@ -147,8 +165,14 @@ class IdealDHT:
 
     @property
     def peers(self) -> Sequence[PeerRef]:
-        """All peers in clockwise order (oracle knowledge, free of cost)."""
-        return self._peers
+        """All peers in clockwise order (oracle knowledge, free of cost).
+
+        The first read makes every handle not yet made; later reads
+        return the same tuple.
+        """
+        if self._all is None:
+            self._all = tuple(map(self._peer, range(len(self._peers))))
+        return self._all
 
     def __len__(self) -> int:
-        return len(self._peers)
+        return len(self._circle)

@@ -29,16 +29,24 @@ deliveries interleave.  Liveness and partition checks happen at
 *delivery* time: a node that crashes while the request is in flight
 eats the message, exactly the race the sync plane cannot express.
 
-Accounting parity: a completed async call charges the same two
-messages and two one-way samples to the same counters as a sync
-``rpc``, and reports the same ``on_rpc`` tracer event -- but with
-``start``/``end`` being actual sim-clock send/delivery instants, so
-span timestamps downstream are real delivery times.  A timed-out call
-charges one message (the lost request), one ``rpc.timeouts`` tick and
-the full timeout interval, like the sync plane's ``_admit``, and its
-span's outcome names the cause as that plane does (``"lost"``, ``"dead
-or unknown"``, ``"partitioned"``, ``"reply-partitioned"``; ``"timeout"``
-for a reply that was merely late).
+Accounting: a completed async call charges the same two messages and
+two one-way samples to the same counters as a sync ``rpc``, and reports
+the same ``on_rpc`` tracer event -- but with ``start``/``end`` being
+actual sim-clock send/delivery instants, so span timestamps downstream
+are real delivery times.  A call that times out charges one
+``rpc.timeouts`` tick and the full timeout interval, plus one message
+(the request), or two when a merely late reply was already on the wire;
+its span's outcome names the cause as the sync plane does (``"lost"``,
+``"dead or unknown"``, ``"partitioned"``, ``"reply-partitioned"``;
+``"timeout"`` for a reply that was merely late).  The charges equal the
+sync plane's ``_admit`` when the request never reaches a live handler
+(lost, partitioned, dead or unknown target).  They differ for a
+reply-partitioned call, the known exception: the sync ``rpc_from``
+charges the delivered request's round trip too (2 messages, the round
+trip plus the timeout, two spans), this plane 1 message and the timeout
+(one span).  A reply later than the timeout exists only here; the sync
+plane charges any round trip in full as a success.  The ROADMAP item
+"One delivery rule" is to give both planes one charge per outcome.
 """
 
 from __future__ import annotations

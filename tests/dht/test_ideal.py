@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervals import clockwise_distance
-from repro.dht.api import CostMeter, CostSnapshot, DHT, PeerRef
+from repro.dht.api import NUMPY_MIN_BATCH, CostMeter, CostSnapshot, DHT, PeerRef
 from repro.dht.ideal import CostModel, IdealDHT, LogCost
+
+_unit_points = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_calls = st.one_of(
+    st.tuples(st.just("h"), _unit_points),
+    st.tuples(st.just("next"), st.integers(min_value=0, max_value=400)),
+    st.tuples(st.just("any_peer"), st.none()),
+    # batches either side of the bisect / searchsorted crossover
+    st.tuples(
+        st.just("h_many"),
+        st.sampled_from([0, 1, NUMPY_MIN_BATCH - 1, NUMPY_MIN_BATCH, 2 * NUMPY_MIN_BATCH]),
+    ),
+    st.tuples(st.just("successor_of_index"), st.integers(min_value=0, max_value=1_000)),
+)
 
 
 class TestCostMeter:
@@ -126,6 +142,41 @@ class TestIdealDHT:
         for i, peer in enumerate(medium_dht.peers):
             assert peer.peer_id == i
             assert peer.point == medium_dht.circle[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(_unit_points, min_size=1, max_size=300),
+        script=st.lists(_calls, max_size=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_handles_are_made_on_first_use(self, points, script, seed):
+        dht = IdealDHT.from_points(points)
+        circle = dht.circle
+        n = len(circle)
+        assert dht._peers == [None] * n  # no handle before a peer is returned
+        rng = random.Random(seed)
+        seen: dict[int, PeerRef] = {}
+        for op, arg in script:
+            if op == "h":
+                got, want = [dht.h(arg)], [circle.successor_index(arg)]
+            elif op == "next":
+                i = arg % n
+                got, want = [dht.next(PeerRef(i, circle.points[i]))], [circle.next_index(i)]
+            elif op == "any_peer":
+                got, want = [dht.any_peer()], [0]
+            elif op == "h_many":
+                xs = [1.0 - rng.random() for _ in range(arg)]
+                got, want = dht.h_many(xs), [circle.successor_index(x) for x in xs]
+            else:
+                got, want = [dht.successor_of_index(arg)], [arg % n]
+            for ref, i in zip(got, want, strict=True):
+                assert ref == PeerRef(i, circle.points[i])
+                assert seen.setdefault(i, ref) is ref  # one object from its first return on
+        assert [i for i, ref in enumerate(dht._peers) if ref is not None] == sorted(seen)
+        eager = tuple(PeerRef(i, p) for i, p in enumerate(circle.points))
+        assert dht.peers == eager
+        assert dht.peers == eager  # a second read, from the same handles
+        assert all(dht.peers[i] is ref for i, ref in seen.items())
 
     def test_peer_ref_ordering_and_hash(self):
         a = PeerRef(1, 0.5)

@@ -3,9 +3,11 @@
 The contract under test (see the ``repro.sim.async_net`` module
 docstring): each request/reply is its own scheduled delivery, timeouts
 are real events that a reply cancels, latency draws happen at send time
-while liveness is judged at delivery time, and the accounting is
-charge-identical to the sync plane (two messages + RTT on success, one
-message + a timeout tick + the full interval on failure).
+while liveness is judged at delivery time, and the accounting matches
+the sync plane (two messages + RTT on success, one message + a timeout
+tick + the full interval when the request is lost, partitioned or meets
+a dead target).  A reply-partitioned call is the known exception,
+pinned by a strict xfail until both planes take one delivery rule.
 """
 
 from __future__ import annotations
@@ -177,6 +179,31 @@ class TestAsyncCallPlane:
             # reports a reply-partitioned call's delivered request first).
             outcomes.append(sink.outcomes[-1])
         assert outcomes == [cause, cause]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a reply-partitioned call costs 2 messages and 10.0 on the sync plane, "
+        "1 message and 8.0 on the async one; ROADMAP 'One delivery rule' settles one charge",
+    )
+    def test_a_reply_partitioned_call_charges_alike_on_both_planes(self):
+        from repro.faults.state import FaultState
+
+        charges = []
+        for asynchronous in (False, True):
+            sim = Simulator()
+            kwargs = dict(latency=ConstantLatency(1.0), rng=random.Random(0))
+            t = AsyncRpcTransport(sim, **kwargs) if asynchronous else RpcTransport(**kwargs)
+            t.register(1, Echo())
+            t.register(2, Echo())
+            t.install_faults(FaultState()).partition([[1], [2]], mode="oneway")
+            if asynchronous:
+                t.call_from(1, 2, "ping")
+                sim.run()
+            else:
+                with pytest.raises(RpcTimeout):
+                    t.endpoint(1).rpc(2, "ping")
+            charges.append((t.messages_sent, t.elapsed))
+        assert charges[0] == charges[1]
 
     def test_cancel_before_delivery_suppresses_the_reply(self):
         sim, t = _transport()
