@@ -273,8 +273,6 @@ def _metrics_scale(record: dict) -> dict:
         out["churn/zero_full_rebuilds"] = (churn.get("full_rebuilds") == 0, EXACT)
         out["churn/incremental_equals_rebuild"] = (
             bool(churn.get("incremental_equals_rebuild")), EXACT)
-        out["churn/soa_splice_equals_rebuild"] = (
-            bool(churn.get("soa_splice_equals_rebuild")), EXACT)
     return out
 
 

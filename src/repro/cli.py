@@ -21,7 +21,7 @@ Subcommands::
     python -m repro faults list                     # injectors and presets
     python -m repro bench chord-batch --quick       # lockstep lookup bench
     python -m repro bench backends --quick          # Chord-vs-Kademlia costs
-    python -m repro bench scale --quick             # SoA decade scaling
+    python -m repro bench scale --quick             # decade scaling
     python -m repro bench async --quick             # message-level outage run
 
 Every subcommand accepts ``--seed`` for reproducibility and prints a

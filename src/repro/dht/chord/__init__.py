@@ -8,7 +8,6 @@ from .batch import BatchLookupStats, LookupTrace, RingSnapshot, lockstep_resolve
 from .idspace import id_to_point, in_open_closed, in_open_open, point_to_target_id
 from .network import ChordDHT, ChordNetwork
 from .node import ChordNode, LookupError_, LookupResult
-from .soa import SoAChordDHT, SoAChordNetwork
 from .virtual import VirtualChordNetwork
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "ChordDHT",
     "ChordNetwork",
     "ChordNode",
-    "SoAChordDHT",
-    "SoAChordNetwork",
     "LookupError_",
     "LookupResult",
     "lookup_async",

@@ -26,10 +26,9 @@ ring's state: :class:`~repro.dht.chord.network.ChordNetwork` creates
 one, splices it on every membership change, and its
 :class:`~repro.dht.chord.node.ChordNode` objects, each created when
 something first addresses its peer, read and write their
-successor lists and finger tables through it; the struct-of-arrays
-substrates (:mod:`repro.dht.chord.soa`) hold the same store with no
-per-node objects at all.  Either way the engine routes on exactly the
-rows the live path reads -- there is no second copy to keep in step.
+successor lists and finger tables through it.  The engine routes on
+exactly the rows the live path reads -- there is no second copy to keep
+in step.
 
 Correctness contract
 --------------------
@@ -314,10 +313,8 @@ class RingSnapshot:
     these writes, so the cached :class:`WalkView` and the
     :class:`RouteTable` are read only against the state they came from.
 
-    This is the whole state of both Chord substrates: a
-    :class:`~repro.dht.chord.network.ChordNetwork`'s nodes read and write
-    their rows here, and the struct-of-arrays substrates
-    (:mod:`repro.dht.chord.soa`) hold nothing else.
+    This is a :class:`~repro.dht.chord.network.ChordNetwork`'s whole
+    routing state: its nodes read and write their rows here.
     """
 
     __slots__ = (
@@ -376,6 +373,13 @@ class RingSnapshot:
     def order_np(self):
         """Slot of each sorted position, parallel to :attr:`ids_np`."""
         return self._order_buf[: self.n]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the store's arrays (not its cached views)."""
+        arrays = (self.slot_ids_np, self.succ_first_np, self.finger_mat,
+                  self.succ_mat, self._ids_buf, self._order_buf, self.pos_table)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def sorted_ids_list(self) -> list[int]:
         """The live membership in sorted order as plain ints."""

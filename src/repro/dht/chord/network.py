@@ -3,10 +3,10 @@ adapter that exposes the paper's ``h``/``next`` interface with real
 message-level cost accounting.
 
 A ring's routing state is its ring store alone: a perfect build writes
-the store and nothing per peer.  The membership table holds each peer's
-:class:`~repro.dht.chord.node.ChordNode` once something first addresses
-it -- a delivery, a maintenance round, ``nodes[...]`` -- and the node is
-then created from its store rows, with its transport endpoint.
+the store and its draw order, and nothing per peer.  A peer's
+:class:`~repro.dht.chord.node.ChordNode` is created from its store rows,
+with its transport endpoint, once something first addresses it -- a
+delivery, a maintenance round, ``nodes[...]``.
 """
 
 from __future__ import annotations
@@ -40,40 +40,39 @@ from .node import ChordNode, LookupError_
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["ChordAdapterBase", "ChordNetwork", "ChordDHT"]
+__all__ = ["ChordNetwork", "ChordDHT"]
 
 
 class _Members(Mapping):
     """A ring's live membership, id -> node, in draw/join order.
 
-    Backed by the network's table of ``id -> ChordNode | None``: ``in``,
-    ``len`` and iteration read the table alone, while ``[]``, ``get``,
-    ``values()`` and ``items()`` create a member's node the first time
-    they are asked for it.  Read-only: membership changes go through the
-    network's ``join_node``/``crash_node``/``leave_node``.
+    ``in`` and ``len`` read the ring store's liveness and iteration the
+    network's draw/join order, so none of them creates a node; ``[]``,
+    ``get``, ``values()`` and ``items()`` create a member's node the
+    first time they are asked for it.  Read-only: membership changes go
+    through the network's ``join_node``/``crash_node``/``leave_node``.
     """
 
-    __slots__ = ("_table", "_create")
+    __slots__ = ("_net",)
 
-    def __init__(self, table: dict, create):
-        self._table = table
-        self._create = create
+    def __init__(self, net: "ChordNetwork"):
+        self._net = net
 
     def __contains__(self, node_id) -> bool:
-        return node_id in self._table
+        return self._net._store.alive(node_id)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return self._net._store.n
 
     def __iter__(self):
-        return iter(self._table)
+        return iter(self._net._member_order())
 
     def __getitem__(self, node_id) -> ChordNode:
-        node = self._table[node_id]
-        return node if node is not None else self._create(node_id)
+        node = self._net._table.get(node_id)
+        return node if node is not None else self._net._materialize(node_id)
 
     def get(self, node_id, default=None):
-        return self[node_id] if node_id in self._table else default
+        return self[node_id] if node_id in self else default
 
 
 class ChordNetwork:
@@ -136,10 +135,14 @@ class ChordNetwork:
         #: models the merge protocol deployments layer on Chord -- but
         #: can be disabled to study *pure* pairwise stabilization.
         self.ring_merge = ring_merge
-        #: id -> node, None until the node is first used, in draw/join
-        #: order; read through :attr:`nodes`.
+        #: id -> node: only the created nodes while a perfect build's draw
+        #: order is kept in :attr:`_drawn`, else every member in draw/join
+        #: order, None until its node is created (see :meth:`_all_members`).
         self._table: dict[int, ChordNode | None] = {}
-        self.nodes: Mapping[int, ChordNode] = _Members(self._table, self._materialize)
+        #: A perfect build's ids in draw order, until the first join or
+        #: departure.
+        self._drawn: _np.ndarray | None = None
+        self.nodes: Mapping[int, ChordNode] = _Members(self)
         self.transport.directory = self.nodes
         #: Sorted ids of the last perfect wiring (see :meth:`_materialize`).
         self._wired_ids = _np.empty(0, dtype=_np.int64)
@@ -181,11 +184,13 @@ class ChordNetwork:
             raise ValueError("need at least one node")
         ids = draw_distinct_ids(net.rng, net.m, n)
         if perfect:
-            # The whole membership at once: slot i of the store holds the
-            # i-th smallest id, the table lists the ids in draw order, and
-            # no node exists until something addresses it.
-            net._store = RingSnapshot(net.m, sorted(ids), net._slist_size)
-            net._table.update(dict.fromkeys(ids))
+            # The whole membership at once: the draw, kept as one array,
+            # is the membership's order, slot i of the store holds the
+            # i-th smallest id, and no node exists until something
+            # addresses it.
+            net._drawn = _np.array(ids, dtype=_np.int64)
+            del ids  # free the draw's ints before the store allocates
+            net._store = RingSnapshot(net.m, _np.sort(net._drawn), net._slist_size)
             net.rewire_perfectly()
         else:
             net._add_node(ids[0])
@@ -219,9 +224,10 @@ class ChordNetwork:
         the node itself, through a delivery or its own maintenance turn,
         and both create it first.
         """
-        return self._add_node(
-            node_id, self._store.slot(node_id), self._wired_predecessor(node_id)
-        )
+        slot = self._store.slot(node_id)
+        if slot < 0:
+            raise KeyError(node_id)
+        return self._add_node(node_id, slot, self._wired_predecessor(node_id))
 
     def _wired_predecessor(self, node_id: int) -> int | None:
         """``node_id``'s predecessor in the last perfect wiring."""
@@ -248,13 +254,33 @@ class ChordNetwork:
 
     # -- membership ----------------------------------------------------------
 
+    def _member_order(self):
+        """The live ids in draw/join order: the perfect build's draw, read
+        into a list, or :attr:`_table` once it holds every member."""
+        return self._table if self._drawn is None else self._drawn.tolist()
+
+    def _all_members(self) -> dict[int, ChordNode | None]:
+        """:attr:`_table` holding every member, in draw/join order.
+
+        A perfect build keeps its draw as one int64 array and only the
+        created nodes in the table.  The first join or departure moves
+        the draw into the table, ``None`` for each node not created yet,
+        so that each later change is an O(1) dict update.
+        """
+        if self._drawn is not None:
+            created = self._table
+            self._table = {i: created.get(i) for i in self._drawn.tolist()}
+            self._drawn = None
+        return self._table
+
     def join_node(self, node_id: int | None = None) -> ChordNode:
         """Add one node via the real join protocol (needs stabilization after)."""
         if node_id is None:
-            node_id = draw_distinct_ids(self.rng, self.m, 1, self._table)[0]
-        if node_id in self._table:
+            node_id = draw_distinct_ids(self.rng, self.m, 1, self.nodes)[0]
+        if node_id in self.nodes:
             raise ValueError(f"node {node_id} already in the ring")
         entry = self._random_alive_id()
+        self._all_members()  # the new member goes after every drawn one
         node = self._add_node(node_id)
         if entry is not None:
             node.join(entry)
@@ -271,9 +297,9 @@ class ChordNetwork:
         self._remove(node_id)
 
     def _remove(self, node_id: int) -> None:
-        if node_id not in self._table:
+        if node_id not in self.nodes:
             raise KeyError(f"no node {node_id}")
-        node = self._table.pop(node_id)
+        node = self._all_members().pop(node_id)
         if node is not None:
             self.transport.deregister(node_id)
             # Its slot goes back to the free list for the next join; the
@@ -283,23 +309,23 @@ class ChordNetwork:
         self.churn_epoch += 1
 
     def _random_alive_id(self) -> int | None:
-        others = list(self._table)
+        others = list(self.nodes)
         if not others:
             return None
         return self.rng.choice(others)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return self._store.n
 
     # -- maintenance -----------------------------------------------------------
 
     def stabilize_round(self, fingers_per_round: int = 1) -> None:
         """One lock-step maintenance round over all nodes (random order)."""
         nodes = self._table
-        for node_id, node in nodes.items():  # the round visits every member
-            if node is None:
-                self._materialize(node_id)  # rebinds the value, not the key
-        order = list(nodes)
+        order = list(self.nodes)
+        for node_id in order:  # the round visits every member
+            if nodes.get(node_id) is None:
+                self._materialize(node_id)
         self.rng.shuffle(order)
         for node_id in order:
             node = nodes.get(node_id)
@@ -448,7 +474,7 @@ class ChordNetwork:
             return True
         table = self._table
         for i, node_id in enumerate(ids):
-            node = table[node_id]
+            node = table.get(node_id)
             if node is None:
                 predecessor = self._wired_predecessor(node_id)
             else:
@@ -467,8 +493,8 @@ class ChordNetwork:
         Read from the store's rows, in membership order, node by node:
         successor edge first, then finger edges.
         """
-        members = self._table
-        ids = list(members)
+        ids = list(self.nodes)
+        members = set(ids)
         store = self._store
         slots = store.order_np[store.ids_np.searchsorted(_np.array(ids, dtype=_np.int64))]
         succs = store.succ_first_np[slots].tolist()
@@ -537,44 +563,66 @@ def _targets_for(points, m: int):
     return _np.ceil(arr * size).astype(_np.int64) % size
 
 
-class ChordAdapterBase(EntryVantageMixin):
-    """What both Chord ``h``/``next`` adapters share.
+class ChordDHT(EntryVantageMixin):
+    """The paper's DHT interface over a live :class:`ChordNetwork`.
 
-    The entry peer and its failover, and the batched lookups over the
-    ring store: ``h_many``/``resolve_many`` resolve a batch through the
-    lockstep engine (:mod:`repro.dht.chord.batch`), charge what they
-    keep through ``commit_lookups``, and hand every lookup the engine
-    predicts to fail to the scalar ``h``.  ``warm_lockstep``,
+    ``h(x)`` runs one Chord lookup from the entry node -- iterative
+    (client-driven, fault-tolerant) or recursive (forwarded, cheaper) --
+    charging the *measured* message count and latency; ``next(p)`` is a
+    single ``get_successor`` RPC.  This is the substrate on which
+    Theorem 7's ``t_h = m_h = O(log n)`` premise is validated rather
+    than assumed.
+
+    ``h_many``/``resolve_many`` resolve a batch through the lockstep
+    engine over the ring store (:mod:`repro.dht.chord.batch`), charge
+    what they keep through ``commit_lookups``, and hand every lookup the
+    engine predicts to fail to the scalar ``h``.  ``warm_lockstep``,
     ``walk_view`` and ``replay_key`` expose the store's walk view and
-    route table.  A subclass provides what differs: ``h`` (its retry
-    discipline), ``next``, ``lockstep_eligible``, ``_lookup_inputs``
-    (the charge constants) and ``commit_lookups`` (where charges go).
+    route table.
     """
 
-    def __init__(self, network, entry_id: int | None, lookup_mode: str):
-        if len(network) == 0:
-            raise ValueError("cannot adapt an empty network")
+    def __init__(
+        self,
+        network: ChordNetwork,
+        entry_id: int | None = None,
+        retries: int = 3,
+        lookup_mode: str = "iterative",
+        retry_policy: RetryPolicy | None = None,
+        retry_rng: random.Random | None = None,
+    ):
         if lookup_mode not in ("iterative", "recursive"):
             raise ValueError(f"unknown lookup_mode {lookup_mode!r}")
-        self._network = network
-        if entry_id is None:
-            # The lowest live id, read off the store's sorted view.
-            entry_id = int(network.snapshot().ids_np[0])
-        if entry_id not in network.nodes:
-            raise KeyError(f"entry node {entry_id} is not alive")
-        self._entry_id = entry_id
+        self._adopt(network, entry_id)
         self._lookup_mode = lookup_mode
         self.cost = CostMeter()
         #: Where this adapter's batched lookups were resolved (lockstep
         #: engine vs live per-call) -- read by benches and the scenario
         #: runner's shard reports.
         self.batch_stats = BatchLookupStats()
+        #: The lookup retry discipline.  The default reproduces the
+        #: historical behaviour exactly: ``retries`` back-to-back
+        #: attempts with no backoff.  A policy with backoff charges the
+        #: waits through the transport (see RetryPolicy's determinism
+        #: contract); jittered policies need ``retry_rng``.
+        self._retry_policy = (
+            retry_policy
+            if retry_policy is not None
+            else RetryPolicy(attempts=max(1, retries), base_delay=0.0, factor=1.0)
+        )
+        self._retry_rng = retry_rng
+        self._retries = self._retry_policy.attempts
 
-    def _ref(self, node_id: int) -> PeerRef:
-        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
+    @property
+    def transport(self):
+        """The underlying transport (tracer installation, introspection)."""
+        return self._network.transport
 
     # entry_id / entry_is_alive / refresh_entry / _vantage_id come from
     # EntryVantageMixin -- the failover discipline shared with Kademlia.
+
+    def _lowest_id(self) -> int:
+        # The store's first sorted id: no list of the membership is made.
+        return int(self._network.snapshot().ids_np[0])
 
     def any_peer(self) -> PeerRef:
         return self._ref(self._vantage_id())
@@ -723,45 +771,6 @@ class ChordAdapterBase(EntryVantageMixin):
                 i += 1
         return out
 
-
-class ChordDHT(ChordAdapterBase):
-    """The paper's DHT interface over a live :class:`ChordNetwork`.
-
-    ``h(x)`` runs one Chord lookup from the entry node -- iterative
-    (client-driven, fault-tolerant) or recursive (forwarded, cheaper) --
-    charging the *measured* message count and latency; ``next(p)`` is a
-    single ``get_successor`` RPC.  This is the substrate on which
-    Theorem 7's ``t_h = m_h = O(log n)`` premise is validated rather
-    than assumed.
-    """
-
-    def __init__(
-        self,
-        network: ChordNetwork,
-        entry_id: int | None = None,
-        retries: int = 3,
-        lookup_mode: str = "iterative",
-        retry_policy: RetryPolicy | None = None,
-        retry_rng: random.Random | None = None,
-    ):
-        super().__init__(network, entry_id, lookup_mode)
-        #: The lookup retry discipline.  The default reproduces the
-        #: historical behaviour exactly: ``retries`` back-to-back
-        #: attempts with no backoff.  A policy with backoff charges the
-        #: waits through the transport (see RetryPolicy's determinism
-        #: contract); jittered policies need ``retry_rng``.
-        self._retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(attempts=max(1, retries), base_delay=0.0, factor=1.0)
-        )
-        self._retry_rng = retry_rng
-        self._retries = self._retry_policy.attempts
-
-    @property
-    def transport(self):
-        """The underlying transport (tracer installation, introspection)."""
-        return self._network.transport
 
     def h(self, x: float) -> PeerRef:
         """``h(x)`` via an iterative lookup (cost: measured, ~O(log n))."""

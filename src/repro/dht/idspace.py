@@ -47,26 +47,43 @@ def point_to_target_id(x: float, m: int) -> int:
 def draw_distinct_ids(rng, m: int, count: int, taken=()) -> list[int]:
     """``count`` distinct uniform ``m``-bit ids not in ``taken``, in draw order.
 
-    A rejection loop over ``rng.randrange(2**m)``: a candidate already
-    taken, or already drawn, is dropped and drawn again.  ``taken`` is
-    any container of the ids in use (only ``in`` is asked of it).
+    The ids, and the generator state after, of a rejection loop over
+    ``rng.randrange(2**m)`` (a ``random.Random``) in which a candidate
+    already taken, or already drawn, is dropped and drawn again -- read
+    in bulk.  ``randrange(2**m)`` is ``getrandbits(m + 1)`` redrawn while
+    ``>= 2**m``, that is while the top bit of its last 32-bit word is
+    set, and ``getrandbits(32 * c)`` returns the next ``c`` words, least
+    significant first.  Each round reads the words of one call per id
+    still missing, which the loop needs at least, then drops the
+    rejects and dedupes in stream order.  ``taken`` is any container of
+    the ids in use (only ``in`` is asked of it).
     """
     size = 1 << m
     if count > size:
         raise ValueError(f"cannot place {count} nodes in a 2^{m} id space")
+    words = m // 32 + 1  # 32-bit words per getrandbits(m + 1)
+    shift = 32 * words - m - 1  # low bits dropped from the last word
+    dtype = _np.uint64 if words <= 2 else object
     chosen: set[int] = set()
     fresh: list[int] = []
     while len(fresh) < count:
-        candidate = rng.randrange(size)
-        if candidate not in taken and candidate not in chosen:
-            chosen.add(candidate)
-            fresh.append(candidate)
+        calls = count - len(fresh)
+        raw = rng.getrandbits(32 * words * calls).to_bytes(4 * words * calls, "little")
+        block = _np.frombuffer(raw, dtype="<u4").reshape(calls, words)
+        block = block[block[:, -1] < 1 << 31]
+        value = (block[:, -1] >> shift).astype(dtype)
+        for word in range(words - 2, -1, -1):
+            value = (value << 32) | block[:, word].astype(dtype)
+        for candidate in value.tolist():
+            if candidate not in taken and candidate not in chosen:
+                chosen.add(candidate)
+                fresh.append(candidate)
     return fresh
 
 
 def draw_sorted_ids(rng, m: int, count: int):
-    """``count`` distinct uniform ids for a fresh ring, sorted: the
-    struct-of-arrays overlays' build.
+    """``count`` distinct uniform ids for a fresh overlay, sorted: the
+    build of :class:`~repro.dht.kademlia.routing.SoAKademliaNetwork`.
 
     Below 1,024 ids it is :func:`draw_distinct_ids`, sorted (a list).
     A larger ring is drawn in bulk from a numpy generator seeded by

@@ -450,14 +450,7 @@ class KademliaDHT(EntryVantageMixin):
         retry_policy: RetryPolicy | None = None,
         retry_rng: random.Random | None = None,
     ):
-        if not network.nodes:
-            raise ValueError("cannot adapt an empty network")
-        self._network = network
-        if entry_id is None:
-            entry_id = min(network.nodes)
-        if entry_id not in network.nodes:
-            raise KeyError(f"entry node {entry_id} is not alive")
-        self._entry_id = entry_id
+        self._adopt(network, entry_id)
         #: Retry discipline; the default reproduces the historical
         #: ``retries`` back-to-back attempts with no backoff (see the
         #: matching contract on ChordDHT).
@@ -476,9 +469,6 @@ class KademliaDHT(EntryVantageMixin):
         #: resolutions -- observability for the backend bench.
         self.neighbor_hops = 0
         self.resolved_hops = 0
-
-    def _ref(self, node_id: int) -> PeerRef:
-        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
 
     @property
     def transport(self):

@@ -31,12 +31,12 @@ aligned block, so progress is strict and bounded by ``m``), then walk
 live one answers -- which is precisely the oracle owner ``first live id
 >= target`` (wrapping), because ``basis`` is always a superset of
 ``live``.  Dead probes charge the timeout; live probes charge one RPC
-round trip (the same deterministic constants as the SoA Chord
-substrate); budget and retry discipline mirror the live adapter
-(``lookup_budget(m, k)``, refresh between attempts).
+round trip (the live transport's default constants); budget and retry
+discipline mirror the live adapter (``lookup_budget(m, k)``, refresh
+between attempts).
 
-Like :mod:`repro.dht.chord.soa`, this substrate has no transport -- the
-conformance suite marks it ``transported=False``.
+This substrate has no transport -- the conformance suite marks it
+``transported=False``.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ import numpy as _np
 from ..api import CostMeter, PeerRef
 from ..idspace import draw_distinct_ids, draw_sorted_ids
 from ..vantage import EntryVantageMixin
-from .idspace import bucket_index, bucket_range, id_to_point, point_to_target_id
+from .idspace import bucket_index, bucket_range, point_to_target_id
 from .node import KademliaLookupError_, lookup_budget
 
 __all__ = ["SoAKademliaNetwork", "SoAKademliaDHT"]
 
-#: Same deterministic charge constants as the SoA Chord substrate (and
-#: the live transport defaults): one-way 1.0, round trip 2.0, dead 8.0.
+#: Deterministic charge constants, the live transport's defaults:
+#: one-way 1.0, round trip 2.0, dead 8.0.
 ONE_WAY_LATENCY = 1.0
 RPC_LATENCY = 2.0 * ONE_WAY_LATENCY
 TIMEOUT = 8.0
@@ -295,19 +295,9 @@ class SoAKademliaDHT(EntryVantageMixin):
         entry_id: int | None = None,
         retries: int = 3,
     ):
-        if len(network) == 0:
-            raise ValueError("cannot adapt an empty network")
-        self._network = network
-        if entry_id is None:
-            entry_id = network.sorted_ids()[0]
-        if entry_id not in network.nodes:
-            raise KeyError(f"entry node {entry_id} is not alive")
-        self._entry_id = entry_id
+        self._adopt(network, entry_id)
         self._retries = max(1, retries)
         self.cost = CostMeter()
-
-    def _ref(self, node_id: int) -> PeerRef:
-        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
 
     # -- implicit routing --------------------------------------------------
 

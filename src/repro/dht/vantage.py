@@ -7,9 +7,9 @@ the adapter must fail over without leaking substrate-specific errors --
 the same rule whether the overlay underneath is a Chord ring or a
 Kademlia table, because the rule only needs the oracle membership view.
 
-:class:`EntryVantageMixin` centralizes it.  Hosts provide two
-attributes: ``_entry_id`` (the current vantage id) and ``_network``
-exposing ``nodes`` (the live-node mapping) and ``sorted_ids()`` (the
+:class:`EntryVantageMixin` centralizes it.  A host calls
+:meth:`~EntryVantageMixin._adopt` with its network, which exposes ``m``,
+``len``, ``nodes`` (the live-node mapping) and ``sorted_ids()`` (the
 epoch-memoized clockwise oracle view).  Failover re-roots at the
 clockwise-nearest survivor, which spreads re-rooted adapters around the
 ring instead of piling them onto one global node.
@@ -19,11 +19,32 @@ from __future__ import annotations
 
 import bisect
 
+from .api import PeerRef
+from .idspace import id_to_point
+
 __all__ = ["EntryVantageMixin"]
 
 
 class EntryVantageMixin:
     """Entry-peer bookkeeping shared by the live substrate adapters."""
+
+    def _adopt(self, network, entry_id: int | None) -> None:
+        """Root the adapter on ``network`` at live ``entry_id``, by default
+        the lowest live id (:meth:`_lowest_id`)."""
+        if len(network) == 0:
+            raise ValueError("cannot adapt an empty network")
+        self._network = network
+        if entry_id is None:
+            entry_id = self._lowest_id()
+        if entry_id not in network.nodes:
+            raise KeyError(f"entry node {entry_id} is not alive")
+        self._entry_id = entry_id
+
+    def _lowest_id(self) -> int:
+        return min(self._network.nodes)
+
+    def _ref(self, node_id: int) -> PeerRef:
+        return PeerRef(peer_id=node_id, point=id_to_point(node_id, self._network.m))
 
     @property
     def entry_id(self) -> int:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro import BatchSampler, ChordNetwork, IdealDHT, RandomPeerSampler
 from repro.core.engine import _WALK_SLAB
 from repro.dht.api import PeerUnreachableError
-from repro.dht.chord.soa import SoAChordNetwork
 
 
 class ScalarReference:
@@ -72,7 +71,6 @@ SUBSTRATES = {
     "chord-table": lambda seed, n: _chord(seed, n, warm=True),
     "chord-lanes": lambda seed, n: _chord(seed, n),
     "chord-crashed": lambda seed, n: _chord(seed, n, crashes=n // 5 + 1, mode="recursive"),
-    "chord-soa": lambda seed, n: SoAChordNetwork.build(n, m=16, rng=random.Random(seed)).dht(),
 }
 
 
@@ -135,7 +133,6 @@ CHANGING = {
     "ideal": SUBSTRATES["ideal"],
     "chord-table": SUBSTRATES["chord-table"],
     "chord-lanes": SUBSTRATES["chord-lanes"],
-    "chord-soa": SUBSTRATES["chord-soa"],
 }
 
 

@@ -32,7 +32,6 @@ from repro.dht.chord.batch import (
 )
 from repro.dht.chord.idspace import id_to_point, point_to_target_id
 from repro.dht.chord.node import LookupError_, hop_budget
-from repro.dht.chord.soa import SoAChordNetwork
 from repro.faults.plan import Partition
 from repro.faults.state import FaultState
 from repro.sim.network import UniformLatency
@@ -537,23 +536,6 @@ class TestRouteTable:
         assert sinks[0].events == sinks[1].events
         assert [e[0] for e in sinks[0].events] == ["lookup"] * 120
 
-    @pytest.mark.parametrize("mode", ["iterative", "recursive"])
-    @pytest.mark.parametrize("crashes", [0, 2])
-    def test_soa_h_and_h_many_read_the_table(self, crashes, mode, table_reads):
-        nets = [SoAChordNetwork.build(48, m=16, rng=random.Random(84)) for _ in range(2)]
-        victims = random.Random(85).sample(nets[0].sorted_ids()[1:], crashes)
-        for net in nets:
-            for victim in victims:
-                net.crash_node(victim)
-        dht_a, dht_b = (net.dht(lookup_mode=mode) for net in nets)
-        assert dht_a.warm_lockstep()
-        assert (nets[0].store.route is not None) == (not crashes)
-        xs = points(60, 35)
-        assert dht_a.h_many(xs) == scalar_loop(dht_b, xs)
-        assert [dht_a.h(x) for x in xs[:3]] == scalar_loop(dht_b, xs[:3])
-        assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
-        assert table_reads == ([60, 1, 1, 1] if not crashes else [])
-
 
 class TestEligibility:
     def test_lossy_transport_disables_lockstep(self):
@@ -799,22 +781,6 @@ class TestSamplerIntegration:
         assert net.churn_epoch > resolved_at[0]  # stabilized during the walks
         assert calls_a and len(calls_a) <= len(calls_b)
         assert len(calls_a) < len(calls_b) / 10
-
-    @pytest.mark.parametrize("crashes", [0, 2])
-    def test_soa_walk_replay_matches_per_call_walk(self, crashes):
-        nets = [SoAChordNetwork.build(48, m=16, rng=random.Random(69)) for _ in range(2)]
-        victims = random.Random(70).sample(nets[0].sorted_ids()[1:], crashes)
-        for net in nets:
-            for victim in victims:
-                net.crash_node(victim)
-        dht_a, dht_b = nets[0].dht(), without_walk_view(nets[1].dht())
-        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
-        engine_a = BatchSampler(dht_a, n_hat=48.0)
-        engine_b = BatchSampler(dht_b, params=engine_a.params)
-        xs = points(150, 19)
-        assert engine_a.trial_many(xs) == engine_b.trial_many(xs)
-        assert dht_a.cost.snapshot() == dht_b.cost.snapshot()
-        assert len(calls_a) < len(calls_b)
 
     def test_static_ring_serves_without_next(self):
         net = ChordNetwork.build(48, m=16, rng=random.Random(71))

@@ -25,7 +25,6 @@ from repro.core.estimate import estimate_n
 from repro.core.sampler import GAMMA1, GAMMA2, RandomPeerSampler
 from repro.dht.api import BulkDHT, CostSnapshot, PeerRef, PeerUnreachableError
 from repro.dht.chord.network import ChordNetwork
-from repro.dht.chord.soa import SoAChordNetwork
 from repro.dht.ideal import IdealDHT
 from repro.dht.kademlia.network import KademliaNetwork
 from repro.dht.kademlia.routing import SoAKademliaNetwork
@@ -54,10 +53,6 @@ def _make_chord(n, seed):
 
 def _make_kademlia(n, seed):
     return KademliaNetwork.build_dht(n, m=16, k=8, rng=random.Random(seed))
-
-
-def _make_chord_soa(n, seed):
-    return SoAChordNetwork.build_dht(n, m=16, rng=random.Random(seed))
 
 
 def _make_kademlia_soa(n, seed):
@@ -98,18 +93,9 @@ BACKENDS = {
         churnable=True,
         crash=_net_crash,
     ),
-    # Struct-of-arrays substrates: same lookup/charge semantics, but the
-    # state lives in flat arrays replayed by lockstep resolution rather
-    # than in per-node objects behind a message transport.
-    "chord-soa": Backend(
-        name="chord-soa",
-        make=_make_chord_soa,
-        live_peer_ids=_net_ids,
-        bulk=False,
-        churnable=True,
-        crash=_net_crash,
-        transported=False,
-    ),
+    # The struct-of-arrays substrate: same lookup/charge semantics, but
+    # the state lives in flat arrays rather than in per-node objects
+    # behind a message transport.
     "kademlia-soa": Backend(
         name="kademlia-soa",
         make=_make_kademlia_soa,

@@ -89,6 +89,34 @@ class TestDrawIds:
         assert got == replay
         assert len(set(got)) == 10 and not taken & set(got)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(st.integers(min_value=3, max_value=32), st.sampled_from([33, 63, 64, 65, 160])),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    def test_bulk_draw_is_the_randrange_loop(self, m, seed, data):
+        """The ids and the generator state after equal those of one
+        ``randrange`` per candidate, the whole space included."""
+        size = 1 << m
+        taken = data.draw(
+            st.sets(st.integers(min_value=0, max_value=size - 1), max_size=min(size // 2, 64)),
+            label="taken",
+        )
+        most = min(size - len(taken), 3000)
+        count = data.draw(st.integers(min_value=0, max_value=most) | st.just(most), label="count")
+        drawn, looped = random.Random(seed), random.Random(seed)
+        got = draw_distinct_ids(drawn, m, count, taken)
+        want: list[int] = []
+        seen: set[int] = set(taken)
+        while len(want) < count:
+            candidate = looped.randrange(size)
+            if candidate not in seen:
+                seen.add(candidate)
+                want.append(candidate)
+        assert got == want
+        assert drawn.getstate() == looped.getstate()
+
     def test_distinct_ids_fill_the_whole_space(self):
         assert sorted(draw_distinct_ids(random.Random(1), 4, 16)) == list(range(16))
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from repro.core.engine import BatchSampler
 from repro.dht.chord.async_lookup import lookup_async, lookup_recursive_async
 from repro.dht.chord.network import ChordNetwork
 from repro.dht.chord.node import LookupError_
+from repro.dht.idspace import draw_distinct_ids
 from repro.sim.async_net import drive
 
 M = 10
@@ -180,3 +181,44 @@ def test_creating_every_node_first_changes_nothing(asynchronous, n, seed, ops):
     assert [
         (node.predecessor, node._next_finger) for node in eager.nodes.values()
     ] == [(node.predecessor, node._next_finger) for node in lazy.nodes.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=20),
+    st.integers(min_value=0, max_value=2**16),
+    st.lists(
+        st.sampled_from(("join", "rejoin", "crash", "leave", "stabilize", "lookup")),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_membership_iterates_in_draw_then_join_order(n, seed, ops):
+    """``nodes`` lists the build's draw, less the departed ids, plus each
+    join appended -- a re-joined id last -- whatever order its nodes were
+    created in."""
+    net = ChordNetwork.build(n, m=M, rng=random.Random(seed))
+    expected = draw_distinct_ids(random.Random(seed), M, n)
+    departed: list[int] = []
+    rng = random.Random(seed + 1)
+    for op in ops:
+        live = net.sorted_ids()
+        if op == "join":
+            expected.append(net.join_node().node_id)
+        elif op == "rejoin" and departed:
+            node_id = departed.pop(rng.randrange(len(departed)))
+            net.join_node(node_id)
+            expected.append(node_id)
+        elif op in ("crash", "leave") and len(live) > 4:
+            node_id = rng.choice(live)
+            (net.crash_node if op == "crash" else net.leave_node)(node_id)
+            expected.remove(node_id)
+            departed.append(node_id)
+        elif op == "stabilize":
+            net.stabilize_round()
+        elif op == "lookup":
+            _outcome(net.nodes[rng.choice(live)].lookup, rng.randrange(1 << M))
+        assert list(net.nodes) == expected
+        assert len(net.nodes) == len(expected)
+        assert all(node_id in net.nodes for node_id in expected)
+        assert not any(node_id in net.nodes for node_id in departed)

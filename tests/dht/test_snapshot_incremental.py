@@ -5,8 +5,8 @@ state: after any interleaving of join / crash / leave / stabilize, the
 store's arrays, decoded by ``canonical_state()``, must hold exactly the
 successor lists and finger tables every live node reports, and the
 lockstep replays routed on it must equal the live per-call path.  The
-struct-of-arrays substrates splice the same store class, and must
-converge to a from-scratch oracle build.
+struct-of-arrays Kademlia substrate must converge to its live
+membership.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core.engine import BatchSampler
 from repro.dht.chord.network import ChordNetwork
 from repro.dht.chord.node import LookupError_
-from repro.dht.chord.soa import SoAChordNetwork
 from repro.dht.kademlia.routing import SoAKademliaNetwork
 
 M = 12
@@ -172,7 +171,7 @@ def _served(call):
         return str(exc)
 
 
-@pytest.mark.parametrize("substrate", [ChordNetwork, SoAChordNetwork], ids=["chord", "chord-soa"])
+@pytest.mark.parametrize("substrate", [ChordNetwork], ids=["chord"])
 @settings(max_examples=20, deadline=None)
 @given(op_scripts(), st.integers(min_value=0, max_value=2**16), st.data())
 def test_warmed_h_many_matches_scalar_loop_after_churn(substrate, case, point_seed, data):
@@ -201,43 +200,10 @@ def test_warmed_h_many_matches_scalar_loop_after_churn(substrate, case, point_se
     batched = _served(lambda: dhts[0].h_many(xs))
     assert batched == _served(lambda: [dhts[1].h(x) for x in xs])
     assert dhts[0].cost.snapshot() == dhts[1].cost.snapshot()
-    if substrate is ChordNetwork:
-        ta, tb = nets[0].transport, nets[1].transport
-        assert ta.elapsed == tb.elapsed
-        for counter in ("rpc.calls", "rpc.timeouts", "messages"):
-            assert ta.metrics.counter(counter).value == tb.metrics.counter(counter).value
-
-
-@settings(max_examples=20, deadline=None)
-@given(op_scripts())
-def test_soa_chord_splice_matches_fresh_build(case):
-    """SoA join/leave splices converge to the oracle-built store.
-
-    Crashes deliberately leave stale rows (lookups route around them),
-    so the script ends with one stabilize round -- the SoA analogue of
-    letting the ring converge -- before demanding bit-identity with a
-    from-scratch oracle build over the live membership.
-    """
-    n, seed, ops = case
-    rng = random.Random(seed)
-    net = SoAChordNetwork.build(n, m=M, rng=random.Random(seed + 3))
-    _run_script(net, ops, rng)
-    net.stabilize_round()
-    live = net.sorted_ids()
-    fresh = net._build_store(list(live))
-    assert net.store.canonical_state() == fresh.canonical_state()
-    assert net.ring_is_correct()
-
-
-@settings(max_examples=20, deadline=None)
-@given(op_scripts())
-def test_soa_chord_churn_free_of_full_rebuilds(case):
-    """Churn must be absorbed by patches; builds stay at the initial 1."""
-    n, seed, ops = case
-    rng = random.Random(seed)
-    net = SoAChordNetwork.build(n, m=M, rng=random.Random(seed + 4))
-    _run_script(net, ops, rng)
-    assert net.snapshot_builds == 1
+    ta, tb = nets[0].transport, nets[1].transport
+    assert ta.elapsed == tb.elapsed
+    for counter in ("rpc.calls", "rpc.timeouts", "messages"):
+        assert ta.metrics.counter(counter).value == tb.metrics.counter(counter).value
 
 
 @settings(max_examples=20, deadline=None)
