@@ -50,8 +50,10 @@ def scalar_draws(dht, params, seed: int, count: int) -> list:
     return ScalarReference(dht, params, seed).draws(count)
 
 
-def _chord(seed: int, n: int, crashes: int = 0, mode: str = "iterative", warm: bool = False):
-    net = ChordNetwork.build(n, m=16, rng=random.Random(seed))
+def _chord(
+    seed: int, n: int, crashes: int = 0, mode: str = "iterative", warm: bool = False, m: int = 16
+):
+    net = ChordNetwork.build(n, m=m, rng=random.Random(seed))
     if crashes:
         # Fail-stop without stabilizing: stale fingers and successors
         # make lookups route around (or, recursive, fail on) dead peers
@@ -71,6 +73,8 @@ SUBSTRATES = {
     "chord-table": lambda seed, n: _chord(seed, n, warm=True),
     "chord-lanes": lambda seed, n: _chord(seed, n),
     "chord-crashed": lambda seed, n: _chord(seed, n, crashes=n // 5 + 1, mode="recursive"),
+    # bench_scale's id width: no id -> slot table, 32-bit targets.
+    "chord-m32": lambda seed, n: _chord(seed, n, warm=True, m=32),
 }
 
 
@@ -133,6 +137,7 @@ CHANGING = {
     "ideal": SUBSTRATES["ideal"],
     "chord-table": SUBSTRATES["chord-table"],
     "chord-lanes": SUBSTRATES["chord-lanes"],
+    "chord-m32": SUBSTRATES["chord-m32"],
 }
 
 

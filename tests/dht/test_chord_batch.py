@@ -536,6 +536,25 @@ class TestRouteTable:
         assert sinks[0].events == sinks[1].events
         assert [e[0] for e in sinks[0].events] == ["lookup"] * 120
 
+    @pytest.mark.parametrize("mode", ["iterative", "recursive"])
+    @pytest.mark.parametrize("crashes", [0, 2])
+    def test_wide_ids_read_the_table(self, crashes, mode, table_reads):
+        # bench_scale's width: 32-bit ids are too wide for the store's
+        # id -> slot table, so slots are found by binary search.  A
+        # crashed id left in live rows keeps the table from being built,
+        # and a recursive lookup through it fails.
+        dht_a, dht_b, lanes = build_twins(84, n=48, m=32, crashes=crashes, mode=mode, copies=3)
+        assert dht_a._network.snapshot().pos_table is None
+        assert dht_a.warm_lockstep()
+        assert (dht_a._network.snapshot().route is not None) == (not crashes)
+        xs = points(60, 35)
+        expected = scalar_loop(dht_b, xs, tolerant=True)
+        assert dht_a.resolve_many(xs) == expected == lanes.resolve_many(xs)
+        assert None not in expected or (crashes and mode == "recursive")
+        assert_charges_equal(dht_a, dht_b)
+        assert_lanes_equal(dht_a, lanes)
+        assert table_reads == ([60] if not crashes else [])
+
 
 class TestEligibility:
     def test_lossy_transport_disables_lockstep(self):
@@ -728,8 +747,20 @@ class TestSamplerIntegration:
             {"n": 64, "mode": "recursive"},
             {"n": 1},
             {"n": 2},
+            {"n": 64, "m": 32},
+            {"n": 64, "crashes": 3, "m": 32},
         ],
-        ids=["perfect", "imperfect", "crashed", "crashed-recursive", "recursive", "n1", "n2"],
+        ids=[
+            "perfect",
+            "imperfect",
+            "crashed",
+            "crashed-recursive",
+            "recursive",
+            "n1",
+            "n2",
+            "perfect-m32",
+            "crashed-m32",
+        ],
     )
     def test_walk_replay_matches_per_call_walk(self, case):
         # The batch resolves every h before any walk, so the reference is
