@@ -111,8 +111,8 @@ __all__ = [
     "resolve_lookups",
 ]
 
-#: Rows per pass when certifying a snapshot and building its route
-#: table, so the transient arrays stay bounded at any ring size.
+#: Rows per pass when wiring, certifying and routing a snapshot, so the
+#: transient arrays stay bounded at any ring size.
 _ROUTE_CHUNK = 8192
 
 
@@ -507,27 +507,42 @@ class RingSnapshot:
     def wire_perfectly(self, successor_list_size: int) -> None:
         """Set every live row to the ring's stabilized fixed point.
 
-        The oracle wiring, in O(m) vectorized passes: each node's first
-        ``min(successor_list_size, n)`` clockwise successors, and finger
-        ``f`` of ``x`` the first live id at or after ``x + 2^f``.
+        The oracle wiring: each node's first ``min(successor_list_size,
+        n)`` clockwise successors, and finger ``f`` of ``x`` the first
+        live id at or after ``x + 2^f``, whose sorted position is the
+        count of live ids below ``x + 2^f`` (wrapping at ``n``).  Where
+        the dense id table is no larger than the ``n * m`` targets, that
+        count is one gather from its prefix sum, else a binary search
+        (on a small ring the prefix sum's transient would outweigh the
+        searches).  Whole rows are written ``_ROUTE_CHUNK`` positions at
+        a time.
         """
         n = self.n
         if n == 0:
             return
         np = _np
         ids = self.ids_np
-        rows = self.order_np
         width = max(1, min(successor_list_size, n))
         if width > self._width:
             self._grow_width(width)
-        idx = np.arange(n, dtype=np.int64)
-        for j in range(self._width):
-            self.succ_mat[rows, j] = ids[(idx + j + 1) % n] if j < width else -1
-        self.succ_first_np[rows] = ids[(idx + 1) % n]
-        size = 1 << self.m
-        for f in range(self.m):
-            targets = (ids + (1 << f)) % size
-            self.finger_mat[rows, f] = ids[np.searchsorted(ids, targets) % n]
+        steps = np.arange(1, width + 1)
+        powers = np.left_shift(1, np.arange(self.m, dtype=np.int64))
+        mask = (1 << self.m) - 1
+        table = self.pos_table
+        below = None
+        if table is not None and len(table) <= n * self.m:
+            below = np.zeros(len(table), dtype=np.int32)
+            np.cumsum(table[:-1] > 0, dtype=np.int32, out=below[1:])
+        for lo in range(0, n, _ROUTE_CHUNK):
+            at = np.arange(lo, min(lo + _ROUTE_CHUNK, n))
+            rows = self.order_np[at]
+            succs = ids.take(at[:, None] + steps, mode="wrap")
+            self.succ_mat[rows, :width] = succs
+            self.succ_mat[rows, width:] = -1
+            self.succ_first_np[rows] = succs[:, 0]
+            targets = (ids[at, None] + powers) & mask
+            found = ids.searchsorted(targets) if below is None else below[targets]
+            self.finger_mat[rows] = ids.take(found, mode="wrap")
         self.patches += 1
 
     def apply_join(self, node_id: int, succs, fingers) -> int:
@@ -681,14 +696,14 @@ def build_route_table(
     entry of a live row names a dead id: a dead id can sit inside an
     arc and split its targets between routes.  The
     rows are checked ``_ROUTE_CHUNK`` at a time, stopping at the first
-    dead reference, and the arcs are routed by the vectorized lane in
-    chunks of the same size, with each arc's own end id as its target.
+    dead reference, and the arcs are routed by :func:`_route_arcs`, each
+    with its own end id as its target.
 
     The key holds ``snapshot.patches``, which every row write and splice
     moves: a stabilization round that changes no row keeps the table.
-    Building
-    costs O(n log n) array work, so only the adapters' ``warm_lockstep``
-    calls this, never the request path.
+    Building is array work over every routing row's entries (n rows of
+    ``m`` fingers and the successor list on a perfect ring), so only
+    the adapters' ``warm_lockstep`` calls this, never the request path.
     """
     if not snapshot.alive(entry_id):
         raise KeyError(f"entry node {entry_id} is not in the snapshot")
@@ -698,25 +713,121 @@ def build_route_table(
     snapshot.route = None
     if not _names_only_live_ids(snapshot):
         return False
+    owner = _np.empty(snapshot.n, dtype=_np.int32)
+    hops = _np.empty(snapshot.n, dtype=_np.int16)
+    _route_arcs(
+        snapshot, entry_id, hop_budget(snapshot.m), mode != "iterative", owner, hops
+    )
+    snapshot.route = RouteTable(key, owner, hops)
+    return True
+
+
+def _route_arcs(
+    snapshot: RingSnapshot, entry_id: int, budget: int, recursive: bool, owner, hops
+) -> None:
+    """Route every arc of a certified snapshot, an interval at a time.
+
+    :func:`_vector_frontier` moves one lookup per target; here a row is a
+    node with the *interval* of arcs it still has to route, so the
+    shared prefix of many routes is walked once.  Row ``(slot, lo,
+    cnt)`` holds the targets ``ids[(lo + k) % n]`` for ``k < cnt``, all
+    clockwise of its node and in increasing distance from it; every row
+    of a round has taken the same number of hops.  Distances run
+    ``1 .. 2^m``, a target equal to the node counting as the whole ring.
+
+    Each round splits every row as :func:`~repro.dht.chord.node.route_step`
+    splits its targets.  Those up to the successor are done.  The rest
+    go to the highest-index entry strictly inside ``(node, target)``,
+    indexing the successor list and then the fingers.  With the
+    entries' distances ``D`` (unset or the node itself: ``2^m``) and
+    their suffix minimum ``G(i) = min(D[i:])``, a target at distance
+    ``d`` goes to the highest ``i`` with ``G(i) < d``, so entry ``i`` takes
+    ``(G(i), G(i + 1)]``, nonempty only where ``G`` rises (there
+    ``G(i) = D[i]``).  Every bound is the distance of a live id, so each
+    part is a run of whole arcs, cut by one binary search.  Finished
+    intervals (done, or out of budget as the lanes count it) are written
+    straight into ``owner`` and ``hops``.
+    """
     np = _np
     ids = snapshot.ids_np
     n = snapshot.n
-    budget = hop_budget(snapshot.m)
-    recursive = mode != "iterative"
-    owner = np.empty(n, dtype=np.int32)
-    hops = np.empty(n, dtype=np.int16)
-    for lo in range(0, n, _ROUTE_CHUNK):
-        hi = min(lo + _ROUTE_CHUNK, n)
-        state, own, h = _vector_frontier(
-            snapshot, entry_id, ids[lo:hi], budget, recursive=recursive
-        )
-        # On certified rows a lookup leaves the lane only by exhausting
-        # its hop budget, which makes the arc a failing one.
-        ok = state == _OK
-        owner[lo:hi] = np.where(ok, np.searchsorted(ids, own), 0)
-        hops[lo:hi] = np.where(ok, h, -1)
-    snapshot.route = RouteTable(key, owner, hops)
-    return True
+    mask = (1 << snapshot.m) - 1
+    table = snapshot.pos_table
+
+    def put(lo, cnt, own, h):
+        # owner/hops at positions lo .. lo + cnt - 1 (mod n) of each row.
+        at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        at += np.arange(len(at))
+        at %= n
+        owner[at] = np.repeat(own, cnt) if np.ndim(own) else own
+        hops[at] = h
+
+    first = (int(ids.searchsorted(entry_id)) + 1) % n
+    rows = (np.array([snapshot.slot(entry_id)]), np.array([first]), np.array([n]))
+    h = 0
+    while True:
+        if recursive and h > budget:  # checked on arrival
+            put(rows[1], rows[2], 0, -1)
+            return
+        nxt = []
+        for cut in range(0, len(rows[0]), _ROUTE_CHUNK):
+            slot, lo, cnt = (a[cut : cut + _ROUTE_CHUNK] for a in rows)
+            x = snapshot.slot_ids_np[slot]
+            d_first = ((ids[lo] - x - 1) & mask) + 1
+            d_last = ((ids[(lo + cnt - 1) % n] - x - 1) & mask) + 1
+            succ = snapshot.succ_first_np[slot]
+            d_succ = ((succ - x - 1) & mask) + 1
+            at_succ = ids.searchsorted(succ)
+            done = np.where(
+                d_succ >= d_last, cnt, np.where(d_succ < d_first, 0, (at_succ - lo) % n + 1)
+            )
+            put(lo, done, at_succ, h)
+            fwd = done < cnt
+            if not recursive and h >= budget:  # checked before forwarding
+                put(lo[fwd] + done[fwd], cnt[fwd] - done[fwd], 0, -1)
+                continue
+            if not fwd.any():
+                continue
+            slot, lo, cnt, done, x = slot[fwd], lo[fwd], cnt[fwd], done[fwd], x[fwd]
+            dist = np.concatenate((snapshot.succ_mat[slot], snapshot.finger_mat[slot]), axis=1)
+            unset = dist < 0
+            dist -= x[:, None] + 1
+            dist &= mask
+            dist += 1
+            dist[unset] = mask + 1
+            g = np.minimum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
+            # Entry i takes (max(G(i), done_to), min(G(i + 1), d_last)], where
+            # done_to ends the done part (or precedes the row's first target).
+            done_to = np.maximum(d_succ[fwd], d_first[fwd] - 1)
+            left = np.maximum(g, done_to[:, None])
+            d_last = d_last[fwd]
+            g[:, :-1] = np.minimum(g[:, 1:], d_last[:, None])
+            g[:, -1] = d_last
+            r, i = np.nonzero(left < g)
+            right = g[r, i]
+            via = (x[r] + dist[r, i]) & mask
+            del unset, dist, g, left
+            # A part ends at the row's end or at the live id at its bound;
+            # it begins where the row's previous part ended.
+            ends = np.where(
+                right == d_last[r],
+                cnt[r],
+                (ids.searchsorted((x[r] + right) & mask) - lo[r]) % n + 1,
+            )
+            begins = np.empty_like(ends)
+            begins[1:] = ends[:-1]
+            new_row = np.ones(len(r), dtype=bool)
+            new_row[1:] = r[1:] != r[:-1]
+            begins[new_row] = done[r[new_row]]
+            if table is not None:
+                via = table[via] - 1
+            else:
+                via = snapshot.order_np[ids.searchsorted(via)]
+            nxt.append((via, (lo[r] + begins) % n, ends - begins))
+        if not nxt:
+            return
+        rows = tuple(np.concatenate(parts) for parts in zip(*nxt))
+        h += 1
 
 
 def _route_key(snapshot, *inputs):

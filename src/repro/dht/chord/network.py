@@ -144,8 +144,9 @@ class ChordNetwork:
         self._drawn: _np.ndarray | None = None
         self.nodes: Mapping[int, ChordNode] = _Members(self)
         self.transport.directory = self.nodes
-        #: Sorted ids of the last perfect wiring (see :meth:`_materialize`).
-        self._wired_ids = _np.empty(0, dtype=_np.int64)
+        #: Sorted ids of the last perfect wiring (see :meth:`_materialize`),
+        #: None while they are the store's own: copied at the first splice.
+        self._wired_ids: _np.ndarray | None = _np.empty(0, dtype=_np.int64)
         #: Monotone counter bumped by every membership or maintenance
         #: event (join/crash/leave/stabilize/rewire); keys the memoized
         #: :meth:`sorted_ids`.
@@ -206,6 +207,7 @@ class ChordNetwork:
         ``slot`` of the store (spliced in, self-looped, if None), its
         predecessor ``predecessor``."""
         if slot is None:
+            self._keep_wired_ids()
             slot = self._store.apply_join(node_id, [node_id], [None] * self.m)
         node = ChordNode(
             node_id, self.m, self.transport, self._slist_size, self._store, slot
@@ -231,21 +233,26 @@ class ChordNetwork:
 
     def _wired_predecessor(self, node_id: int) -> int | None:
         """``node_id``'s predecessor in the last perfect wiring."""
-        wired = self._wired_ids
+        wired = self._store.ids_np if self._wired_ids is None else self._wired_ids
         if len(wired) < 2:
             return None
         return wired.item(int(wired.searchsorted(node_id)) - 1)
 
+    def _keep_wired_ids(self) -> None:
+        """Copy the last wiring's ids out of the store before it splices."""
+        if self._wired_ids is None:
+            self._wired_ids = self._store.ids_np.copy()
+
     def rewire_perfectly(self) -> None:
         """Set every node's state to the stabilized fixed point (oracle).
 
-        Rewrites the store and records its ids for the nodes created
-        later; only the nodes that exist reset their predecessor and row
-        lists.
+        Rewrites the store, whose sorted ids then give the nodes created
+        later their predecessors (copied out before the next splice);
+        only the nodes that exist reset their predecessor and row lists.
         """
         store = self._store
         store.wire_perfectly(self._slist_size)
-        self._wired_ids = store.ids_np.copy()
+        self._wired_ids = None  # the store's ids, until its next splice
         for node in self._table.values():
             if node is not None:
                 node.predecessor = self._wired_predecessor(node.node_id)
@@ -305,6 +312,7 @@ class ChordNetwork:
             # Its slot goes back to the free list for the next join; the
             # object keeps its own last rows.
             node._detach()
+        self._keep_wired_ids()
         self._store.apply_remove(node_id)
         self.churn_epoch += 1
 

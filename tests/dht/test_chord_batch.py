@@ -16,6 +16,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.state import AdversaryState
 from repro.core.engine import BatchSampler, _Block
@@ -360,6 +362,32 @@ def successor_only(net):
         node.successors = node.successors[:1]
 
 
+def wired(kind, n, m, seed):
+    """A ring of ``n`` live nodes whose rows name only live ids.
+
+    ``perfect`` is the oracle wiring; ``joined`` the sequential joins of
+    a non-perfect build, unstabilized between them; ``partial`` a
+    perfect half joined by the rest, then zero to two stabilization
+    rounds (by ``seed``); ``successor-only`` a perfect ring stripped to
+    its first successors.  Joined rows are not in clockwise order.
+    """
+    rng = random.Random(seed)
+    if kind == "partial":
+        net = ChordNetwork.build(max(1, n // 2), m=m, rng=rng)
+        for _ in range(n - len(net)):
+            net.join_node()
+        for _ in range(seed % 3):
+            net.stabilize_round()
+        return net
+    net = ChordNetwork.build(n, m=m, rng=rng, perfect=kind != "joined")
+    if kind == "successor-only":
+        successor_only(net)
+    return net
+
+
+WIRINGS = ("perfect", "joined", "partial", "successor-only")
+
+
 def unset_a_finger(net):
     """Clear one node's top finger through its setter (a direct row write)."""
     node = net.nodes[net.sorted_ids()[4]]
@@ -388,33 +416,67 @@ class TestRouteTable:
     """
 
     def test_every_target_matches_the_python_replay(self, table_reads):
-        # Every identifier of small spaces, so every target of every arc,
-        # from an entry that is not the lowest id (once n > 1).
+        # Every identifier of small spaces, so every target of every arc;
+        # at 24 and 32 bits (no id -> slot table at 32) each arc's first
+        # and last id.  From an entry that is not the lowest id (once
+        # n > 1).
         for m, n, wiring, mode in itertools.product(
-            (6, 8, 10),
+            (6, 8, 10, 24, 32),
             (1, 2, 3, 24, 60),
-            ("perfect", "joined", "successor-only"),
+            WIRINGS,
             ("iterative", "recursive"),
         ):
-            net = ChordNetwork.build(
-                n, m=m, rng=random.Random(100 * m + n), perfect=wiring != "joined"
-            )
-            if wiring == "successor-only":
-                successor_only(net)
+            net = wired(wiring, n, m, 100 * m + n)
             snap = net.snapshot()
             ids = net.sorted_ids()
             entry = ids[len(ids) // 2]
             costs = {"mode": mode, "rpc_latency": 2.0, "oneway_latency": 1.0, "timeout": 8.0}
             assert build_route_table(snap, entry, **costs)
             sim, lat = (_sim_iterative, 2.0) if mode == "iterative" else (_sim_recursive, 1.0)
-            targets = list(range(1 << m))
+            if m <= 10:
+                targets = list(range(1 << m))
+            else:
+                targets = ids + [(i + 1) % (1 << m) for i in ids]
             expected = [sim(snap, entry, t, hop_budget(m), lat, 8.0) for t in targets]
             case = (m, n, wiring, mode)
+            # The table itself, arc by arc (the read replays failing arcs).
+            arcs = [sim(snap, entry, t, hop_budget(m), lat, 8.0) for t in ids]
+            assert [
+                (ids[o], h) if h >= 0 else None
+                for o, h in zip(snap.route.owner.tolist(), snap.route.hops.tolist())
+            ] == [(t.owner, t.hops) if t.ok else None for t in arcs], case
             assert lockstep_resolve(snap, entry, targets, **costs) == expected, case
             assert table_reads.pop() == len(targets), case
-            # A 60-node successor walk outruns every budget: failing arcs.
+            # A successor walk longer than the budget fails some arcs.
             failing = not all(t.ok for t in expected)
-            assert failing == (wiring == "successor-only" and n == 60), case
+            assert failing == (wiring == "successor-only" and n - 1 > hop_budget(m)), case
+
+    @settings(max_examples=60, deadline=None)
+    @example("successor-only", 40, 6, 0, "iterative")  # routes of 24 hops, the budget
+    @example("successor-only", 40, 6, 0, "recursive")
+    @given(
+        st.sampled_from(WIRINGS),
+        st.integers(min_value=1, max_value=120),
+        st.sampled_from((4, 6, 12, 22, 23, 32)),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from(("iterative", "recursive")),
+    )
+    def test_table_equals_the_per_target_lane(self, wiring, n, m, seed, mode):
+        # The table routes intervals of arcs; the lane that serves target
+        # batches routes each arc's end id on its own, as the table did
+        # before.  Both encode route_step and must agree on every arc.
+        net = wired(wiring, min(n, (1 << m) - 1), m, seed)
+        snap = net.snapshot()
+        ids = snap.ids_np
+        entry = int(ids[seed % len(ids)])
+        assert build_route_table(snap, entry, mode, 2.0, 1.0, 8.0)
+        state, owner, hops = batch_mod._vector_frontier(
+            snap, entry, ids, hop_budget(m), recursive=mode != "iterative"
+        )
+        ok = state == batch_mod._OK
+        assert (ok | (hops >= hop_budget(m))).all()  # fails only by budget
+        assert snap.route.owner.tolist() == np.where(ok, ids.searchsorted(owner), 0).tolist()
+        assert snap.route.hops.tolist() == np.where(ok, hops, -1).tolist()
 
     @pytest.mark.parametrize("mode", ["iterative", "recursive"])
     def test_budget_exhausting_arcs_delegate_as_the_lanes_do(self, mode, table_reads):

@@ -91,6 +91,23 @@ def test_serving_a_perfect_ring_creates_only_the_nodes_it_addresses(monkeypatch)
     assert sink.replayed - created  # replayed walks reached peers never created
 
 
+def test_a_node_first_addressed_after_splices_takes_its_wired_predecessor():
+    """Nothing has told a node created after a join and a crash of
+    either: it starts from the predecessor the last wiring gave it, the
+    crashed one included, not from its neighbour in the spliced ring."""
+    net = ChordNetwork.build(12, m=M, rng=random.Random(5))
+    wired = net.sorted_ids()
+    joined = next(i for i in range(wired[3] + 1, wired[4]) if i not in wired)
+    net.join_node(joined)
+    victim = next(i for i in wired[6:] if i not in _created(net))
+    net.crash_node(victim)
+    later = [i for i in wired if i != victim and i not in _created(net)]
+    assert wired[wired.index(victim) + 1] in later
+    assert not net.predecessors_correct()
+    for node_id in later:
+        assert net.nodes[node_id].predecessor == wired[wired.index(node_id) - 1]
+
+
 OPS = ("join", "crash", "leave", "stabilize", "rewire", "lookup", "recursive", "h_many")
 
 

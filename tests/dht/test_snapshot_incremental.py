@@ -12,6 +12,7 @@ membership.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -230,6 +231,54 @@ def test_chord_rewire_after_churn_matches_fresh_build(case):
     assert net.ring_is_correct() and net.predecessors_correct()
     assert _reported_state(net) == fresh.canonical_state()  # creates every node
     assert net.predecessors_correct()
+
+
+def _assert_wired_by_definition(store, size):
+    """Every live row of ``store`` holds the oracle wiring, computed here
+    by bisection: finger ``f`` of ``x`` is the first live id at or after
+    ``(x + 2^f) mod 2^m``, the successors are the next ``min(size, n)``
+    ids, and ``succ_first`` is the first of them."""
+    ids = store.sorted_ids_list()
+    n, m = len(ids), store.m
+    for k, x in enumerate(ids):
+        slot = store.slot(x)
+        succs = [ids[(k + j) % n] for j in range(1, min(size, n) + 1)]
+        fingers = [ids[bisect_left(ids, (x + (1 << f)) % (1 << m)) % n] for f in range(m)]
+        assert store.succs_at(slot) == succs, (x, slot)
+        assert store.fingers_at(slot) == fingers, (x, slot)
+        assert store.succ_first_np[slot] == succs[0], (x, slot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=1, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=2),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=12),
+)
+def test_wire_perfectly_writes_the_definition(m, n, sizes, seed, changes):
+    """``wire_perfectly`` against its definition, on both sides of
+    ``MAX_TABLE_BITS`` and of the rank table's size rule (small spaces
+    full enough to take it), with successor lists longer than the ring:
+    on a fresh store, then after joins and departures have freed slots
+    and reordered them, rewired."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(1 << m), min(n, 1 << m)))
+    store = RingSnapshot(m, np.array(ids, dtype=np.int64), sizes[0])
+    store.wire_perfectly(sizes[0])
+    _assert_wired_by_definition(store, sizes[0])
+    for _ in range(changes):
+        live = store.sorted_ids_list()
+        if len(live) > 1 and (rng.random() < 0.5 or len(live) == 1 << m):
+            store.apply_remove(rng.choice(live))
+        else:
+            node_id = rng.randrange(1 << m)
+            while store.alive(node_id):
+                node_id = rng.randrange(1 << m)
+            store.apply_join(node_id, [node_id], [None] * m)
+    store.wire_perfectly(sizes[1])
+    _assert_wired_by_definition(store, sizes[1])
 
 
 @settings(max_examples=20, deadline=None)
