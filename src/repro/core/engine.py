@@ -28,10 +28,11 @@ runs the identical algorithm over a whole vector of trials at once:
   success, in draw order: the cost meter is charged via
   :meth:`~repro.dht.api.CostMeter.charge_bulk` for exactly the trials a
   sequential scalar loop would have run, read from the block's running
-  totals (plain lists: two reads per column), and its peers are a slice
-  of the block's list of certified successes.  The block's uncommitted
-  points stay queued for the next call, so the engine reads the RNG's
-  point stream exactly as that loop does.
+  totals (two reads per column), and its peers are a slice of the
+  block's list of certified successes.  The block's uncommitted points
+  stay queued for the next call, so the engine reads the RNG's point
+  stream exactly as that loop does; a block's fresh points are drawn in
+  bulk (:func:`_fresh_points`), with the loop's values and end state.
 
 Every float operation matches the scalar path's expression tree
 exactly (the column adds and ``cumsum`` add in order, so they reproduce
@@ -50,6 +51,7 @@ are this engine at ``k = 1``.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -82,11 +84,20 @@ __all__ = ["BatchSampler", "BatchSampleResult"]
 #: Cap on the trial points of one classified block (bounds peak memory).
 _MAX_ROUND = 1 << 18
 
-#: A fresh block holds about this many times the expected trials of the
-#: call's outstanding draws.  Only the trials up to the last needed
-#: success are committed, so a larger block costs classification CPU,
-#: never charged work.
+#: A fresh block holds the expected trials of the call's outstanding
+#: draws plus this many standard deviations of that count, and at most
+#: ``_ROUND_FACTOR`` times the expected trials (see :func:`_round_size`).
+#: Only the trials up to the last needed success are committed, so a
+#: larger block costs classification CPU, never charged work.
+_ROUND_SIGMAS = 3.0
 _ROUND_FACTOR = 2.0
+
+#: Fewest fresh trial points read in one ``getrandbits`` call
+#: (:func:`_fresh_points`); fewer run the ``random()`` loop, which costs
+#: less there.  On a 2-vCPU x86-64 VM the loop into an array took 1.0 us
+#: for one point and 210 us for 2,048, the decode 9 us and 59 us; they
+#: broke even at about 100 points.
+_BULK_DRAW = 128
 
 #: Trials per slab of the walk kernel.  A slab's scratch is at most
 #: ``_WALK_SLAB * walk_budget`` doubles, so the kernel's memory stays
@@ -106,6 +117,13 @@ _SHORT = 8
 # outcome was not computed (its lookup failed).
 _SMALL, _WALK, _EXHAUSTED, _UNKNOWN = 0, 1, 2, 3
 _OUTCOMES = (TrialOutcome.SMALL_HIT, TrialOutcome.WALK_HIT, TrialOutcome.EXHAUSTED)
+
+#: An empty queue of trial points.
+_NO_POINTS = _np.empty(0, dtype=_np.float64)
+
+# What _fresh_points decodes: random.Random's own methods.
+_BASE_RANDOM = random.Random.random
+_BASE_GETRANDBITS = random.Random.getrandbits
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,36 +155,37 @@ class BatchSampleResult:
 class _Block:
     """Queued trial points, classified against one ring state.
 
-    Rows are trials in draw order.  ``key`` names the ring state (its
-    first element by identity, the rest by value; see
-    :meth:`BatchSampler._ring_key`) and ``params`` the parameters the
-    rows were classified with.  ``cursor`` is the first row no call has
-    committed.  ``wins`` lists the rows of the certified successes,
-    ``win_peers`` their peers and ``cum_walks`` a running count of the
-    walk hits among them; ``bad`` lists the uncertified rows (a failed
-    lookup, or a walk that leaves its first peer's run), which run on
-    their own.  ``w`` and ``b`` index the first entry of ``wins`` and
-    ``bad`` at or after ``cursor``.  On the Chord path ``found`` holds
-    the rows' uncharged lookups and ``starts`` their first ring
-    positions.
+    Rows are trials in draw order; ``points`` is a float array.  ``key``
+    names the ring state (its first element by identity, the rest by
+    value; see :meth:`BatchSampler._ring_key`) and ``params`` the
+    parameters the rows were classified with.  ``peers`` maps an array of
+    ring positions to their :class:`~repro.dht.api.PeerRef` handles, in
+    order.  ``cursor`` is the first row no call has committed.  ``wins``
+    lists the rows of the certified successes, ``win_peers`` their peers
+    and ``cum_walks`` a running count of the walk hits among them;
+    ``bad`` lists the uncertified rows (a failed lookup, or a walk that
+    leaves its first peer's run), which run on their own.  ``w`` and
+    ``b`` index the first entry of ``wins`` and ``bad`` at or after
+    ``cursor``.  On the Chord path ``found`` holds the rows' uncharged
+    lookups and ``starts`` their first ring positions.
 
-    What a commit reads is kept as plain lists of running totals, one
-    entry per row boundary, so a chunk's charges are two reads per
-    column: ``cum_hops`` of the walk lengths and, on the Chord path,
-    ``cum_lookups`` of the lookups' messages, RPCs, timeouts and
-    latency.  Integer totals are exact; the latency total is kept only
-    while every latency is a whole number (integer delays, the default),
-    when every partial sum is exact in a double, and is None otherwise
-    (a chunk then sums its rows' latencies).
+    What a commit reads is kept as running totals, one entry per row
+    boundary, so a chunk's charges are two reads per column (``.item``:
+    no column is converted to a list): ``cum_hops`` of the walk lengths
+    and, on the Chord path, ``cum_lookups`` of the lookups' messages,
+    RPCs, timeouts and latency.  Integer totals are exact; the latency
+    total is kept only while every latency is a whole number (integer
+    delays, the default), when every partial sum is exact in a double,
+    and is None otherwise (a chunk then sums its rows' latencies).
     """
 
     __slots__ = (
-        "key", "params", "points", "codes", "out", "hops", "peer", "found",
+        "key", "params", "points", "codes", "out", "hops", "peers", "found",
         "starts", "wins", "win_peers", "cum_walks", "cum_hops", "cum_lookups",
         "bad", "successes", "classified", "cursor", "w", "b",
     )
 
-    def __init__(self, key, params, points, codes, out, hops, peer,
+    def __init__(self, key, params, points, codes, out, hops, peers,
                  found=None, starts=None, certified=None):
         self.key = key
         self.params = params
@@ -174,7 +193,7 @@ class _Block:
         self.codes = codes
         self.out = out
         self.hops = hops
-        self.peer = peer
+        self.peers = peers
         self.found = found
         self.starts = starts
         self.cursor = self.w = self.b = 0
@@ -188,7 +207,7 @@ class _Block:
             self.bad = []
         wins = won.nonzero()[0]
         self.wins = wins.tolist()
-        self.win_peers = [peer(q) for q in out[wins].tolist()]
+        self.win_peers = peers(out[wins]) if len(wins) else []
         self.cum_walks = _running(codes[wins] == _WALK)
         self.cum_hops = _running(hops)
         self.cum_lookups = None
@@ -206,43 +225,90 @@ class _Block:
         """``(messages, latency, rpc_calls, rpc_timeouts)`` of rows ``[lo, hi)``."""
         messages, calls, timeouts, latency = self.cum_lookups
         return (
-            messages[hi] - messages[lo],
-            latency[hi] - latency[lo]
+            messages.item(hi) - messages.item(lo),
+            latency.item(hi) - latency.item(lo)
             if latency is not None
             else self.found[lo:hi].totals()[1],
-            calls[hi] - calls[lo],
-            timeouts[hi] - timeouts[lo],
+            calls.item(hi) - calls.item(lo),
+            timeouts.item(hi) - timeouts.item(lo),
         )
 
     def results(self, lo: int, hi: int) -> list[TrialResult]:
         """The :class:`TrialResult` of each certified row in ``[lo, hi)``."""
-        codes = self.codes[lo:hi].tolist()
-        out = self.out[lo:hi].tolist()
-        hops = self.hops[lo:hi].tolist()
-        peer = self.peer
+        codes = self.codes[lo:hi]
+        peers = iter(self.peers(self.out[lo:hi][codes != _EXHAUSTED]))
         return [
             TrialResult(
                 s=s,
                 outcome=_OUTCOMES[code],
-                peer=None if code == _EXHAUSTED else peer(q),
+                peer=None if code == _EXHAUSTED else next(peers),
                 walk_hops=h,
             )
-            for s, code, q, h in zip(self.points[lo:hi], codes, out, hops)
+            for s, code, h in zip(
+                self.points[lo:hi].tolist(), codes.tolist(), self.hops[lo:hi].tolist()
+            )
         ]
 
 
-def _running(column) -> list:
-    """Running totals of a column as a plain list, from 0: entry ``j``
-    is the sum of the first ``j`` values, added in order."""
+def _running(column):
+    """Running totals of a column, from 0: entry ``j`` is the sum of the
+    first ``j`` values, added in order."""
     totals = _np.zeros(len(column) + 1, dtype=_np.result_type(column.dtype, _np.int64))
     _np.cumsum(column, out=totals[1:])
-    return totals.tolist()
+    return totals
 
 
 def _same_ring(a, b) -> bool:
     """Whether two ring keys name one state: the ring object by identity,
     the plain values after it by equality."""
     return a is not None and b is not None and a[0] is b[0] and a[1:] == b[1:]
+
+
+def _round_size(need: int, p: float) -> int:
+    """The points of a fresh block for ``need`` draws at success rate ``p``.
+
+    The trials that bring ``need`` successes number ``need / p`` on
+    average, with standard deviation ``sqrt(need (1 - p)) / p``.  A block
+    holds that mean plus ``_ROUND_SIGMAS`` deviations, capped at
+    ``_ROUND_FACTOR`` times the mean, plus 8.  The cap decides for small
+    ``need`` (one draw: about ``2 / p``), where a deviation is as large
+    as the mean; the margin for large ones, so a large call's block
+    holds few more points than it commits.
+    """
+    mean = need / p
+    spread = _ROUND_SIGMAS * math.sqrt(need * (1.0 - p)) / p
+    return max(need, int(min(mean + spread, mean * _ROUND_FACTOR)) + 8)
+
+
+def _fresh_points(rng, k: int):
+    """The next ``k`` trial points of ``rng`` as a float array: the values
+    of ``[1.0 - rng.random() for _ in range(k)]``, leaving ``rng`` in the
+    state that loop leaves.
+
+    ``random.Random.random()`` is ``(a * 2**26 + b) * 2**-53``, where
+    ``a`` and ``b`` are the generator's next two 32-bit outputs shifted
+    right by 5 and 6, and ``getrandbits(64 * k)`` returns the next ``2k``
+    outputs, least significant first.  So from ``_BULK_DRAW`` points on,
+    a generator whose ``random`` and ``getrandbits`` are
+    ``random.Random``'s own is read in one ``getrandbits`` call and
+    decoded with integer array arithmetic: ``a * 2**26 + b < 2**53``, and
+    the scale is a power of two, so each value is the loop's bit for
+    bit.  Other generators (a subclass that overrides either method, a
+    ``SystemRandom``) and fewer points run the loop.
+    """
+    cls = type(rng)
+    if k < _BULK_DRAW or cls.random is not _BASE_RANDOM or cls.getrandbits is not _BASE_GETRANDBITS:
+        rand = rng.random
+        return _np.array([1.0 - rand() for _ in range(k)], dtype=_np.float64)
+    # One little-endian 64-bit word per point: a's output in the low
+    # half, b's in the high half.
+    words = _np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u8")
+    ints = (words & 0xFFFFFFFF) >> 5
+    ints <<= 26
+    ints |= words >> 38
+    points = ints.astype(_np.float64)
+    points *= 2.0**-53
+    return _np.subtract(1.0, points, out=points)
 
 
 class BatchSampler:
@@ -302,10 +368,12 @@ class BatchSampler:
         #: first in draw order.
         self._block: _Block | None = None
         #: Drawn trial points after the block's, unclassified, in draw
-        #: order.  A point is independent of every trial before it, so
-        #: it is classified against the ring as it stands when its block
-        #: is classified.
-        self._pending: list[float] = []
+        #: order, as a float array.  A point is independent of every
+        #: trial before it, so it is classified against the ring as it
+        #: stands when its block is classified.  A block's points may be
+        #: a view of an earlier queue: the queue is only ever replaced,
+        #: never written in place.
+        self._pending = _NO_POINTS
 
     @property
     def dht(self) -> DHT:
@@ -396,8 +464,9 @@ class BatchSampler:
         """Whether nothing ``block``'s classification read has changed."""
         return block.params is self.params and _same_ring(block.key, self._ring_key())
 
-    def _classify_block(self, points: list[float], key) -> _Block | None:
-        """Run Figure 1 on ``points`` against the ring ``key`` names, uncharged.
+    def _classify_block(self, points, key) -> _Block | None:
+        """Run Figure 1 on ``points`` (a float array) against the ring
+        ``key`` names, uncharged.
 
         Returns a block over all of them, or over the prefix a Chord
         resolve stopped at (an out-of-circle point); None when the
@@ -409,7 +478,11 @@ class BatchSampler:
             ss = _check_points(points)
             pts = _np.asarray(dht.points_array(), dtype=_np.float64)
             codes, out, hops = _kernel_numpy(pts, *self._windows_for(pts), params.lam, ss)
-            return _Block(key, params, points, codes, out, hops, dht.successor_of_index)
+            # The oracle's handles are shared objects: made once per peer.
+            peer = dht.successor_of_index
+            return _Block(
+                key, params, points, codes, out, hops, lambda q: list(map(peer, q.tolist()))
+            )
         found = dht.resolve_many(points, commit=False)
         if not found:
             return None
@@ -418,7 +491,7 @@ class BatchSampler:
         points = points[: len(found)]
         codes, starts, out, hops, certified = self._plan_walks(view, points, found)
         return _Block(
-            key, params, points, codes, out, hops, view.peer,
+            key, params, points, codes, out, hops, view.peers,
             found=found, starts=starts, certified=certified,
         )
 
@@ -432,9 +505,20 @@ class BatchSampler:
         certifies the trial -- its lookup succeeded, its first peer sits
         in the view and its walk, to its hit or its cut, stays inside
         that peer's run.
+
+        The first peers' positions come from the resolve where it read
+        them (a route table answers with each owner's position, valid
+        for the state ``view`` was read at); the rest, the lanes' answers
+        and the rows the table replayed, are searched in ``view``.
         """
         k = len(found)
-        starts = view.positions(found.owner)
+        starts = found.position
+        if starts is None:
+            starts = view.positions(found.owner)
+        else:
+            missing = (starts < 0).nonzero()[0]
+            if missing.size:
+                starts[missing] = view.positions(found.owner[missing])
         known = (starts >= 0).nonzero()[0]
         codes = _np.full(k, _UNKNOWN, dtype=_np.int8)
         stops = _np.full(k, -1, dtype=_np.int64)
@@ -444,7 +528,7 @@ class BatchSampler:
                 *self._ring_windows(view),
                 view.points,
                 starts[known],
-                _np.asarray(points, dtype=_np.float64)[known],
+                points[known],
                 self.params.lam,
             )
         certified = (starts >= 0) & (view.run[starts] >= hops)
@@ -455,19 +539,19 @@ class BatchSampler:
         run one at a time.
 
         The current block's uncommitted points go back to the front of
-        the queue first.  A block holds ``max(need, int(need / p * 2.0)
-        + 8)`` points, the rejection round that would serve ``need``
-        draws at success rate ``p``; after a block was used up on a ring
-        state that still holds, the next one on it is twice as large, up
-        to one walk-kernel slab, so a static ring is classified about
-        once per ``_WALK_SLAB`` trials however small the calls are.  At
-        most ``_MAX_ROUND`` points either way.
+        the queue first.  A block holds the rejection round that serves
+        ``need`` draws at success rate ``p`` (:func:`_round_size`); after
+        a block was used up on a ring state that still holds, the next
+        one on it is twice as large, up to one walk-kernel slab, so a
+        static ring is classified about once per ``_WALK_SLAB`` trials
+        however small the calls are.  At most ``_MAX_ROUND`` points
+        either way.
         """
         old = self._release()
         key = self._ring_key()
         if key is None:
             return None
-        size = max(need, int(need / p * _ROUND_FACTOR) + 8)
+        size = _round_size(need, p)
         if (
             old is not None
             and old.cursor == len(old.points)
@@ -478,7 +562,7 @@ class BatchSampler:
         points = self._draw(min(size, _MAX_ROUND))
         block = self._classify_block(points, key)
         covered = len(block.points) if block is not None else 0
-        self._pending[:0] = points[covered:]
+        self._requeue(points[covered:])
         if not covered:
             return None
         self._block = block
@@ -490,8 +574,13 @@ class BatchSampler:
         old = self._block
         self._block = None
         if old is not None:
-            self._pending[:0] = old.points[old.cursor :]
+            self._requeue(old.points[old.cursor :])
         return old
+
+    def _requeue(self, points) -> None:
+        """Put ``points`` (a float array) back at the front of the queue."""
+        if len(points):
+            self._pending = _np.concatenate((points, self._pending))
 
     def _commit(self, block: _Block, need: int, limit: int, results):
         """Commit one chunk of ``block`` at its cursor.
@@ -514,7 +603,7 @@ class BatchSampler:
         if hi == lo:
             block.cursor += 1
             block.b += 1
-            return self._commit_one(block.points[lo], results)
+            return self._commit_one(block.points.item(lo), results)
         hi = min(hi, lo + limit)
         wins = block.wins
         w = block.w
@@ -525,7 +614,7 @@ class BatchSampler:
         else:
             stop = bisect_left(wins, hi, w)
         cum_hops = block.cum_hops
-        steps = cum_hops[hi] - cum_hops[lo]
+        steps = cum_hops.item(hi) - cum_hops.item(lo)
         if block.found is None:
             self._charge(hi - lo, steps)
         else:
@@ -537,7 +626,8 @@ class BatchSampler:
             results.extend(block.results(lo, hi))
         block.cursor = hi
         block.w = stop
-        return hi - lo, block.win_peers[w:stop], block.cum_walks[stop] - block.cum_walks[w]
+        cum_walks = block.cum_walks
+        return hi - lo, block.win_peers[w:stop], cum_walks.item(stop) - cum_walks.item(w)
 
     def _commit_one(self, s: float, results):
         """One trial on its own (:meth:`_live_trial`), as a chunk."""
@@ -586,17 +676,25 @@ class BatchSampler:
         self.stale_trials += 1
         return TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
 
-    def _draw(self, size: int) -> list[float]:
-        """``size`` trial points: queued ones first, then fresh draws."""
+    def _draw(self, size: int):
+        """``size`` trial points as a float array: queued ones first, then
+        fresh draws (:func:`_fresh_points`)."""
         pending = self._pending
         if len(pending) >= size:
-            points = pending[:size]
-            del pending[:size]
-            return points
-        rand = self._rng.random
-        points = pending + [1.0 - rand() for _ in range(size - len(pending))]
-        pending.clear()
-        return points
+            self._pending = pending[size:]
+            return pending[:size]
+        self._pending = _NO_POINTS
+        fresh = _fresh_points(self._rng, size - len(pending))
+        return _np.concatenate((pending, fresh)) if len(pending) else fresh
+
+    def _draw_one(self) -> float:
+        """The next trial point: the first queued one, else a fresh draw.
+        A trial run on its own pays no array call for it."""
+        pending = self._pending
+        if len(pending):
+            self._pending = pending[1:]
+            return pending.item(0)
+        return 1.0 - self._rng.random()
 
     # -- public API --------------------------------------------------------
 
@@ -611,14 +709,14 @@ class BatchSampler:
         it is committed (a ring change after a trial run on its own
         re-classifies the rest).
         """
-        points = list(points)
+        points = _np.asarray(points, dtype=_np.float64)
         results: list[TrialResult] = []
         i = 0
         while i < len(points):
             key = self._ring_key()
             block = self._classify_block(points[i:], key) if key is not None else None
             if block is None:
-                self._commit_one(points[i], results)
+                self._commit_one(points.item(i), results)
                 i += 1
                 continue
             rows = len(block.points)
@@ -664,7 +762,7 @@ class BatchSampler:
         if k < 0:
             raise ValueError("k must be non-negative")
         cost = self._dht.cost
-        before = cost.snapshot()
+        before = (cost.h_calls, cost.next_calls, cost.messages, cost.latency)
         out: list[PeerRef] = []
         budget = self._max_trials * k
         used = 0
@@ -691,7 +789,7 @@ class BatchSampler:
                     p_est = min(max((block.successes + 1) / (block.classified + 2), 1e-4), 1.0)
             chunk_before = cost.snapshot() if tracing else None
             if block is None:
-                taken, peers, hits = self._commit_one(self._draw(1)[0], None)
+                taken, peers, hits = self._commit_one(self._draw_one(), None)
             else:
                 taken, peers, hits = self._commit(block, need, budget - used, None)
             used += taken
@@ -709,7 +807,12 @@ class BatchSampler:
             peers=tuple(out),
             trials=used,
             rounds=chunks,
-            cost=cost.snapshot() - before,
+            cost=CostSnapshot(
+                cost.h_calls - before[0],
+                cost.next_calls - before[1],
+                cost.messages - before[2],
+                cost.latency - before[3],
+            ),
             walk_hits=walk_hits,
         )
 
@@ -867,7 +970,7 @@ def _check_points(points):
     ss = _np.asarray(points, dtype=_np.float64)
     ok = (ss > 0.0) & (ss <= 1.0)  # negated form would let NaN slip through
     if not ok.all():
-        bad = ss[~ok][0]
+        bad = float(ss[~ok][0])
         raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
     return ss
 

@@ -64,9 +64,13 @@ state.  Three design rules make that exact:
   same owner, hops and charges.  :func:`build_route_table` certifies
   the rows and stores one lookup per arc on the snapshot as a
   :class:`RouteTable`; while its key holds, :func:`lockstep_resolve`
-  answers any batch with a ``searchsorted`` and a gather.  Only the
-  adapters' ``warm_lockstep`` builds it, so a ring that changes between
-  batches simply runs the lanes above.
+  answers any batch with one ``searchsorted``, in ascending target
+  order, and a gather.  The table holds each arc's owner as a sorted
+  position, so an answer carries that position with the owner's id
+  (:attr:`Lookups.position`), and the batch sampler starts its walks
+  there without searching the ids again.  Only the adapters'
+  ``warm_lockstep`` builds it, so a ring that changes between batches
+  simply runs the lanes above.
 
 Because successful lookups never mutate node state, evaluating a batch
 against one frozen snapshot is order-equivalent to evaluating it
@@ -144,14 +148,22 @@ class Lookups:
     Columns are numpy arrays; slicing selects rows.  The adapters
     resolve a batch into one of these and charge only the rows their
     caller commits.
+
+    ``position``, when not None, holds each owner's sorted position in
+    the store at the state the rows were read from (``-1`` where
+    unknown): a :class:`RouteTable` answer carries it, since the table
+    reads it before the id, and :class:`WalkView` positions of that
+    state are the same.  Rows replaced by a replay have none.
     """
 
     _COLUMNS = ("owner", "hops", "messages", "latency", "rpc_calls", "rpc_timeouts", "ok")
     _DTYPES = ("int64", "int64", "int64", "float64", "int64", "int64", "bool")
 
-    __slots__ = _COLUMNS
+    __slots__ = (*_COLUMNS, "position")
 
-    def __init__(self, owner, hops, messages, latency, rpc_calls, rpc_timeouts, ok):
+    def __init__(
+        self, owner, hops, messages, latency, rpc_calls, rpc_timeouts, ok, position=None
+    ):
         self.owner = owner
         self.hops = hops
         self.messages = messages
@@ -159,6 +171,7 @@ class Lookups:
         self.rpc_calls = rpc_calls
         self.rpc_timeouts = rpc_timeouts
         self.ok = ok
+        self.position = position
 
     @classmethod
     def from_traces(cls, traces) -> "Lookups":
@@ -169,11 +182,17 @@ class Lookups:
         return len(self.ok)
 
     def __getitem__(self, rows: slice) -> "Lookups":
-        return Lookups(*[getattr(self, name)[rows] for name in self._COLUMNS])
+        position = self.position
+        return Lookups(
+            *[getattr(self, name)[rows] for name in self._COLUMNS],
+            None if position is None else position[rows],
+        )
 
     def _replace(self, j: int, trace: LookupTrace) -> None:
         for name in self._COLUMNS:
             getattr(self, name)[j] = getattr(trace, name)
+        if self.position is not None:
+            self.position[j] = -1
 
     def traces(self) -> list[LookupTrace]:
         """The rows as :class:`LookupTrace` records."""
@@ -269,9 +288,10 @@ class WalkView:
         q[q == len(ids)] = 0
         return _np.where(ids[q] == peer_ids, q, -1)
 
-    def peer(self, q: int) -> PeerRef:
-        """The peer at ring position ``q``, as ``next`` would return it."""
-        return PeerRef(peer_id=int(self.ids[q]), point=float(self.points[q]))
+    def peers(self, positions) -> list[PeerRef]:
+        """The peers at ring positions ``positions`` (an int array), in
+        order, as ``next`` would return them."""
+        return list(map(PeerRef, self.ids[positions].tolist(), self.points[positions].tolist()))
 
 
 class RouteTable:
@@ -877,15 +897,24 @@ def _table_resolve(
     timeout: float,
     recursive: bool,
 ) -> Lookups:
-    """:func:`resolve_lookups` read from a current :class:`RouteTable`."""
+    """:func:`resolve_lookups` read from a current :class:`RouteTable`,
+    with each owner's sorted position (:attr:`Lookups.position`).
+
+    The arcs are searched in ascending target order: each search then
+    starts at the last answer, and reads the id array front to back
+    (as ``IdealDHT``'s kernel does); the answers are scattered back to
+    the targets' order.
+    """
     np = _np
     ids = snapshot.ids_np
-    arc = np.searchsorted(ids, targets)
+    targets = np.asarray(targets, dtype=np.int64)
+    order = targets.argsort()
+    arc = np.empty(len(targets), dtype=np.int64)
+    arc[order] = ids.searchsorted(targets[order])
     arc[arc == len(ids)] = 0  # past the last id: the wrapping arc 0
     hops = table.hops[arc].astype(np.int64)
-    found = _clean_lookups(
-        ids[table.owner[arc]], hops, entry_id, hop_latency, recursive
-    )
+    position = table.owner[arc].astype(np.int64)
+    found = _clean_lookups(ids[position], hops, entry_id, hop_latency, recursive, position)
     sim = _sim_recursive if recursive else _sim_iterative
     for i in (hops < 0).nonzero()[0].tolist():  # failing arcs: replay exactly
         found._replace(
@@ -1029,11 +1058,12 @@ _ACTIVE, _OK, _REPLAY = 0, 1, 2
 
 
 def _clean_lookups(
-    owner, hops, entry_id: int, hop_latency: float, recursive: bool
+    owner, hops, entry_id: int, hop_latency: float, recursive: bool, position=None
 ) -> Lookups:
     """Lookups that met no dead node, charged as live.
 
-    ``owner``/``hops`` are int64 arrays.  Iterative: one RPC per hop
+    ``owner``/``hops`` are int64 arrays, ``position`` the owners' sorted
+    positions where the caller has them.  Iterative: one RPC per hop
     plus the liveness ping of an owner other than the entry, two
     messages each.  Recursive: one one-way message per hop plus the
     owner's direct reply.  ``hop_latency`` is the per-call charge (round
@@ -1057,6 +1087,7 @@ def _clean_lookups(
         calls,
         _np.zeros(k, dtype=_np.int64),
         _np.ones(k, dtype=bool),
+        position,
     )
 
 

@@ -731,7 +731,7 @@ class ChordDHT(EntryVantageMixin):
             return self._h_many(list(xs), tolerant=True)
         if not self.lockstep_eligible():
             return None
-        return self._lookups(list(xs))
+        return self._lookups(xs)
 
     def _h_scalar(self, x: float, tolerant: bool) -> PeerRef | None:
         if not tolerant:
@@ -741,8 +741,9 @@ class ChordDHT(EntryVantageMixin):
         except LookupError_:
             return None
 
-    def _lookups(self, points: list) -> Lookups:
-        """The lockstep replay of the longest valid prefix of ``points``."""
+    def _lookups(self, points) -> Lookups:
+        """The lockstep replay of the longest valid prefix of ``points``
+        (a sequence or a float array)."""
         network = self._network
         return resolve_lookups(
             network.snapshot(),

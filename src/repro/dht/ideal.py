@@ -119,7 +119,7 @@ class IdealDHT:
             arr = _np.asarray(xs, dtype=_np.float64)
             ok = (arr > 0.0) & (arr <= 1.0)  # negated form would let NaN slip through
             if not ok.all():
-                bad = arr[~ok][0]
+                bad = float(arr[~ok][0])
                 raise ValueError(f"point {bad!r} is outside the unit circle (0, 1]")
             idx = _np.searchsorted(self._flat_np, arr, side="left")
             idx[idx == n] = 0

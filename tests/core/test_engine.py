@@ -7,6 +7,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BulkDHT, ChordNetwork, IdealDHT, RandomPeerSampler
 from repro.analysis.stats import chi_square_uniform
@@ -57,6 +59,29 @@ class TestScalarEquivalence:
         for bad in (0.0, -0.25, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 eng.trial_many([0.5] * 100 + [bad])
+
+    @pytest.mark.parametrize("substrate", ["ideal", "chord"])
+    def test_bad_points_are_reported_as_the_scalar_path_reports_them(self, substrate):
+        # The batched paths hold points as float arrays; an out-of-circle
+        # point is still named as the scalar path names it ("point 1.5"),
+        # not as a numpy scalar.
+        if substrate == "ideal":
+            dht = IdealDHT.random(64, random.Random(3))
+        else:
+            dht = ChordNetwork.build(64, m=16, rng=random.Random(3)).dht()
+            assert dht.warm_lockstep()
+        sampler, eng = _pair(dht, 64.0)
+
+        def message(call):
+            with pytest.raises(ValueError) as raised:
+                call()
+            return str(raised.value)
+
+        expected = message(lambda: sampler.trial(1.5))
+        assert expected.startswith("point 1.5 ")
+        assert message(lambda: eng.trial_many([0.5, 1.5])) == expected
+        # 70 points: the array lane of h_many, not the scalar loop.
+        assert message(lambda: dht.h_many([0.5] * 69 + [1.5])) == message(lambda: dht.h(1.5))
 
     def test_small_batches_match_scalar_trials(self, medium_dht):
         sampler, eng = _pair(medium_dht, 512.0)
@@ -124,6 +149,36 @@ class TestSampleMany:
         counts = Counter(p.peer_id for p in eng.sample_many(draws))
         observed = [counts.get(i, 0) for i in range(n)]
         assert not chi_square_uniform(observed).rejects_uniformity(alpha=0.001)
+
+    def test_a_cold_call_classifies_little_more_than_it_commits(self):
+        # The first block of a call is the expected trials for its draws
+        # plus a few standard deviations, not twice the expected trials.
+        dht = IdealDHT.random(10_000, random.Random(10_000))
+        eng = BatchSampler(dht, n_hat=1e4, rng=random.Random(3))
+        classified = []
+        classify = eng._classify_block
+
+        def counting(points, key):
+            classified.append(len(points))
+            return classify(points, key)
+
+        eng._classify_block = counting
+        result = eng.sample_many_attributed(500)
+        assert sum(classified) <= 1.3 * result.trials
+
+    @given(
+        need=st.integers(min_value=1, max_value=10**6),
+        p=st.floats(min_value=1e-4, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_round_is_never_larger_than_twice_the_expected_trials(self, need, p):
+        # Two rounds' worth (plus 8) was the rule before the margin, and
+        # stays its cap: a one-draw call's first block keeps its size.
+        twice = max(need, int(need / p * 2.0) + 8)
+        size = engine_mod._round_size(need, p)
+        assert need <= size <= twice
+        if need < 8 * (1.0 - p):  # three deviations exceed the mean
+            assert size == twice
 
 
 class TestSampleManyAttributed:

@@ -179,6 +179,57 @@ def test_every_invalidation_keeps_the_scalar_sequence(substrate, n, seed, steps)
         assert batched.cost.snapshot() == twin.cost.snapshot()
 
 
+def points_held(engine) -> int:
+    """The points ``engine`` drew and has not committed: queued, and
+    uncommitted in its block."""
+    block = engine._block
+    return len(engine._pending) + (len(block.points) - block.cursor if block else 0)
+
+
+#: substrate name -> builder(seed, n) for the generator-state property.
+STREAMS = {name: SUBSTRATES[name] for name in ("ideal", "chord-table", "chord-crashed")}
+
+
+@pytest.mark.parametrize("substrate", sorted(STREAMS))
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("many", "scalar", "refresh", "trials") + tuple(sorted(RING_OPS))),
+            st.integers(min_value=0, max_value=300),
+            st.integers(min_value=0, max_value=2**16),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=10, deadline=None)
+def test_the_generator_has_drawn_every_point_held_or_used(substrate, n, seed, steps):
+    # Blocks are drawn in bulk once large enough, a point at a time
+    # otherwise; either way the generator must sit where a twin that
+    # drew one point per trial committed, queued or still in the block
+    # leaves it, so a scalar draw after any call reads the next point.
+    dht = STREAMS[substrate](seed, n)
+    sampler = RandomPeerSampler(dht, n_hat=float(n), rng=random.Random(seed))
+    engine = sampler._engine
+    used = 0
+    for op, k, pick in steps:
+        if op == "scalar":
+            used += sampler.sample_with_stats().trials
+        elif op == "refresh":
+            sampler.refresh(max(1.0, n * (0.5 + pick % 5 / 2)))
+        elif op == "trials":
+            engine.trial_many([1.0 - random.Random(pick).random() for _ in range(k % 50)])
+        elif op in RING_OPS and substrate != "ideal":
+            RING_OPS[op](dht, pick)
+        used += engine.sample_many_attributed(k).trials
+        twin = random.Random(seed)
+        for _ in range(used + points_held(engine)):
+            twin.random()
+        assert engine._rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("substrate", ["ideal", "chord-table"])
 def test_a_scalar_draw_continues_the_batch_stream(substrate):
     make = SUBSTRATES[substrate]
@@ -235,7 +286,7 @@ def test_a_large_call_leaves_at_most_one_slab_classified(substrate):
     make = SUBSTRATES[substrate]
     batched, twin = make(5, 400), make(5, 400)
     engine = BatchSampler(batched, n_hat=400.0, rng=random.Random(6))
-    drawn = engine.sample_many(150)  # ~3,500 trials of a ~7,000-point block
+    drawn = engine.sample_many(800)  # ~19,000 trials of a ~21,600-point block
     assert engine._block is None and len(engine._pending) > _WALK_SLAB
     for k in (2, 1, 40):
         drawn += engine.sample_many(k)

@@ -478,6 +478,42 @@ class TestRouteTable:
         assert snap.route.owner.tolist() == np.where(ok, ids.searchsorted(owner), 0).tolist()
         assert snap.route.hops.tolist() == np.where(ok, hops, -1).tolist()
 
+    @settings(max_examples=40, deadline=None)
+    @example("successor-only", 80, 16, 0, "iterative")  # arcs past the budget, replayed
+    @example("successor-only", 80, 16, 1, "recursive")
+    @given(
+        st.sampled_from(WIRINGS),
+        st.integers(min_value=1, max_value=100),
+        st.sampled_from((16, 24, 32)),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from(("iterative", "recursive")),
+    )
+    def test_answers_carry_the_owners_positions(self, wiring, n, m, seed, mode):
+        # The batch sampler starts each walk at the position a table
+        # answer carries instead of searching the walk view for it, so on
+        # every row it must be the view's position of the owner, -1
+        # exactly where the owner is not live (a replayed, failing arc).
+        net = wired(wiring, n, m, seed)
+        snap = net.snapshot()
+        ids = snap.ids_np
+        inputs = (int(ids[seed % len(ids)]), mode, 2.0, 1.0, 8.0)
+        assert build_route_table(snap, *inputs)
+        # Both ends of every arc, shuffled: the answer is searched in
+        # ascending order and scattered back.
+        targets = np.concatenate((ids, (ids + 1) % (1 << m)))
+        random.Random(seed).shuffle(targets)
+        found = batch_mod.resolve_lookups(snap, targets, *inputs)
+        assert found.position is not None
+        owners = found.owner.tolist()
+        assert found.position.tolist() == snap.walk_view().positions(found.owner).tolist()
+        assert (found.position < 0).tolist() == [not snap.alive(o) for o in owners]
+        sim, lat = (_sim_iterative, 2.0) if mode == "iterative" else (_sim_recursive, 1.0)
+        assert owners == [
+            sim(snap, inputs[0], t, hop_budget(m), lat, 8.0).owner for t in targets.tolist()
+        ]
+        failing = wiring == "successor-only" and len(ids) - 1 > hop_budget(m)
+        assert (not found.ok.all()) == failing
+
     @pytest.mark.parametrize("mode", ["iterative", "recursive"])
     def test_budget_exhausting_arcs_delegate_as_the_lanes_do(self, mode, table_reads):
         dht_a, dht_b, lanes = build_twins(86, n=60, m=6, mode=mode, copies=3)
