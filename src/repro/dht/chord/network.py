@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as _np
 
 from ...core.intervals import SortedCircle
-from ...faults.retry import RetryPolicy
+from ...faults.retry import LOOKUP_RETRY, RetryPolicy
 from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
@@ -593,7 +593,6 @@ class ChordDHT(EntryVantageMixin):
         self,
         network: ChordNetwork,
         entry_id: int | None = None,
-        retries: int = 3,
         lookup_mode: str = "iterative",
         retry_policy: RetryPolicy | None = None,
         retry_rng: random.Random | None = None,
@@ -607,18 +606,12 @@ class ChordDHT(EntryVantageMixin):
         #: engine vs live per-call) -- read by benches and the scenario
         #: runner's shard reports.
         self.batch_stats = BatchLookupStats()
-        #: The lookup retry discipline.  The default reproduces the
-        #: historical behaviour exactly: ``retries`` back-to-back
-        #: attempts with no backoff.  A policy with backoff charges the
-        #: waits through the transport (see RetryPolicy's determinism
-        #: contract); jittered policies need ``retry_rng``.
-        self._retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(attempts=max(1, retries), base_delay=0.0, factor=1.0)
-        )
+        #: The lookup retry discipline (default: three back-to-back
+        #: attempts).  A policy with backoff charges the waits through
+        #: the transport (see RetryPolicy's determinism contract);
+        #: jittered policies need ``retry_rng``.
+        self._retry_policy = retry_policy if retry_policy is not None else LOOKUP_RETRY
         self._retry_rng = retry_rng
-        self._retries = self._retry_policy.attempts
 
     @property
     def transport(self):
@@ -785,12 +778,14 @@ class ChordDHT(EntryVantageMixin):
         """``h(x)`` via an iterative lookup (cost: measured, ~O(log n))."""
         target = point_to_target_id(x, self._network.m)
         transport = self._network.transport
-        policy = self._retry_policy
         before_msgs = transport.messages_sent
         before_time = transport.elapsed
         last_error: Exception | None = None
         result = None
-        for failure in range(1, policy.attempts + 1):
+        failure = 0
+        spent = 0.0  # failed attempts' charges and waits, not repair
+        while True:
+            started = transport.elapsed
             try:
                 entry = self._network.nodes[self._vantage_id()]
                 if self._lookup_mode == "recursive":
@@ -800,15 +795,20 @@ class ChordDHT(EntryVantageMixin):
                 break
             except LookupError_ as exc:
                 last_error = exc
-                if policy.should_retry(failure):
+                failure += 1
+                spent += transport.elapsed - started
+                wait = self._retry_policy.backoff(failure, spent, self._retry_rng)
+                if wait is not None:
                     # Charge the backoff wait before the repair round so
                     # the retry attempt sees post-wait ring state; failed
                     # attempts' messages stay on the meter regardless.
                     transport.metrics.counter("rpc.retries").increment()
-                    delay = policy.delay(failure, self._retry_rng)
-                    if delay > 0:
-                        transport.charge_delay(delay)
+                    transport.charge_delay(wait)
+                    spent += wait
+                # Every failure, the last included, runs a repair round.
                 self._network.stabilize_round()
+                if wait is None:
+                    break
         msgs = transport.messages_sent - before_msgs
         latency = transport.elapsed - before_time
         self.cost.charge_h(msgs, latency)
@@ -821,9 +821,7 @@ class ChordDHT(EntryVantageMixin):
                 result is not None,
             )
         if result is None:
-            raise LookupError_(
-                f"h({x!r}) failed after {policy.attempts} attempts: {last_error}"
-            )
+            raise LookupError_(f"h({x!r}) failed after {failure} attempts: {last_error}")
         return self._ref(result.node_id)
 
     def lockstep_eligible(self) -> bool:

@@ -34,7 +34,7 @@ import random
 from array import array
 from collections import Counter
 
-from ...faults.retry import RetryPolicy
+from ...faults.retry import LOOKUP_RETRY, RetryPolicy
 from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
@@ -446,21 +446,14 @@ class KademliaDHT(EntryVantageMixin):
         self,
         network: KademliaNetwork,
         entry_id: int | None = None,
-        retries: int = 3,
         retry_policy: RetryPolicy | None = None,
         retry_rng: random.Random | None = None,
     ):
         self._adopt(network, entry_id)
-        #: Retry discipline; the default reproduces the historical
-        #: ``retries`` back-to-back attempts with no backoff (see the
-        #: matching contract on ChordDHT).
-        self._retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(attempts=max(1, retries), base_delay=0.0, factor=1.0)
-        )
+        #: Retry discipline (default: three back-to-back attempts; see
+        #: the matching contract on ChordDHT).
+        self._retry_policy = retry_policy if retry_policy is not None else LOOKUP_RETRY
         self._retry_rng = retry_rng
-        self._retries = self._retry_policy.attempts
         self.cost = CostMeter()
         #: Successor probes beyond the first lookup (boundary hops of the
         #: aligned-block search) -- observability for benches and tests.
@@ -490,32 +483,33 @@ class KademliaDHT(EntryVantageMixin):
         forcing a stabilization round between lookup retries (and far
         cheaper than one: periodic refresh owns systemic repair).
         """
-        policy = self._retry_policy
         transport = self._network.transport
-        last_error: Exception | None = None
-        for failure in range(1, policy.attempts + 1):
+        failure = 0
+        spent = 0.0  # failed attempts' charges and waits, not the sweeps
+        while True:
             entry = self._network.nodes[self._vantage_id()]
-            if failure > 1:
+            if failure:
                 entry.probe_stale()
+            started = transport.elapsed
             try:
                 result = entry.find_successor(target)
             except KademliaLookupError_ as exc:
-                last_error = exc
-                if policy.should_retry(failure):
-                    # Charge the backoff wait before the stale sweep so
-                    # the retry sees post-wait table state; the failed
-                    # attempt's messages stay on the meter regardless.
-                    transport.metrics.counter("rpc.retries").increment()
-                    delay = policy.delay(failure, self._retry_rng)
-                    if delay > 0:
-                        transport.charge_delay(delay)
+                failure += 1
+                spent += transport.elapsed - started
+                wait = self._retry_policy.backoff(failure, spent, self._retry_rng)
+                if wait is None:
+                    raise KademliaLookupError_(
+                        f"successor of {target} failed after {failure} attempts: {exc}"
+                    ) from exc
+                # Charge the backoff wait before the stale sweep so the
+                # retry sees post-wait table state; the failed attempt's
+                # messages stay on the meter regardless.
+                transport.metrics.counter("rpc.retries").increment()
+                transport.charge_delay(wait)
+                spent += wait
                 continue
             self.extra_probes += result.probes - 1
             return result.node_id
-        raise KademliaLookupError_(
-            f"successor of {target} failed after {policy.attempts} attempts: "
-            f"{last_error}"
-        )
 
     def h(self, x: float) -> PeerRef:
         """``h(x)`` via XOR successor resolution (cost: measured)."""

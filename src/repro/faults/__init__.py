@@ -15,8 +15,9 @@ class, deterministic, replayable objects:
   :class:`~repro.faults.plan.LossBurst`) -- a declarative timeline of
   faults on the simulation clock;
 - :class:`~repro.faults.retry.RetryPolicy` -- the shared bounded-retry/
-  exponential-backoff/seeded-jitter discipline used at the transport/
-  DHT boundary and by the service layer's shard workers.
+  exponential-backoff/seeded-jitter discipline: its ``backoff`` decides
+  every lookup retry (the DHT adapters', the fault lab's async probe's),
+  and the service layer's shard workers read its budget and delays.
 
 The scenario presets built on these live in
 :mod:`repro.scenarios.faults`; ``benchmarks/bench_faults.py`` sweeps
@@ -24,7 +25,7 @@ kill fraction x retry policy into ``BENCH_faults.json``.
 """
 
 from .plan import INJECTORS, FaultPlan, GreyFailure, LossBurst, MassKill, Partition
-from .retry import RetryPolicy, call_with_retry, call_with_retry_async
+from .retry import RetryPolicy
 from .state import PARTITION_MODES, FaultState, GreyProfile
 
 __all__ = [
@@ -38,6 +39,4 @@ __all__ = [
     "PARTITION_MODES",
     "Partition",
     "RetryPolicy",
-    "call_with_retry",
-    "call_with_retry_async",
 ]

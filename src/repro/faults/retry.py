@@ -2,11 +2,19 @@
 
 A :class:`RetryPolicy` pins the whole retry discipline of one caller as
 a frozen, JSON-able record: how many total attempts, how long to back
-off after each failure (exponential with a cap), and how much seeded
-jitter to spread synchronized retriers apart.  Every consumer -- the
-DHT adapters' lookup retries, the service layer's shard workers, the
-fault-scenario probes -- shares this one type, so "what happens on
-failure" is configuration, not scattered ad-hoc loops.
+off after each failure (exponential with a cap), how much seeded jitter
+to spread synchronized retriers apart, and an optional deadline on the
+time one logical call may spend.
+
+:meth:`RetryPolicy.backoff` is the one place a lookup retry is decided:
+the DHT adapters (``ChordDHT.h``, ``KademliaDHT._resolve``) charge the
+wait it returns without waiting it, and the fault lab's async probe
+waits it on the sim clock.  The ``spent`` it weighs against the deadline
+is each failed attempt's lookup time plus each wait taken, never the
+repair a caller runs between attempts (Chord's stabilization round,
+Kademlia's stale-contact sweep).  The service layer's shard workers,
+which have no deadline, read :meth:`~RetryPolicy.should_retry` and
+:meth:`~RetryPolicy.delay` directly.
 
 Determinism contract: :meth:`delay` consumes its RNG **only** when the
 policy actually has jitter (``jitter > 0`` and a positive delay), so
@@ -23,7 +31,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "call_with_retry", "call_with_retry_async"]
+__all__ = ["LOOKUP_RETRY", "RetryPolicy"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,12 +43,8 @@ class RetryPolicy:
     ``min(base_delay * factor**(f-1), max_delay)`` time units, stretched
     by a uniform ``+/- jitter`` fraction when jitter is configured.
 
-    ``deadline``, when set, caps the *total latency budget* of one
-    logical call: retrying stops -- even with attempts left -- once the
-    time already spent (failed attempts' timeout charges plus backoff
-    waits), or spending the next backoff, would reach it.  The budget is
-    tracked from the policy's own charge model, so it is deterministic
-    and identical on the sync and async transports.
+    ``deadline``, when set, caps the time one logical call may spend,
+    even with attempts left (see :meth:`backoff`).
     """
 
     attempts: int = 3
@@ -123,102 +127,28 @@ class RetryPolicy:
             d *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return d
 
+    def backoff(
+        self, failure: int, spent: float, rng: random.Random | None = None
+    ) -> float | None:
+        """The wait before the attempt after failure ``failure`` (1-based),
+        or None to give up.
+
+        Gives up when the attempts are used up, when ``spent`` has reached
+        the deadline, or when ``spent`` plus the wait would reach it.  The
+        wait is drawn (through :meth:`delay`, so jitter consumes ``rng``)
+        only after the first two checks pass.
+        """
+        if not self.should_retry(failure) or not self.within_deadline(spent):
+            return None
+        wait = self.delay(failure, rng)
+        if self.deadline is not None and spent + wait >= self.deadline:
+            return None
+        return wait
+
     def to_record(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def call_with_retry(
-    transport,
-    policy: RetryPolicy,
-    target_id: int,
-    method: str,
-    *args,
-    rng: random.Random | None = None,
-    **kwargs,
-):
-    """Issue one RPC under ``policy``, charging every attempt and backoff.
-
-    ``transport`` is an :class:`~repro.sim.network.RpcTransport` or a
-    node-bound endpoint -- anything with ``rpc`` and ``charge_delay``.
-    Failed attempts are charged by the transport as usual (messages,
-    timeout latency); backoff time is charged via ``charge_delay`` and
-    counted under the ``rpc.retries`` metric.  Raises the final
-    :class:`~repro.sim.network.RpcTimeout` when the budget runs out.
-    """
-    from ..sim.network import RpcTimeout  # deferred: sim must not import us
-
-    last: RpcTimeout | None = None
-    spent = 0.0
-    for failure in range(1, policy.attempts + 1):
-        try:
-            return transport.rpc(target_id, method, *args, **kwargs)
-        except RpcTimeout as exc:
-            last = exc
-            spent += transport.timeout  # what the failed attempt charged
-            if not policy.should_retry(failure) or not policy.within_deadline(spent):
-                break
-            delay = policy.delay(failure, rng)
-            if policy.deadline is not None and spent + delay >= policy.deadline:
-                break  # the backoff alone would exhaust the budget
-            transport.metrics.counter("rpc.retries").increment()
-            transport.charge_delay(delay)
-            spent += delay
-    assert last is not None
-    raise last
-
-
-def call_with_retry_async(
-    endpoint,
-    policy: RetryPolicy,
-    target_id: int,
-    method: str,
-    *args,
-    on_reply=None,
-    on_timeout=None,
-    rng: random.Random | None = None,
-    **kwargs,
-):
-    """Async twin of :func:`call_with_retry`: backoff *elapses* on the clock.
-
-    ``endpoint`` is an :class:`~repro.sim.async_net.AsyncEndpoint` (or
-    the transport itself via a bound ``call``).  Each attempt goes out
-    on the async plane; a timeout schedules the next attempt ``delay``
-    later as a real simulator event -- other traffic proceeds while this
-    caller backs off -- with the wait also charged to the latency ledger
-    for parity with the sync discipline.  The same ``deadline`` budget
-    arithmetic as the sync helper decides when to stop; the final
-    failure reaches ``on_timeout``.
-    """
-    sim = endpoint.sim
-    state = {"failures": 0, "spent": 0.0}
-
-    def attempt() -> None:
-        endpoint.call(
-            target_id, method, *args, on_reply=on_reply, on_timeout=failed, **kwargs
-        )
-
-    def failed(exc) -> None:
-        state["failures"] += 1
-        state["spent"] += endpoint.timeout
-        failure = state["failures"]
-        give_up = not policy.should_retry(failure) or not policy.within_deadline(
-            state["spent"]
-        )
-        delay = 0.0
-        if not give_up:
-            delay = policy.delay(failure, rng)
-            if policy.deadline is not None and state["spent"] + delay >= policy.deadline:
-                give_up = True
-        if give_up:
-            if on_timeout is not None:
-                on_timeout(exc)
-            return
-        endpoint.metrics.counter("rpc.retries").increment()
-        state["spent"] += delay
-        if delay > 0:
-            endpoint.charge_delay(delay)
-            sim.schedule(delay, attempt)
-        else:
-            attempt()
-
-    attempt()
+#: The live DHT adapters' default lookup discipline: three back-to-back
+#: attempts, no wait between them.
+LOOKUP_RETRY = RetryPolicy(attempts=3, base_delay=0.0, factor=1.0)

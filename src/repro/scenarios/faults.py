@@ -17,10 +17,13 @@ up.  The questions are the recovery ones:
 
 A :class:`FaultScenarioSpec` pins one experiment; the fault itself is a
 declarative :class:`~repro.faults.plan.FaultPlan` scheduled on the sim
-clock, and lookups run through the substrate's DHT adapter under a
-first-class :class:`~repro.faults.retry.RetryPolicy`.  Everything
-derives from ``spec.seed`` through named RNG substreams, so two runs of
-the same spec are bit-for-bit identical -- the equivalence test in
+clock.  One runner plays the experiment on either transport, which
+chooses only how a probe resolves: the DHT adapter's ``h`` on the sync
+one, the backend's event-driven lookup from the adapter's entry peer on
+the async one; both retry as the spec's
+:class:`~repro.faults.retry.RetryPolicy` decides.  Everything derives
+from ``spec.seed`` through named RNG substreams, so two runs of the
+same spec are bit-for-bit identical -- the equivalence test in
 ``tests/scenarios/test_fault_scenarios.py`` pins that.
 
 Recovery is verified against the oracle membership: the owner of point
@@ -74,14 +77,14 @@ class FaultScenarioSpec:
     name: str
     backend: str = "chord"  # which message-level overlay to wound
     fault: str = "mass-kill"
-    #: ``sync`` replays the historical call-and-return experiment bit
-    #: for bit; ``async`` reruns it on the message-level transport
+    #: ``sync`` runs the experiment on the call-and-return transport;
+    #: ``async`` runs the same acts on the message-level transport
     #: (scheduled request/reply deliveries, real timeout events, jittered
     #: per-hop latency) and additionally reports wall-of-sim-clock
     #: recovery time plus per-hop RTT quantiles from actual deliveries.
     transport: str = "sync"
-    #: Total-latency budget per logical probe on the async transport
-    #: (see :attr:`~repro.faults.retry.RetryPolicy.deadline`); ``None``
+    #: Total-latency budget per logical probe, on either transport (see
+    #: :attr:`~repro.faults.retry.RetryPolicy.deadline`); ``None``
     #: leaves retries bounded by attempts alone.
     retry_deadline: float | None = None
     # -- substrate shape --
@@ -139,6 +142,7 @@ class FaultScenarioSpec:
             raise ValueError("recovery budget and chunk must be positive")
         if self.inject_at < 0 or self.partition_duration <= 0:
             raise ValueError("inject_at must be >= 0 and partition_duration > 0")
+        self.retry_policy()  # RetryPolicy checks the retry fields
 
     def with_(self, **overrides) -> "FaultScenarioSpec":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -321,12 +325,12 @@ def _build_network(spec: FaultScenarioSpec, sim: Simulator, rngs: RngRegistry):
     )
 
 
-def _build_plan(spec: FaultScenarioSpec, base: float = 0.0) -> FaultPlan:
+def _build_plan(spec: FaultScenarioSpec, base: float) -> FaultPlan:
     """The spec's fault timeline, offset by ``base`` sim-clock units.
 
-    The async runner's baseline probes advance the clock (deliveries are
-    real events), so its plan is armed relative to *now*; the sync
-    runner keeps ``base=0`` and absolute injection times.
+    The runner arms it at the clock position after the baseline sweep:
+    async probes advance the clock (deliveries are real events), sync
+    ones leave it at 0.
     """
     if spec.fault == "mass-kill":
         event = MassKill(
@@ -349,27 +353,28 @@ def _oracle_owner(sorted_ids: list[int], target: int) -> int:
     return sorted_ids[i % len(sorted_ids)]
 
 
-def _probe_sweep(phase: str, dht, network, points, m: int) -> PhaseReport:
+def _probe_sweep(phase: str, resolve, network, points, m: int) -> PhaseReport:
     """Resolve every probe point and grade it against the live oracle.
 
-    The oracle view is re-read per probe: a sweep interleaved with
-    maintenance (the recovery loop) must grade each lookup against the
-    membership *at that instant*, and the epoch-memoized ``sorted_ids``
-    makes the steady-state read O(1).
+    ``resolve(x)`` returns the owner id of point ``x``, or None when the
+    probe failed after its retries.  The oracle is read after each probe,
+    so each lookup is graded against the membership of the instant it
+    ended: async fault events (the kill, a partition heal) fire
+    mid-probe, and the recovery loop interleaves sweeps with maintenance.
+    A sync probe must change no membership, so its grade is the same in
+    either order.  The epoch-memoized ``sorted_ids`` makes the
+    steady-state read O(1).
     """
     transport = network.transport
     before_msgs = transport.messages_sent
     before_time = transport.elapsed
     correct = wrong = failed = 0
     for x in points:
-        target = point_to_target_id(x, m)
-        expected = _oracle_owner(network.sorted_ids(), target)
-        try:
-            got = dht.h(x).peer_id
-        except PeerUnreachableError:
+        got = resolve(x)
+        expected = _oracle_owner(network.sorted_ids(), point_to_target_id(x, m))
+        if got is None:
             failed += 1
-            continue
-        if got == expected:
+        elif got == expected:
             correct += 1
         else:
             wrong += 1
@@ -384,15 +389,61 @@ def _probe_sweep(phase: str, dht, network, points, m: int) -> PhaseReport:
     )
 
 
-def _live_entry(network, entry_box: dict) -> int:
-    """The async sweeps' entry vantage: fail over clockwise when killed."""
-    entry = entry_box["id"]
-    if entry in network.nodes:
-        return entry
-    ids = network.sorted_ids()
-    i = bisect.bisect_left(ids, entry)
-    entry_box["id"] = ids[i % len(ids)]
-    return entry_box["id"]
+def _sync_resolver(dht):
+    """Probes as ``dht.h`` calls: the adapter's own retries, with its
+    repair between attempts, charge the waits without waiting them."""
+
+    def resolve(x: float) -> int | None:
+        try:
+            return dht.h(x).peer_id
+        except PeerUnreachableError:
+            return None
+
+    return resolve
+
+
+def _async_resolver(spec: FaultScenarioSpec, dht, network, retry_rng):
+    """Probes that ride the event clock.
+
+    Each attempt runs the backend's continuation-driven lookup
+    (:func:`~repro.dht.chord.async_lookup.lookup_async` /
+    :func:`~repro.dht.kademlia.async_lookup.find_successor_async`) from
+    the adapter's entry peer to completion via
+    :func:`~repro.sim.async_net.drive`, so scheduled fault events fire
+    *during* probes when their time comes.  The spec's policy decides
+    each retry from the clock time the failed attempts took plus the
+    waits, and the waits elapse on the clock.
+    """
+    sim = network.sim
+    transport = network.transport
+    policy = spec.retry_policy()
+    start = find_successor_async if spec.backend == "kademlia" else lookup_async
+
+    def resolve(x: float) -> int | None:
+        target = point_to_target_id(x, spec.m)
+        failure = 0
+        spent = 0.0
+        while True:
+            entry = dht.entry_id if dht.entry_is_alive else dht.refresh_entry()
+            started = sim.now
+            try:
+                return drive(sim, start(network.nodes[entry], target)).node_id
+            except PeerUnreachableError:
+                failure += 1
+                spent += sim.now - started
+                wait = policy.backoff(failure, spent, retry_rng)
+                if wait is None:
+                    return None
+                transport.metrics.counter("rpc.retries").increment()
+                if wait > 0:
+                    # The wait elapses on the clock (in-flight events
+                    # proceed underneath) and is charged as the adapters
+                    # charge theirs.
+                    transport.charge_delay(wait)
+                    sim.run(until=sim.now + wait)
+                spent += wait
+
+    return resolve
 
 
 def _hop_quantiles(rtts) -> dict:
@@ -414,83 +465,6 @@ def _hop_quantiles(rtts) -> dict:
     }
 
 
-def _probe_sweep_async(
-    phase: str,
-    network,
-    spec: FaultScenarioSpec,
-    points,
-    entry_box: dict,
-    policy: RetryPolicy,
-    retry_rng,
-) -> PhaseReport:
-    """The async twin of :func:`_probe_sweep`: probes ride the event clock.
-
-    Each probe runs the backend's continuation-driven lookup
-    (:func:`~repro.dht.chord.async_lookup.lookup_async` /
-    :func:`~repro.dht.kademlia.async_lookup.find_successor_async`) to
-    completion via :func:`~repro.sim.async_net.drive` -- scheduled fault
-    events (the kill, a partition heal) fire *during* probes when their
-    time comes.  Retries follow the spec's policy with backoff elapsing
-    as real sim time and the policy's ``deadline`` budget counted
-    against actual clock spend, not a synthetic charge model.
-    """
-    transport = network.transport
-    sim = network.sim
-    before_msgs = transport.messages_sent
-    before_time = transport.elapsed
-    correct = wrong = failed = 0
-    for x in points:
-        target = point_to_target_id(x, spec.m)
-        got = None
-        spent = 0.0
-        for failure in range(1, policy.attempts + 1):
-            entry = _live_entry(network, entry_box)
-            node = network.nodes[entry]
-            if spec.backend == "kademlia":
-                future = find_successor_async(node, target)
-            else:
-                future = lookup_async(node, target)
-            started = sim.now
-            try:
-                got = drive(sim, future).node_id
-                break
-            except PeerUnreachableError:
-                spent += sim.now - started
-                if not policy.should_retry(failure) or not policy.within_deadline(
-                    spent
-                ):
-                    break
-                delay = policy.delay(failure, retry_rng)
-                if policy.deadline is not None and spent + delay >= policy.deadline:
-                    break
-                transport.metrics.counter("rpc.retries").increment()
-                if delay > 0:
-                    # The backoff elapses on the clock (in-flight events
-                    # proceed underneath) and is charged like the sync
-                    # discipline charges its waits.
-                    transport.charge_delay(delay)
-                    sim.run(until=sim.now + delay)
-                spent += delay
-        # Grade against the oracle *after* the lookup: fault events that
-        # fired mid-probe have already mutated the membership.
-        expected = _oracle_owner(network.sorted_ids(), target)
-        if got is None:
-            failed += 1
-        elif got == expected:
-            correct += 1
-        else:
-            wrong += 1
-    return PhaseReport(
-        phase=phase,
-        probes=len(points),
-        correct=correct,
-        wrong=wrong,
-        failed=failed,
-        messages=transport.messages_sent - before_msgs,
-        latency=transport.elapsed - before_time,
-    )
-
-
 def run_fault_scenario(spec: FaultScenarioSpec) -> FaultScenarioResult:
     """Drive one structured outage end to end and report on it.
 
@@ -503,144 +477,47 @@ def run_fault_scenario(spec: FaultScenarioSpec) -> FaultScenarioResult:
     (5) a fresh probe sweep on the recovered overlay pins the
     post-recovery contract: 100% oracle-correct lookups.
 
-    ``spec.transport == "async"`` runs the same five acts on the
-    message-level transport (see :func:`_run_fault_scenario_async`); the
-    sync path below is untouched and bit-identical to its history.
+    The acts are the same on both transports; the transport chooses only
+    how one probe resolves (:func:`_sync_resolver`,
+    :func:`_async_resolver`).  Async probes advance the clock (every
+    request and reply is a scheduled delivery), so the fault plan is
+    armed relative to the clock position *after* the baseline sweep --
+    ``inject_at`` keeps its meaning of "this long after the healthy
+    measurement"; sync probes schedule nothing, so there the clock still
+    reads 0.  Maintenance (``stabilize_round`` / ``run_stabilization``)
+    runs off the event clock on both: repair cost lands on the same
+    meters, but recovery *time* is defined by probe traffic.  An async
+    result carries two more observables: ``recovery_sim_time`` (sim-clock
+    span from injection to the first all-correct sweep) and
+    ``hop_latency`` (RTT quantiles over every successful delivery's
+    actual send-to-reply span).
     """
-    if spec.transport == "async":
-        return _run_fault_scenario_async(spec)
     start_wall = time.perf_counter()
+    asynchronous = spec.transport == "async"
     rngs = RngRegistry(spec.seed)
     sim = Simulator()
     network = _build_network(spec, sim, rngs)
     faults = FaultState()
     network.transport.install_faults(faults)
-    dht = network.dht(
-        retry_policy=spec.retry_policy(), retry_rng=rngs.stream("lookup.retry")
-    )
+    retry_rng = rngs.stream("lookup.retry")
+    dht = network.dht(retry_policy=spec.retry_policy(), retry_rng=retry_rng)
+    if asynchronous:
+        network.transport.rtt_log = []
+        resolve = _async_resolver(spec, dht, network, retry_rng)
+    else:
+        resolve = _sync_resolver(dht)
 
     population_start = len(network.nodes)
-    plan = _build_plan(spec)
-    fault_log = plan.schedule(sim, network, rngs.stream("fault.plan"))
+
+    def sweep(phase: str, points: list[float]) -> PhaseReport:
+        return _probe_sweep(phase, resolve, network, points, spec.m)
 
     def draw_points(stream: str) -> list[float]:
         rng = rngs.stream(stream)
         return [rng.random() for _ in range(spec.probes)]
 
     # Act 1: the healthy overlay.
-    baseline = _probe_sweep(
-        "baseline", dht, network, draw_points("probes.baseline"), spec.m
-    )
-
-    # Act 2: the fault fires on the sim clock.
-    sim.run(until=spec.inject_at)
-    population_after_fault = len(network.nodes)
-    if not dht.entry_is_alive:
-        dht.refresh_entry()
-
-    # Act 3: life during the outage.  Probes run against the raw damage
-    # first; then a few maintenance rounds run while the fault is still
-    # live -- real deployments do not pause repair during an outage, and
-    # for partitions this is what wounds the cross-group pointers.
-    outage = _probe_sweep("outage", dht, network, draw_points("probes.outage"), spec.m)
-    for _ in range(spec.outage_rounds):
-        network.stabilize_round()
-
-    # Act 4: the fault clears; the overlay heals.  Kademlia needs a leg
-    # up in both directions: after a mass-kill the oracle-assisted
-    # obituary purge lets refresh rebuild coverage from live contacts
-    # instead of discovering thousands of casualties one timeout at a
-    # time, and after a partition long enough for both sides to evict
-    # each other the tables share no cross-group entries at all, so
-    # every node re-joins through a bootstrap peer (charged traffic;
-    # see :meth:`KademliaNetwork.rebootstrap`).  Chord's analogue of
-    # both is the ring-merge pass inside its stabilization rounds.
-    if spec.fault == "partition":
-        sim.run(until=spec.inject_at + spec.partition_duration)
-    if spec.backend == "kademlia":
-        if spec.fault == "mass-kill":
-            network.purge_dead_contacts()
-        elif spec.fault == "partition":
-            network.rebootstrap()
-
-    recovery_points = draw_points("probes.recovery")
-    before_recovery_msgs = network.transport.messages_sent
-    recovery_rounds: int | None = None
-    rounds_used = 0
-    while rounds_used < spec.recovery_round_budget:
-        chunk = min(spec.recovery_chunk, spec.recovery_round_budget - rounds_used)
-        network.run_stabilization(chunk)
-        rounds_used += chunk
-        if not dht.entry_is_alive:
-            dht.refresh_entry()
-        sweep = _probe_sweep("recovery", dht, network, recovery_points, spec.m)
-        if sweep.error_rate == 0.0:
-            recovery_rounds = rounds_used
-            break
-    recovery_messages = network.transport.messages_sent - before_recovery_msgs
-
-    # Act 5: the recovered overlay, probed fresh.
-    post = _probe_sweep("post", dht, network, draw_points("probes.post"), spec.m)
-
-    return FaultScenarioResult(
-        spec=spec,
-        baseline=baseline,
-        outage=outage,
-        post=post,
-        recovery_rounds=recovery_rounds,
-        recovery_messages=recovery_messages,
-        population_start=population_start,
-        population_after_fault=population_after_fault,
-        fault_log=list(fault_log),
-        counters=network.transport.metrics.counters(),
-        wall_seconds=time.perf_counter() - start_wall,
-    )
-
-
-def _run_fault_scenario_async(spec: FaultScenarioSpec) -> FaultScenarioResult:
-    """The five acts on the message-level transport.
-
-    Structure mirrors the sync runner act for act, with three deliberate
-    differences.  First, probes themselves advance the clock (every
-    request and reply is a scheduled delivery), so the fault plan is
-    armed relative to the clock position *after* the baseline sweep --
-    ``inject_at`` keeps its meaning of "this long after the healthy
-    measurement".  Second, maintenance (``stabilize_round`` /
-    ``run_stabilization``) runs on the inherited call-and-return plane,
-    off the event clock: repair cost still lands on the same meters, but
-    recovery *time* is defined by probe traffic, which is the thing the
-    experiment measures.  Third, the result carries two async-only
-    observables -- ``recovery_sim_time`` (sim-clock span from injection
-    to the first all-correct sweep) and ``hop_latency`` (RTT quantiles
-    over every successful delivery's actual send-to-reply span).
-    """
-    start_wall = time.perf_counter()
-    rngs = RngRegistry(spec.seed)
-    sim = Simulator()
-    network = _build_network(spec, sim, rngs)
-    faults = FaultState()
-    network.transport.install_faults(faults)
-    network.transport.rtt_log = []
-    policy = spec.retry_policy()
-    retry_rng = rngs.stream("lookup.retry")
-    entry_box = {"id": min(network.nodes)}
-
-    population_start = len(network.nodes)
-
-    def draw_points(stream: str) -> list[float]:
-        rng = rngs.stream(stream)
-        return [rng.random() for _ in range(spec.probes)]
-
-    # Act 1: the healthy overlay, measured with real deliveries.
-    baseline = _probe_sweep_async(
-        "baseline",
-        network,
-        spec,
-        draw_points("probes.baseline"),
-        entry_box,
-        policy,
-        retry_rng,
-    )
+    baseline = sweep("baseline", draw_points("probes.baseline"))
 
     # Act 2: arm the plan relative to now, then let the fault fire.
     base = sim.now
@@ -649,23 +526,25 @@ def _run_fault_scenario_async(spec: FaultScenarioSpec) -> FaultScenarioResult:
     sim.run(until=base + spec.inject_at)
     population_after_fault = len(network.nodes)
 
-    # Act 3: life during the outage.
-    outage = _probe_sweep_async(
-        "outage",
-        network,
-        spec,
-        draw_points("probes.outage"),
-        entry_box,
-        policy,
-        retry_rng,
-    )
+    # Act 3: life during the outage.  Probes run against the raw damage
+    # first; then a few maintenance rounds run while the fault is still
+    # live -- real deployments do not pause repair during an outage, and
+    # for partitions this is what wounds the cross-group pointers.
+    outage = sweep("outage", draw_points("probes.outage"))
     for _ in range(spec.outage_rounds):
         network.stabilize_round()
 
-    # Act 4: the fault clears; the overlay heals.  Same leg-ups as the
-    # sync runner (obituary purge / rebootstrap for Kademlia); for a
-    # partition the heal event is already scheduled, so running the
-    # clock forward to its instant is what clears it.
+    # Act 4: the fault clears; the overlay heals.  A partition's heal
+    # event is already scheduled, so running the clock forward to its
+    # instant is what clears it.  Kademlia needs a leg up in both
+    # directions: after a mass-kill the oracle-assisted obituary purge
+    # lets refresh rebuild coverage from live contacts instead of
+    # discovering thousands of casualties one timeout at a time, and
+    # after a partition long enough for both sides to evict each other
+    # the tables share no cross-group entries at all, so every node
+    # re-joins through a bootstrap peer (charged traffic; see
+    # :meth:`KademliaNetwork.rebootstrap`).  Chord's analogue of both is
+    # the ring-merge pass inside its stabilization rounds.
     heal_at = base + spec.inject_at + spec.partition_duration
     if spec.fault == "partition" and sim.now < heal_at:
         sim.run(until=heal_at)
@@ -684,19 +563,15 @@ def _run_fault_scenario_async(spec: FaultScenarioSpec) -> FaultScenarioResult:
         chunk = min(spec.recovery_chunk, spec.recovery_round_budget - rounds_used)
         network.run_stabilization(chunk)
         rounds_used += chunk
-        sweep = _probe_sweep_async(
-            "recovery", network, spec, recovery_points, entry_box, policy, retry_rng
-        )
-        if sweep.error_rate == 0.0:
+        if sweep("recovery", recovery_points).error_rate == 0.0:
             recovery_rounds = rounds_used
-            recovery_sim_time = sim.now - (base + spec.inject_at)
+            if asynchronous:
+                recovery_sim_time = sim.now - (base + spec.inject_at)
             break
     recovery_messages = network.transport.messages_sent - before_recovery_msgs
 
     # Act 5: the recovered overlay, probed fresh.
-    post = _probe_sweep_async(
-        "post", network, spec, draw_points("probes.post"), entry_box, policy, retry_rng
-    )
+    post = sweep("post", draw_points("probes.post"))
 
     return FaultScenarioResult(
         spec=spec,
@@ -711,5 +586,5 @@ def _run_fault_scenario_async(spec: FaultScenarioSpec) -> FaultScenarioResult:
         counters=network.transport.metrics.counters(),
         wall_seconds=time.perf_counter() - start_wall,
         recovery_sim_time=recovery_sim_time,
-        hop_latency=_hop_quantiles(network.transport.rtt_log),
+        hop_latency=_hop_quantiles(network.transport.rtt_log) if asynchronous else {},
     )

@@ -46,7 +46,6 @@ from ..apps.committee import (
 )
 from ..dht.chord.network import ChordNetwork
 from ..dht.kademlia.network import KademliaNetwork
-from ..faults.retry import RetryPolicy
 from ..service.core import SamplingService
 from ..service.loadgen import LoadGenerator
 from ..service.shapes import ZipfKeys, make_shape
@@ -254,16 +253,6 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
             net.transport.install_adversary(state)
             adversaries.append(state)
 
-    # The shard retry discipline as a first-class policy.  With the
-    # default flat shape (factor 1, no jitter) this is bit-identical to
-    # the legacy max_retries/retry_backoff knobs; specs can escalate or
-    # jitter the cooldowns without touching the worker state machine.
-    retry_policy = RetryPolicy(
-        attempts=spec.max_retries + 1,
-        base_delay=spec.retry_backoff,
-        factor=spec.retry_factor,
-        jitter=spec.retry_jitter,
-    )
     service = SamplingService(
         substrates,
         sim=sim,
@@ -274,7 +263,7 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
         max_queue=spec.max_queue,
         max_retries=spec.max_retries,
         retry_backoff=spec.retry_backoff,
-        retry_policy=retry_policy,
+        retry_policy=spec.retry_policy(),
         tracer=tracer,
     )
 

@@ -25,6 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.adversary.state import LIE_STRATEGIES
+from repro.faults.retry import RetryPolicy
 from repro.service.shapes import LOAD_SHAPES
 
 __all__ = ["BACKENDS", "ScenarioSpec", "PRESETS", "TRANSPORTS", "preset", "sweep"]
@@ -122,10 +123,6 @@ class ScenarioSpec:
             raise ValueError("crash_fraction must be in [0, 1]")
         if self.stabilize_interval < 0:
             raise ValueError("stabilize_interval must be non-negative")
-        if self.retry_factor < 1.0:
-            raise ValueError("retry_factor must be >= 1")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ValueError("retry_jitter must be in [0, 1)")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.load_shape not in LOAD_SHAPES:
@@ -149,6 +146,7 @@ class ScenarioSpec:
             raise ValueError("committee_size must be positive")
         if self.max_sim_time <= 0:
             raise ValueError("max_sim_time must be positive")
+        self.retry_policy()  # RetryPolicy checks the retry fields
 
     @property
     def churning(self) -> bool:
@@ -161,6 +159,17 @@ class ScenarioSpec:
     def with_(self, **overrides) -> "ScenarioSpec":
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **overrides)
+
+    def retry_policy(self) -> RetryPolicy:
+        """The shard workers' retry discipline.  With the default flat
+        shape (factor 1, no jitter) it is the legacy ``max_retries`` /
+        ``retry_backoff`` pair."""
+        return RetryPolicy(
+            attempts=self.max_retries + 1,
+            base_delay=self.retry_backoff,
+            factor=self.retry_factor,
+            jitter=self.retry_jitter,
+        )
 
     def to_record(self) -> dict:
         """The spec as a JSON-ready dict (keys in declaration order)."""

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.sim.network import RpcTimeout, RpcTransport
+from repro.faults.retry import RetryPolicy
 
 
 class TestPolicyValidation:
@@ -89,46 +88,6 @@ class TestDiscipline:
             RetryPolicy(attempts=2, base_delay=1.0, jitter=0.5).delay(1, None)
 
 
-class Flaky:
-    """RPC target that fails by staying unregistered until re-registered."""
-
-    def ping(self):
-        return "pong"
-
-
-class TestCallWithRetry:
-    def test_success_needs_no_retry(self):
-        transport = RpcTransport()
-        transport.register(1, Flaky())
-        policy = RetryPolicy(attempts=3, base_delay=1.0)
-        assert call_with_retry(transport, policy, 1, "ping") == "pong"
-        assert transport.metrics.counter("rpc.retries").value == 0
-
-    def test_all_attempts_charged_then_raises(self):
-        transport = RpcTransport(timeout=8.0)
-        policy = RetryPolicy(attempts=3, base_delay=0.5, factor=2.0)
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, policy, 99, "ping")
-        # Three failed attempts: each charges a lost message + timeout;
-        # two backoffs (0.5 + 1.0) are charged between them.
-        assert transport.metrics.counter("rpc.timeouts").value == 3
-        assert transport.metrics.counter("rpc.retries").value == 2
-        assert transport.messages_sent == 3
-        assert transport.elapsed == pytest.approx(3 * 8.0 + 0.5 + 1.0)
-
-    def test_charges_are_replayable(self):
-        def run():
-            transport = RpcTransport()
-            policy = RetryPolicy(attempts=4, base_delay=0.5, jitter=0.3)
-            with pytest.raises(RpcTimeout):
-                call_with_retry(
-                    transport, policy, 7, "ping", rng=random.Random(42)
-                )
-            return transport.elapsed, transport.messages_sent
-
-        assert run() == run()
-
-
 class TestDeadlineBudget:
     def test_deadline_validation(self):
         with pytest.raises(ValueError):
@@ -148,93 +107,76 @@ class TestDeadlineBudget:
         policy = RetryPolicy(attempts=2, deadline=12.5)
         assert RetryPolicy(**policy.to_record()) == policy
 
-    def test_sync_retry_stops_when_budget_spent(self):
-        # timeout=8, flat 1.0 backoff, deadline=18: the first failure
-        # spends 8 and retries (8+1 < 18); the second has spent 17 and
-        # the next backoff would reach the budget (17+1 >= 18), so the
-        # remaining three attempts are abandoned.
-        transport = RpcTransport(timeout=8.0)
-        policy = RetryPolicy(
-            attempts=5, base_delay=1.0, factor=1.0, deadline=18.0
-        )
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, policy, 99, "ping")
-        assert transport.metrics.counter("rpc.timeouts").value == 2
-        assert transport.metrics.counter("rpc.retries").value == 1
-        assert transport.messages_sent == 2
-        assert transport.elapsed == pytest.approx(2 * 8.0 + 1.0)
 
-    def test_sync_deadline_never_fires_when_budget_is_ample(self):
-        transport = RpcTransport(timeout=8.0)
+def failing_call(policy: RetryPolicy, timeout: float, rng=None):
+    """Drive ``backoff`` for a call whose every attempt fails after
+    ``timeout``: returns (failures, waits taken, time spent)."""
+    failure, spent, waits = 0, 0.0, []
+    while True:
+        failure += 1
+        spent += timeout
+        wait = policy.backoff(failure, spent, rng)
+        if wait is None:
+            return failure, waits, spent
+        waits.append(wait)
+        spent += wait
+
+
+class TestBackoff:
+    """``backoff`` is the one retry decision of the DHT adapters and the
+    fault lab's async probe: the wait before the next attempt, or None."""
+
+    def test_attempt_budget(self):
+        policy = RetryPolicy(attempts=3, base_delay=0.5, factor=2.0)
+        assert policy.backoff(1, 0.0) == 0.5
+        assert policy.backoff(2, 0.0) == 1.0
+        assert policy.backoff(3, 0.0) is None
+        assert failing_call(policy, 8.0) == (3, [0.5, 1.0], 3 * 8.0 + 0.5 + 1.0)
+
+    def test_single_attempt_never_retries(self):
+        assert RetryPolicy.none().backoff(1, 0.0) is None
+
+    def test_deadline_stops_when_the_next_wait_would_reach_it(self):
+        # timeout 8, flat wait 1, deadline 18: the first failure has spent
+        # 8 and waits (8 + 1 < 18); the second has spent 17 and the next
+        # wait would reach the budget (17 + 1 >= 18), so the remaining
+        # three attempts are abandoned.
+        policy = RetryPolicy(attempts=5, base_delay=1.0, factor=1.0, deadline=18.0)
+        assert failing_call(policy, 8.0) == (2, [1.0], 17.0)
+
+    def test_deadline_stops_once_spent_reaches_it(self):
+        # timeout 4, flat wait 2, deadline 9: the first failure waits
+        # (4 + 2 < 9); the second has spent 10 >= 9.
+        policy = RetryPolicy(attempts=5, base_delay=2.0, factor=1.0, deadline=9.0)
+        assert failing_call(policy, 4.0) == (2, [2.0], 10.0)
+        assert policy.backoff(1, 9.0) is None
+
+    def test_ample_deadline_leaves_the_attempt_budget(self):
         generous = RetryPolicy(attempts=3, base_delay=0.5, deadline=1e6)
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, generous, 99, "ping")
-        assert transport.metrics.counter("rpc.timeouts").value == 3  # full budget
+        assert failing_call(generous, 8.0) == (3, [0.5, 1.0], 3 * 8.0 + 0.5 + 1.0)
 
+    def test_jitter_free_policy_consumes_no_rng(self):
+        rng = random.Random(1)
+        before = rng.getstate()
+        policy = RetryPolicy(attempts=4, base_delay=1.0, deadline=30.0)
+        failing_call(policy, 8.0, rng)
+        assert rng.getstate() == before
 
-class TestCallWithRetryAsync:
-    def _fixture(self, timeout=4.0):
-        from repro.sim.async_net import AsyncRpcTransport
-        from repro.sim.kernel import Simulator
-        from repro.sim.network import ConstantLatency
+    def test_jittered_policy_draws_once_per_wait_as_delay_does(self):
+        policy = RetryPolicy(attempts=4, base_delay=1.0, factor=1.0, jitter=0.3)
+        failures, waits, _ = failing_call(policy, 8.0, random.Random(5))
+        twin = random.Random(5)
+        assert waits == [policy.delay(f, twin) for f in range(1, failures)]
+        assert len(waits) == 3
 
-        sim = Simulator()
-        transport = AsyncRpcTransport(
-            sim, latency=ConstantLatency(1.0), rng=random.Random(0), timeout=timeout
-        )
-        transport.register(1, Flaky())
-        return sim, transport
-
-    def test_backoff_elapses_as_simulator_events(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        failures = []
-        policy = RetryPolicy(attempts=3, base_delay=2.0, factor=1.0)
-        call_with_retry_async(
-            transport.endpoint(1), policy, 99, "ping", on_timeout=failures.append
-        )
-        sim.run()
-        # attempts at 0, 6, 12; each times out 4 later; the final one
-        # surfaces at 16 -- the backoffs really sat on the clock.
-        assert len(failures) == 1
-        assert sim.now == 16.0
-        assert transport.metrics.counter("rpc.timeouts").value == 3
-        assert transport.metrics.counter("rpc.retries").value == 2
-        assert transport.messages_sent == 3
-        assert transport.elapsed == pytest.approx(3 * 4.0 + 2 * 2.0)
-
-    def test_deadline_cuts_the_attempt_budget(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        failures = []
-        policy = RetryPolicy(
-            attempts=5, base_delay=2.0, factor=1.0, deadline=9.0
-        )
-        call_with_retry_async(
-            transport.endpoint(1), policy, 99, "ping", on_timeout=failures.append
-        )
-        sim.run()
-        # first failure: spent 4, backoff to 6; second failure at 10 has
-        # spent 10 >= 9, so three budgeted attempts are surrendered.
-        assert len(failures) == 1
-        assert sim.now == 10.0
-        assert transport.metrics.counter("rpc.timeouts").value == 2
-        assert transport.metrics.counter("rpc.retries").value == 1
-
-    def test_target_coming_back_during_backoff_succeeds(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        replies = []
-        policy = RetryPolicy(attempts=3, base_delay=2.0, factor=1.0)
-        call_with_retry_async(
-            transport.endpoint(1), policy, 5, "ping", on_reply=replies.append
-        )
-        # node 5 boots at t=5, mid-backoff; the t=6 retry reaches it.
-        sim.schedule(5.0, lambda: transport.register(5, Flaky()))
-        sim.run()
-        assert replies == ["pong"]
-        assert sim.now == 8.0  # retry at 6 + two one-second legs
-        assert transport.metrics.counter("rpc.retries").value == 1
+    def test_jitter_is_drawn_after_the_budget_checks(self):
+        # Out of attempts, or out of time already: no draw.  Only the
+        # comparison of spent plus the wait comes after the draw.
+        policy = RetryPolicy(attempts=2, base_delay=1.0, jitter=0.3, deadline=10.0)
+        rng = random.Random(1)
+        before = rng.getstate()
+        assert policy.backoff(2, 0.0, rng) is None
+        assert policy.backoff(1, 10.0, rng) is None
+        assert rng.getstate() == before
+        assert policy.backoff(1, 9.5, rng) is None  # 9.5 + ~1 >= 10
+        assert rng.getstate() != before

@@ -54,6 +54,11 @@ class TestSpecValidation:
             {"probes": 0},
             {"recovery_round_budget": 0},
             {"partition_duration": 0.0},
+            {"retry_attempts": 0},
+            {"retry_deadline": 0.0},
+            {"retry_jitter": 1.0},
+            {"retry_factor": 0.5},
+            {"retry_base_delay": -1.0},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -191,3 +196,73 @@ class TestAsyncTransport:
         assert parsed["spec"]["transport"] == "async"
         assert parsed["recovery_sim_time"] > 0.0
         assert parsed["hop_latency"]["count"] > 0
+
+
+#: What the lab reads on 8 small specs (n=64, m=10, 16 probes, a budget
+#: of 40 rounds, seed 0): per phase (baseline, outage, post) the
+#: ``(correct, wrong, failed, messages)``, then ``recovery_rounds``,
+#: ``recovery_messages``, ``rpc.retries``, ``rpc.timeouts`` and, on the
+#: async transport, ``recovery_sim_time`` and the hop-latency count.  A
+#: rerun check passes a drift that happens in both runs; these do not.
+PINNED_LAB = {
+    ("sync", "chord", "mass-kill"): (
+        ((16, 0, 0, 128), (5, 11, 0, 624), (16, 0, 0, 145)), 4, 2166, 0, 257, None,
+    ),
+    ("sync", "chord", "partition"): (
+        ((16, 0, 0, 128), (5, 11, 0, 692), (16, 0, 0, 132)), 4, 4762, 0, 419, None,
+    ),
+    ("sync", "kademlia", "mass-kill"): (
+        ((16, 0, 0, 126), (16, 0, 0, 429), (16, 0, 0, 120)), 4, 9458, 2, 886, None,
+    ),
+    ("sync", "kademlia", "partition"): (
+        ((16, 0, 0, 126), (12, 4, 0, 331), (16, 0, 0, 110)), 4, 16390, 2, 1742, None,
+    ),
+    ("async", "chord", "mass-kill"): (
+        ((16, 0, 0, 128), (5, 11, 0, 624), (16, 0, 0, 145)), 4, 2166, 0, 428,
+        (2125.069820309068, 414),
+    ),
+    ("async", "chord", "partition"): (
+        ((16, 0, 0, 128), (16, 0, 0, 140), (16, 0, 0, 132)), 4, 3500, 0, 4,
+        (268.88144603025376, 255),
+    ),
+    ("async", "kademlia", "mass-kill"): (
+        ((16, 0, 0, 126), (16, 0, 0, 409), (16, 0, 0, 120)), 4, 9446, 2, 838,
+        (776.8965369645152, 268),
+    ),
+    ("async", "kademlia", "partition"): (
+        ((16, 0, 0, 126), (16, 0, 0, 163), (16, 0, 0, 114)), 4, 16378, 1, 15,
+        (159.2377649712197, 253),
+    ),
+}
+
+
+@pytest.mark.parametrize("transport,backend,fault", sorted(PINNED_LAB))
+def test_lab_reads_its_pinned_values(transport, backend, fault):
+    result = run_fault_scenario(
+        FaultScenarioSpec(
+            name="pin",
+            n=64,
+            m=10,
+            probes=16,
+            recovery_round_budget=40,
+            backend=backend,
+            fault=fault,
+            transport=transport,
+        )
+    )
+    phases = tuple(
+        (p.correct, p.wrong, p.failed, p.messages)
+        for p in (result.baseline, result.outage, result.post)
+    )
+    counters = result.counters
+    extras = None
+    if transport == "async":
+        extras = (result.recovery_sim_time, result.hop_latency["count"])
+    assert (
+        phases,
+        result.recovery_rounds,
+        result.recovery_messages,
+        counters.get("rpc.retries", 0),
+        counters.get("rpc.timeouts", 0),
+        extras,
+    ) == PINNED_LAB[transport, backend, fault]

@@ -32,6 +32,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", rate=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_retries": -1},
+            {"retry_backoff": -1.0},
+            {"retry_factor": 0.5},
+            {"retry_jitter": 1.0},
+            {"retry_jitter": -0.1},
+        ],
+    )
+    def test_rejects_bad_retry_fields(self, overrides):
+        # The spec builds its shard retry policy when it is made, so a
+        # bad field fails here rather than when the scenario runs.
+        with pytest.raises(ValueError):
+            ScenarioSpec(name="x", **overrides)
+
+    def test_retry_policy_reflects_spec(self):
+        policy = ScenarioSpec(
+            name="x", max_retries=2, retry_backoff=1.5, retry_factor=2.0, retry_jitter=0.1
+        ).retry_policy()
+        assert (policy.attempts, policy.base_delay, policy.factor, policy.jitter) == (
+            3, 1.5, 2.0, 0.1,
+        )
+
     def test_with_revalidates(self):
         spec = ScenarioSpec(name="x")
         with pytest.raises(ValueError):
