@@ -29,7 +29,10 @@ runs the identical algorithm over a whole vector of trials at once:
   :meth:`~repro.dht.api.CostMeter.charge_bulk` for exactly the trials a
   sequential scalar loop would have run, read from the block's running
   totals (two reads per column), and its peers are a slice of the
-  block's list of certified successes.  The block's uncommitted points
+  block's list of certified successes.  A one-draw call, which is what
+  a served request runs, commits the rows up to the next certified win:
+  it runs no bisect, slices out the one peer and takes its cost as one
+  delta of the meter's fields.  The block's uncommitted points
   stay queued for the next call, so the engine reads the RNG's point
   stream exactly as that loop does; a block's fresh points are drawn in
   bulk (:func:`_fresh_points`), with the loop's values and end state.
@@ -55,8 +58,7 @@ import math
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as _np
 
@@ -126,8 +128,7 @@ _BASE_RANDOM = random.Random.random
 _BASE_GETRANDBITS = random.Random.getrandbits
 
 
-@dataclass(frozen=True, slots=True)
-class BatchSampleResult:
+class BatchSampleResult(NamedTuple):
     """One metered :meth:`BatchSampler.sample_many` execution.
 
     ``peers`` are the ``k`` successful draws *in draw order*, so a caller
@@ -143,6 +144,10 @@ class BatchSampleResult:
     run on its own.  It counts no classification: a call served from a
     block classified by an earlier call commits one chunk and classifies
     nothing.
+
+    The serving layer's batch path uses this record as its
+    :class:`~repro.service.dispatch.Execution` without copying it: one
+    call is one dispatch, so ``dispatches`` is 1.
     """
 
     peers: tuple[PeerRef, ...]
@@ -151,16 +156,18 @@ class BatchSampleResult:
     cost: CostSnapshot
     walk_hits: int = 0
 
+    dispatches = 1
+
 
 class _Block:
     """Queued trial points, classified against one ring state.
 
-    Rows are trials in draw order; ``points`` is a float array.  ``key``
-    names the ring state (its first element by identity, the rest by
-    value; see :meth:`BatchSampler._ring_key`) and ``params`` the
-    parameters the rows were classified with.  ``peers`` maps an array of
-    ring positions to their :class:`~repro.dht.api.PeerRef` handles, in
-    order.  ``cursor`` is the first row no call has committed.  ``wins``
+    Rows are trials in draw order; ``points`` is a float array of
+    ``rows`` points.  ``key`` names the ring state (its first element by
+    identity, the rest by value; see :meth:`BatchSampler._ring_key`) and
+    ``params`` the parameters the rows were classified with.  ``peers``
+    maps an array of ring positions to their
+    :class:`~repro.dht.api.PeerRef` handles, in order.  ``cursor`` is the first row no call has committed.  ``wins``
     lists the rows of the certified successes, ``win_peers`` their peers
     and ``cum_walks`` a running count of the walk hits among them;
     ``bad`` lists the uncertified rows (a failed lookup, or a walk that
@@ -170,10 +177,12 @@ class _Block:
     lookups and ``starts`` their first ring positions.
 
     What a commit reads is kept as running totals, one entry per row
-    boundary, so a chunk's charges are two reads per column (``.item``:
-    no column is converted to a list): ``cum_hops`` of the walk lengths
-    and, on the Chord path, ``cum_lookups`` of the lookups' messages,
-    RPCs, timeouts and latency.  Integer totals are exact; the latency
+    boundary, so a chunk's charges are two reads per column (each column
+    is read through a ``memoryview``, which indexes to a Python number in
+    about half the time of ``.item``; none is converted to a list):
+    ``cum_hops`` of the walk lengths and, on the Chord path,
+    ``cum_lookups`` of the lookups' messages, RPCs, timeouts and
+    latency.  Integer totals are exact; the latency
     total is kept only while every latency is a whole number (integer
     delays, the default), when every partial sum is exact in a double,
     and is None otherwise (a chunk then sums its rows' latencies).
@@ -182,7 +191,7 @@ class _Block:
     __slots__ = (
         "key", "params", "points", "codes", "out", "hops", "peers", "found",
         "starts", "wins", "win_peers", "cum_walks", "cum_hops", "cum_lookups",
-        "bad", "successes", "classified", "cursor", "w", "b",
+        "bad", "successes", "classified", "rows", "cursor", "w", "b",
     )
 
     def __init__(self, key, params, points, codes, out, hops, peers,
@@ -196,6 +205,7 @@ class _Block:
         self.peers = peers
         self.found = found
         self.starts = starts
+        self.rows = len(points)
         self.cursor = self.w = self.b = 0
         won = codes < _EXHAUSTED
         self.successes = int(_np.count_nonzero(won))
@@ -225,12 +235,10 @@ class _Block:
         """``(messages, latency, rpc_calls, rpc_timeouts)`` of rows ``[lo, hi)``."""
         messages, calls, timeouts, latency = self.cum_lookups
         return (
-            messages.item(hi) - messages.item(lo),
-            latency.item(hi) - latency.item(lo)
-            if latency is not None
-            else self.found[lo:hi].totals()[1],
-            calls.item(hi) - calls.item(lo),
-            timeouts.item(hi) - timeouts.item(lo),
+            messages[hi] - messages[lo],
+            latency[hi] - latency[lo] if latency is not None else self.found[lo:hi].totals()[1],
+            calls[hi] - calls[lo],
+            timeouts[hi] - timeouts[lo],
         )
 
     def results(self, lo: int, hi: int) -> list[TrialResult]:
@@ -251,16 +259,19 @@ class _Block:
 
 
 def _running(column):
-    """Running totals of a column, from 0: entry ``j`` is the sum of the
-    first ``j`` values, added in order."""
+    """Running totals of a column, from 0, as a ``memoryview``: entry
+    ``j`` is the sum of the first ``j`` values, added in order."""
     totals = _np.zeros(len(column) + 1, dtype=_np.result_type(column.dtype, _np.int64))
     _np.cumsum(column, out=totals[1:])
-    return totals
+    return memoryview(totals)
 
 
 def _same_ring(a, b) -> bool:
     """Whether two ring keys name one state: the ring object by identity,
-    the plain values after it by equality."""
+    the plain values after it by equality.  A key object is its own
+    state (an adapter hands back the same key while nothing changed)."""
+    if a is b:
+        return a is not None
     return a is not None and b is not None and a[0] is b[0] and a[1:] == b[1:]
 
 
@@ -554,14 +565,14 @@ class BatchSampler:
         size = _round_size(need, p)
         if (
             old is not None
-            and old.cursor == len(old.points)
+            and old.cursor == old.rows
             and old.params is self.params
             and _same_ring(old.key, key)
         ):
-            size = max(size, min(2 * len(old.points), _WALK_SLAB))
+            size = max(size, min(2 * old.rows, _WALK_SLAB))
         points = self._draw(min(size, _MAX_ROUND))
         block = self._classify_block(points, key)
-        covered = len(block.points) if block is not None else 0
+        covered = block.rows if block is not None else 0
         self._requeue(points[covered:])
         if not covered:
             return None
@@ -599,12 +610,13 @@ class BatchSampler:
         """
         lo = block.cursor
         bad = block.bad
-        hi = bad[block.b] if block.b < len(bad) else len(block.points)
+        hi = bad[block.b] if block.b < len(bad) else block.rows
         if hi == lo:
             block.cursor += 1
             block.b += 1
             return self._commit_one(block.points.item(lo), results)
-        hi = min(hi, lo + limit)
+        if lo + limit < hi:
+            hi = lo + limit
         wins = block.wins
         w = block.w
         last = w + need - 1
@@ -614,7 +626,7 @@ class BatchSampler:
         else:
             stop = bisect_left(wins, hi, w)
         cum_hops = block.cum_hops
-        steps = cum_hops.item(hi) - cum_hops.item(lo)
+        steps = cum_hops[hi] - cum_hops[lo]
         if block.found is None:
             self._charge(hi - lo, steps)
         else:
@@ -627,7 +639,7 @@ class BatchSampler:
         block.cursor = hi
         block.w = stop
         cum_walks = block.cum_walks
-        return hi - lo, block.win_peers[w:stop], cum_walks.item(stop) - cum_walks.item(w)
+        return hi - lo, block.win_peers[w:stop], cum_walks[stop] - cum_walks[w]
 
     def _commit_one(self, s: float, results):
         """One trial on its own (:meth:`_live_trial`), as a chunk."""
@@ -719,7 +731,7 @@ class BatchSampler:
                 self._commit_one(points.item(i), results)
                 i += 1
                 continue
-            rows = len(block.points)
+            rows = block.rows
             while True:
                 self._commit(block, rows, rows, results)
                 if block.cursor == rows or not self._is_current(block):
@@ -762,13 +774,13 @@ class BatchSampler:
         if k < 0:
             raise ValueError("k must be non-negative")
         cost = self._dht.cost
-        before = (cost.h_calls, cost.next_calls, cost.messages, cost.latency)
+        h0, n0, m0, l0 = cost.h_calls, cost.next_calls, cost.messages, cost.latency
         out: list[PeerRef] = []
         budget = self._max_trials * k
         used = 0
         chunks = 0
         walk_hits = 0
-        p_est = min(max(self.params.n_hat * self.params.lam, 1e-4), 1.0)
+        p_est = None  # success-rate estimate, read when a block is classified
         # Chunk spans are recorded only while a sampled batch is being
         # dispatched; the check is hoisted because the whole call runs
         # inside one dispatch (one batch context), so activity cannot
@@ -783,7 +795,9 @@ class BatchSampler:
                 )
             need = k - len(out)
             block = self._block
-            if block is None or block.cursor == len(block.points) or not self._is_current(block):
+            if block is None or block.cursor == block.rows or not self._is_current(block):
+                if p_est is None:
+                    p_est = min(max(self.params.n_hat * self.params.lam, 1e-4), 1.0)
                 block = self._refill(need, p_est)
                 if block is not None and block.classified:
                     p_est = min(max((block.successes + 1) / (block.classified + 2), 1e-4), 1.0)
@@ -797,23 +811,20 @@ class BatchSampler:
             if tracing:
                 tracer.on_round(chunks, taken, len(peers), cost.snapshot() - chunk_before)
             chunks += 1
-            out.extend(peers)
+            out += peers
         block = self._block
-        if block is not None and len(block.points) - block.cursor > _WALK_SLAB:
+        if block is not None and block.rows - block.cursor > _WALK_SLAB:
             # What a call leaves classified is at most one slab's block;
             # a large call's rest stays queued as bare points.
             self._release()
         return BatchSampleResult(
-            peers=tuple(out),
-            trials=used,
-            rounds=chunks,
-            cost=CostSnapshot(
-                cost.h_calls - before[0],
-                cost.next_calls - before[1],
-                cost.messages - before[2],
-                cost.latency - before[3],
+            tuple(out),
+            used,
+            chunks,
+            CostSnapshot(
+                cost.h_calls - h0, cost.next_calls - n0, cost.messages - m0, cost.latency - l0
             ),
-            walk_hits=walk_hits,
+            walk_hits,
         )
 
     def sample_distinct(self, k: int, max_draws: int | None = None) -> list[PeerRef]:

@@ -108,7 +108,7 @@ rather than protocol check:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "PeerRef",
@@ -153,9 +153,12 @@ class PeerRef:
     point: float
 
 
-@dataclass(frozen=True, slots=True)
-class CostSnapshot:
-    """Immutable view of a :class:`CostMeter`, usable for before/after diffs."""
+class CostSnapshot(NamedTuple):
+    """Immutable view of a :class:`CostMeter`, usable for before/after diffs.
+
+    A named tuple: every served call builds one, and a tuple is built in
+    one step where a frozen dataclass sets each field in turn.
+    """
 
     h_calls: int = 0
     next_calls: int = 0
@@ -164,18 +167,18 @@ class CostSnapshot:
 
     def __sub__(self, other: "CostSnapshot") -> "CostSnapshot":
         return CostSnapshot(
-            h_calls=self.h_calls - other.h_calls,
-            next_calls=self.next_calls - other.next_calls,
-            messages=self.messages - other.messages,
-            latency=self.latency - other.latency,
+            self.h_calls - other.h_calls,
+            self.next_calls - other.next_calls,
+            self.messages - other.messages,
+            self.latency - other.latency,
         )
 
     def __add__(self, other: "CostSnapshot") -> "CostSnapshot":
         return CostSnapshot(
-            h_calls=self.h_calls + other.h_calls,
-            next_calls=self.next_calls + other.next_calls,
-            messages=self.messages + other.messages,
-            latency=self.latency + other.latency,
+            self.h_calls + other.h_calls,
+            self.next_calls + other.next_calls,
+            self.messages + other.messages,
+            self.latency + other.latency,
         )
 
 

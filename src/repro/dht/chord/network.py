@@ -612,6 +612,9 @@ class ChordDHT(EntryVantageMixin):
         #: jittered policies need ``retry_rng``.
         self._retry_policy = retry_policy if retry_policy is not None else LOOKUP_RETRY
         self._retry_rng = retry_rng
+        #: The last :meth:`replay_key` and the lookup inputs it holds.
+        self._key: tuple | None = None
+        self._key_inputs: tuple | None = None
 
     @property
     def transport(self):
@@ -668,11 +671,17 @@ class ChordDHT(EntryVantageMixin):
         view instead of one ``get_successor`` RPC per hop, and charges
         the replayed hops through ``commit_lookups``.  None -- keep the
         per-call ``next`` walk -- unless lockstep replay is eligible
-        (``lockstep_eligible``).
+        (``lockstep_eligible``).  The store's view is read where it is
+        cached, and rebuilt (:meth:`RingSnapshot.walk_view`) only after
+        a write moved ``patches``.
         """
         if not self.lockstep_eligible():
             return None
-        return self._network.snapshot().walk_view()
+        store = self._network._store
+        view = store._walk
+        if view is None or view.key != store.patches:
+            view = store.walk_view()
+        return view
 
     def replay_key(self) -> tuple | None:
         """What ``resolve_many(..., commit=False)`` and :meth:`walk_view` read.
@@ -683,9 +692,19 @@ class ChordDHT(EntryVantageMixin):
         uncharged resolve would return the same rows.  None when
         :meth:`walk_view` is None.  The entry is read as it stands, so a
         caller reads the key after resolving (a resolve fails a dead
-        entry over).
+        entry over).  Recomputed on every call; while the view is the
+        same object and the inputs are equal, the previous key object
+        is returned, so a caller holding it recognises it by identity.
         """
-        return replay_key(self.walk_view(), self._lookup_inputs(self._entry_id))
+        view = self.walk_view()
+        if view is None:
+            return None
+        inputs = self._lookup_inputs(self._entry_id)
+        key = self._key
+        if key is None or key[0] is not view or inputs != self._key_inputs:
+            key = self._key = replay_key(view, inputs)
+            self._key_inputs = inputs
+        return key
 
     def h_many(self, xs) -> list[PeerRef]:
         """``h`` over a whole vector of points via lockstep batch routing.

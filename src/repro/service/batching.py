@@ -174,12 +174,17 @@ class ShardWorker:
         batch that fails outright leaves the shard idle, so the loop
         sends the next queued batch at once.
         """
-        while self._queue and not self.busy and not self._cooling:
+        while self._queue and not self._in_flight and not self._cooling:
             self._flush()
 
     def _flush(self) -> None:
         """Dispatch up to ``max_batch`` queued requests as one batch."""
-        batch = [self._queue.popleft() for _ in range(min(self.max_batch, len(self._queue)))]
+        queue = self._queue
+        if len(queue) <= self.max_batch:
+            batch = list(queue)
+            queue.clear()
+        else:
+            batch = [queue.popleft() for _ in range(self.max_batch)]
         self._in_flight = len(batch)
         dispatched_at = self._sim.now
         tracer = self._tracer
@@ -210,16 +215,12 @@ class ShardWorker:
 
     def _complete(self, batch, peers, dispatched_at: float, ctx=None) -> None:
         now = self._sim.now
+        ok, shard_id, size = RequestStatus.OK, self.shard_id, len(batch)
+        service = now - dispatched_at
         responses = [
             SampleResponse(
-                request_id=req.request_id,
-                status=RequestStatus.OK,
-                shard_id=self.shard_id,
-                peer=peer,
-                queue_latency=dispatched_at - req.arrival_time,
-                service_latency=now - dispatched_at,
-                completion_time=now,
-                batch_size=len(batch),
+                req.request_id, ok, shard_id, peer, dispatched_at - req.arrival_time,
+                service, now, size,
             )
             for req, peer in zip(batch, peers)
         ]

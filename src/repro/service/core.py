@@ -146,23 +146,21 @@ class SamplingService:
         admission joins the shard's micro-batch queue and completes
         later.  Returns the request record either way.
         """
-        request = SampleRequest(
-            request_id=self._next_id,
-            arrival_time=self.sim.now,
-            key=key if key is not None else -1,
-        )
+        now = self.sim.now
+        request = SampleRequest(self._next_id, now, key if key is not None else -1)
         self._next_id += 1
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin_request(request.request_id, self.sim.now)
+        traced = tracer.enabled
+        if traced:
+            tracer.begin_request(request.request_id, now)
         shard = self.router.route(request)
         admitted = self.admission.admit(shard)
-        if tracer.enabled:
+        if traced:
             tracer.record_admission(
                 request.request_id,
                 shard.shard_id,
                 admitted,
-                self.sim.now,
+                now,
                 **self.admission.explain(shard),
             )
         if not admitted:
@@ -170,14 +168,8 @@ class SamplingService:
             if self._keep_responses:
                 self.responses.append(
                     SampleResponse(
-                        request_id=request.request_id,
-                        status=RequestStatus.REJECTED,
-                        shard_id=shard.shard_id,
-                        peer=None,
-                        queue_latency=0.0,
-                        service_latency=0.0,
-                        completion_time=self.sim.now,
-                        batch_size=0,
+                        request.request_id, RequestStatus.REJECTED, shard.shard_id, None,
+                        0.0, 0.0, now, 0,
                     )
                 )
             return request

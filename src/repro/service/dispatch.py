@@ -32,8 +32,9 @@ the next attempt runs with fresh parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..core.engine import BatchSampler
+from ..core.engine import BatchSampler, BatchSampleResult
 from ..core.errors import SamplingError
 from ..core.sampler import RandomPeerSampler
 from ..dht.api import CostSnapshot, PeerRef, PeerUnreachableError
@@ -55,14 +56,16 @@ class DispatchError(RuntimeError):
     """A dispatch attempt failed for churn-related, retryable reasons."""
 
 
-@dataclass(frozen=True, slots=True)
-class Execution:
+class Execution(NamedTuple):
     """Result of serving one dispatched batch of ``k`` requests.
 
     ``dispatches`` is how many dispatch overheads the execution incurred:
     1 for a coalesced micro-batch, ``k`` for per-request scalar serving.
     :class:`ServiceTimeModel` charges overhead per dispatch, so timing
-    stays honest for any strategy/batch-size composition.
+    stays honest for any strategy/batch-size composition.  The batch path
+    returns the engine's
+    :class:`~repro.core.engine.BatchSampleResult` itself, which carries
+    the same fields (its ``dispatches`` is always 1).
     """
 
     peers: tuple[PeerRef, ...]
@@ -82,13 +85,13 @@ class _SamplerDispatch:
     def __init__(self, sampler):
         self.sampler = sampler
 
-    def execute(self, k: int) -> Execution:
+    def execute(self, k: int) -> Execution | BatchSampleResult:
         try:
             return self._run(k)
         except _RETRYABLE as exc:
             raise DispatchError(f"{self.name} dispatch of {k} died: {exc}") from exc
 
-    def _run(self, k: int) -> Execution:
+    def _run(self, k: int) -> Execution | BatchSampleResult:
         raise NotImplementedError
 
     def refresh(self) -> bool:
@@ -118,11 +121,8 @@ class BatchDispatch(_SamplerDispatch):
     name = "batch"
     sampler: BatchSampler
 
-    def _run(self, k: int) -> Execution:
-        result = self.sampler.sample_many_attributed(k)
-        return Execution(
-            peers=result.peers, cost=result.cost, trials=result.trials, dispatches=1
-        )
+    def _run(self, k: int) -> BatchSampleResult:
+        return self.sampler.sample_many_attributed(k)
 
 
 class ScalarDispatch(_SamplerDispatch):

@@ -30,7 +30,6 @@ class ServiceMetrics:
         self, num_shards: int, reservoir_size: int | None = DEFAULT_RESERVOIR
     ) -> None:
         self.registry = registry = MetricsRegistry()
-        self._num_shards = num_shards
         self._reservoir = reservoir_size
         # Created eagerly so summaries list every series even when empty,
         # and held so the recording hooks look no name up.
@@ -89,48 +88,55 @@ class ServiceMetrics:
             wait.observe(r.queue_latency)
 
     def record_batch(self, responses: list[SampleResponse]) -> None:
-        """Record one completed dispatch (all responses share a shard)."""
+        """Record one completed dispatch (all responses share a shard).
+
+        Each OK response is three histogram appends; the counters move
+        once per batch.
+        """
         if not responses:
             return
         shard = self._shards[responses[0].shard_id]
         shard["batches"].increment()
         self._batch_size.observe(float(len(responses)))
-        q, s, t = self._queue, self._service, self._total
-        completed = self._completed
-        by_shard = shard["completed"]
+        q, s, t = self._queue.observe, self._service.observe, self._total.observe
+        ok = RequestStatus.OK
+        done = 0
         for r in responses:
-            if r.status is not RequestStatus.OK:
+            if r.status is not ok:
                 continue
-            completed.increment()
-            by_shard.increment()
-            q.observe(r.queue_latency)
-            s.observe(r.service_latency)
-            t.observe(r.total_latency)
+            done += 1
+            wait, service = r.queue_latency, r.service_latency
+            q(wait)
+            s(service)
+            t(wait + service)  # SampleResponse.total_latency
+        if done:
+            self._completed.increment(done)
+            shard["completed"].increment(done)
 
     # -- views ------------------------------------------------------------
 
     @property
     def accepted(self) -> int:
-        return self.registry.counter("accepted").value
+        return self._accepted.value
 
     @property
     def rejected(self) -> int:
-        return self.registry.counter("rejected").value
+        return self._rejected.value
 
     @property
     def completed(self) -> int:
-        return self.registry.counter("completed").value
+        return self._completed.value
 
     @property
     def failed(self) -> int:
-        return self.registry.counter("failed").value
+        return self._failed.value
 
     @property
     def dispatch_failures(self) -> int:
-        return self.registry.counter("dispatch_failures").value
+        return self._dispatch_failures.value
 
     def shard_completed(self, shard_id: int) -> int:
-        return self.registry.counter(f"shard{shard_id}.completed").value
+        return self._shards[shard_id]["completed"].value
 
     def summary(self, elapsed: float | None = None) -> dict:
         """One JSON-ready dict: counts, latency tails, shard throughput.
@@ -145,23 +151,16 @@ class ServiceMetrics:
             "failed": self.failed,
             "dispatch_failures": self.dispatch_failures,
             "latency": {
-                name: self.registry.histogram(name).summary()
-                for name in ("queue_latency", "service_latency", "total_latency",
-                             "failed_wait")
+                "queue_latency": self._queue.summary(),
+                "service_latency": self._service.summary(),
+                "total_latency": self._total.summary(),
+                "failed_wait": self._failed_wait.summary(),
             },
-            "batch_size": self.registry.histogram("batch_size").summary(),
+            "batch_size": self._batch_size.summary(),
             "shards": {},
         }
-        for shard_id in range(self._num_shards):
-            shard: dict = {
-                "completed": self.shard_completed(shard_id),
-                "rejected": self.registry.counter(f"shard{shard_id}.rejected").value,
-                "batches": self.registry.counter(f"shard{shard_id}.batches").value,
-                "failed": self.registry.counter(f"shard{shard_id}.failed").value,
-                "dispatch_failures": self.registry.counter(
-                    f"shard{shard_id}.dispatch_failures"
-                ).value,
-            }
+        for shard_id, counters in enumerate(self._shards):
+            shard: dict = {name: c.value for name, c in counters.items()}
             if elapsed and elapsed > 0:
                 shard["throughput"] = shard["completed"] / elapsed
             out["shards"][shard_id] = shard

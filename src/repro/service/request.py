@@ -2,15 +2,15 @@
 
 A :class:`SampleRequest` asks for one uniform peer draw; the service
 answers with a :class:`SampleResponse` stamped with where the time went
-(queued vs. in service) and which shard served it.  Both are plain
-slotted dataclasses: the serving path creates one of each per request,
-so allocation cost matters at load-test scales.
+(queued vs. in service) and which shard served it.  Both are named
+tuples: immutable, and the serving path creates one of each per request,
+so they are built in one step rather than field by field.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..dht.api import PeerRef
 
@@ -25,8 +25,7 @@ class RequestStatus(enum.Enum):
     FAILED = "failed"  # dispatch kept dying under churn; retries exhausted
 
 
-@dataclass(frozen=True, slots=True)
-class SampleRequest:
+class SampleRequest(NamedTuple):
     """One single-sample request entering the service.
 
     ``key`` is the routing key consulted by hash-affinity policies
@@ -43,8 +42,7 @@ class SampleRequest:
         return self.key if self.key >= 0 else self.request_id
 
 
-@dataclass(frozen=True, slots=True)
-class SampleResponse:
+class SampleResponse(NamedTuple):
     """The service's answer, with latency attribution.
 
     ``queue_latency`` is time from arrival to batch dispatch;

@@ -54,7 +54,11 @@ class ShardRouter:
         self._next = 0  # round-robin cursor
 
     def route(self, request: SampleRequest) -> ShardWorker:
-        pool = [w for w in self.shards if getattr(w, "healthy", True)] or self.shards
+        shards = pool = self.shards
+        for w in shards:
+            if not getattr(w, "healthy", True):
+                pool = [s for s in shards if getattr(s, "healthy", True)] or shards
+                break
         if self.policy == "round-robin":
             shard = pool[self._next % len(pool)]
             self._next += 1

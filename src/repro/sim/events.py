@@ -5,28 +5,34 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled action.  Ordered by ``(time, seq)`` for determinism.
+    """A scheduled action, and the handle that cancels it.
 
-    Events are compared only on their schedule key, never on the action,
-    so two events at the same instant fire in scheduling order.
+    The queue orders events by ``(time, seq)``: two events at the same
+    instant fire in scheduling order.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Back-reference to the queue while the event sits in its heap, so
-    #: :meth:`cancel` can report the tombstone for lazy compaction.
-    #: Cleared when the event is popped (a post-pop cancel is a no-op
-    #: for queue accounting).
-    _queue: "EventQueue | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "seq", "action", "cancelled", "_queue")
+
+    def __init__(
+        self, time: float, seq: int, action: Callable[[], None], queue: "EventQueue | None"
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
+        #: The queue while the event sits in its heap, so :meth:`cancel`
+        #: can report the tombstone for lazy compaction.  Cleared when
+        #: the event is popped (a post-pop cancel is a no-op for queue
+        #: accounting).
+        self._queue = queue
+
+    def __repr__(self) -> str:
+        return f"Event(time={self.time!r}, seq={self.seq!r}, cancelled={self.cancelled!r})"
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it; cancelling is O(1)."""
@@ -41,13 +47,15 @@ class Event:
 class EventQueue:
     """A deterministic min-heap of :class:`Event` objects.
 
-    Cancelled events stay in the heap as O(1) tombstones, normally
-    discarded when they surface at the top.  A workload that cancels
-    far-future events faster than it drains them (every async RPC whose
-    reply lands before its timeout leaves one) would otherwise grow the
-    heap without bound, so the queue counts its tombstones and lazily
-    compacts -- filter plus re-heapify, O(heap) amortized against the
-    cancellations that earned it -- whenever they outnumber the live
+    Heap entries are ``(time, seq, event)`` tuples, so the heap compares
+    plain floats and ints (``seq`` is unique: no comparison reaches the
+    event).  Cancelled events stay in the heap as O(1) tombstones,
+    normally discarded when they surface at the top.  A workload that
+    cancels far-future events faster than it drains them (every async
+    RPC whose reply lands before its timeout leaves one) would otherwise
+    grow the heap without bound, so the queue counts its tombstones and
+    lazily compacts -- filter plus re-heapify, O(heap) amortized against
+    the cancellations that earned it -- whenever they outnumber the live
     events ``compact_factor`` to one.  The live count makes ``__len__``
     O(1) as a bonus.
 
@@ -62,21 +70,25 @@ class EventQueue:
     def __init__(self, compact_factor: float = 1.0) -> None:
         if compact_factor <= 0:
             raise ValueError("compact_factor must be positive")
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries.  Compaction filters this list
+        #: in place, so a caller may hold a reference to it.
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         #: Cancelled events still sitting in the heap.
         self._tombstones = 0
         self.compact_factor = compact_factor
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
-        event = Event(time=time, seq=next(self._seq), action=action, _queue=self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, action, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Next non-cancelled event, or None when the queue is drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             event._queue = None
             if not event.cancelled:
                 return event
@@ -85,10 +97,16 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._queue = None
+        self._discard_tombstones()
+        heap = self._heap
+        return heap[0][0] if heap else None
+
+    def _discard_tombstones(self) -> None:
+        """Pop the cancelled events at the top of the heap."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2]._queue = None
             self._tombstones -= 1
-        return self._heap[0].time if self._heap else None
 
     def _note_cancel(self) -> None:
         """Account one new tombstone, compacting when they dominate.
@@ -107,12 +125,12 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop every tombstone and restore the heap invariant."""
-        live = [e for e in self._heap if not e.cancelled]
-        for event in self._heap:
-            if event.cancelled:
-                event._queue = None
-        self._heap = live
-        heapq.heapify(self._heap)
+        heap = self._heap
+        for entry in heap:
+            if entry[2].cancelled:
+                entry[2]._queue = None
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._tombstones = 0
 
     @property

@@ -9,6 +9,7 @@ deterministic callbacks and RNG streams (see :mod:`repro.sim.rng`).
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -84,20 +85,32 @@ class Simulator:
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the queue, optionally stopping at time ``until`` (inclusive)
-        or after ``max_events`` events."""
+        or after ``max_events`` events.
+
+        Each due event is popped once: the loop reads the top of the
+        queue's heap (which compaction filters in place), discards
+        tombstones there, and pops a live event only when it is due.
+        """
+        queue = self._queue
+        heap = queue._heap
+        pop = heapq.heappop
         executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                return
-            next_time = self._queue.peek_time()
-            if next_time is None:
+        while max_events is None or executed < max_events:
+            if heap and heap[0][2].cancelled:
+                queue._discard_tombstones()
+            if not heap:
                 if until is not None:
                     self.now = max(self.now, until)
                 return
-            if until is not None and next_time > until:
+            time, _, event = heap[0]
+            if until is not None and time > until:
                 self.now = until
                 return
-            self.step()
+            pop(heap)
+            event._queue = None
+            self.now = time
+            self.events_executed += 1
+            event.action()
             executed += 1
 
     def run_for(self, duration: float) -> None:

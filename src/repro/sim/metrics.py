@@ -33,7 +33,19 @@ class Histogram:
     (Vitter's Algorithm R).  Reservoir replacement randomness defaults to
     a fixed-seed stream so metric summaries are reproducible run-to-run;
     pass ``rng`` to tie it to an experiment's seed registry instead.
+
+    :meth:`observe` only appends to a pending list of at most
+    ``PENDING`` values.  The list is folded into the aggregates and the
+    reservoir (:meth:`_fold`), in observation order, when it fills and
+    before every read, so every count, mean, extreme, percentile and
+    reservoir value -- and the state of ``rng`` -- is what observing
+    each value on arrival would give at that read.  ``rng`` is therefore
+    drawn from at a fold, not at each observation: pass a stream that
+    nothing else reads.
     """
+
+    #: Most observations held unfolded.
+    PENDING = 4096
 
     def __init__(
         self,
@@ -45,41 +57,76 @@ class Histogram:
         self._reservoir_size = reservoir_size
         self._rng = rng if rng is not None else random.Random(0)
         self._values: list[float] = []
+        self._pending: list[float] = []
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def observe(self, value: float) -> None:
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if self._reservoir_size is None or len(self._values) < self._reservoir_size:
-            self._values.append(value)
-        else:
-            # Algorithm R: keep each of the first i observations with
-            # probability reservoir_size / i.
-            j = self._rng.randrange(self._count)
-            if j < self._reservoir_size:
-                self._values[j] = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= self.PENDING:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Apply the pending observations, in order, as :meth:`observe`
+        once applied each on arrival.
+
+        The sum is added one value at a time (``sum()`` compensates float
+        sums from CPython 3.12 on, which would change the mean's bits),
+        and the extremes move only on a strict comparison, as a NaN
+        never moves them.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        total, low, high = self._sum, self._min, self._max
+        for value in pending:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._sum, self._min, self._max = total, low, high
+        values = self._values
+        size = self._reservoir_size
+        if size is None:
+            values.extend(pending)
+            self._count += len(pending)
+            return
+        room = max(size - len(values), 0)
+        values.extend(pending[:room])
+        count = self._count + min(room, len(pending))
+        # Algorithm R: keep each of the first i observations with
+        # probability reservoir_size / i.
+        randrange = self._rng.randrange
+        for value in pending[room:]:
+            count += 1
+            j = randrange(count)
+            if j < size:
+                values[j] = value
+        self._count = count
 
     @property
     def count(self) -> int:
+        self._fold()
         return self._count
 
     @property
     def mean(self) -> float:
+        self._fold()
         return self._sum / self._count if self._count else 0.0
 
     @property
     def minimum(self) -> float:
+        self._fold()
         return self._min if self._count else 0.0
 
     @property
     def maximum(self) -> float:
+        self._fold()
         return self._max if self._count else 0.0
 
     def percentile(self, q: float) -> float:
@@ -90,6 +137,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be within [0, 100]")
+        self._fold()
         return self._nearest_rank(sorted(self._values), q)
 
     def quantile(self, q: float) -> float:
@@ -101,6 +149,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be within [0, 1]")
+        self._fold()
         return self._nearest_rank(sorted(self._values), q * 100.0)
 
     @staticmethod
@@ -116,6 +165,7 @@ class Histogram:
         Sorts the stored values once and indexes all four percentiles
         from that one ordering.
         """
+        self._fold()
         ordered = sorted(self._values)
         return {
             "count": self.count,
@@ -131,6 +181,7 @@ class Histogram:
     @property
     def values(self) -> list[float]:
         """The stored observations (the reservoir sample when bounded)."""
+        self._fold()
         return list(self._values)
 
 

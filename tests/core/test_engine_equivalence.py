@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro import BatchSampler, ChordNetwork, IdealDHT, RandomPeerSampler
 from repro.core.engine import _WALK_SLAB
+from repro.core.errors import SamplingError
+from repro.core.sampler import TrialOutcome
 from repro.dht.api import PeerUnreachableError
 
 
@@ -294,3 +296,106 @@ def test_a_large_call_leaves_at_most_one_slab_classified(substrate):
         assert block is None or len(block.points) - block.cursor <= _WALK_SLAB
     assert drawn == scalar_draws(twin, engine.params, 6, len(drawn))
     assert batched.cost.snapshot() == twin.cost.snapshot()
+
+
+class _ChunkRecorder:
+    """An engine tracer that records each chunk while ``active`` is set."""
+
+    def __init__(self):
+        self.active = False
+        self.rounds = []
+
+    def on_round(self, index, trials, successes, cost=None):
+        self.rounds.append((index, trials, successes, cost))
+
+
+def _one_scalar_draw(reference: ScalarReference, budget: int):
+    """The scalar loop's next draw within ``budget`` trials: ``(result,
+    trials)``, with ``result`` None when no trial succeeded."""
+    for trials in range(1, budget + 1):
+        try:
+            result = reference.sampler.trial(1.0 - reference.rng.random())
+        except PeerUnreachableError:
+            continue
+        if result.peer is not None:
+            return result, trials
+    return None, budget
+
+
+def _per_call(dht):
+    """No walk view: every trial runs on its own (no block is classified)."""
+    dht.walk_view = lambda: None
+    return dht
+
+
+#: substrate name -> builder(seed, n) for one-draw calls; the crashed
+#: ring's lookups fail and its walks leave their certified runs, so
+#: blocks hold uncertified rows.
+ONE_DRAW = {
+    **{name: SUBSTRATES[name] for name in ("ideal", "chord-table", "chord-crashed")},
+    "chord-per-call": lambda seed, n: _per_call(_chord(seed, n, warm=True)),
+}
+
+
+@pytest.mark.parametrize("substrate", sorted(ONE_DRAW))
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    estimate=st.sampled_from([0.25, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    max_trials=st.sampled_from([1, 2, 5, 10_000]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("none", "none", "refresh") + tuple(sorted(RING_OPS))),
+            st.booleans(),
+            st.integers(min_value=0, max_value=2**16),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_one_draw_calls_draw_the_scalar_sequence(substrate, n, estimate, seed, max_trials, steps):
+    # What a served request runs: sample_many_attributed(1), call after
+    # call.  A small max_trials cuts a chunk at the call's budget (the
+    # call then raises, as the scalar loop gives up); a traced call
+    # reports each chunk.  An underestimate of n widens lambda, so more
+    # draws come from walk hits.
+    make = ONE_DRAW[substrate]
+    batched, twin = make(seed, n), make(seed, n)
+    tracer = _ChunkRecorder()
+    engine = BatchSampler(
+        batched,
+        n_hat=max(1.0, estimate * n),
+        rng=random.Random(seed),
+        max_trials=max_trials,
+        tracer=tracer,
+    )
+    reference = ScalarReference(twin, engine.params, seed)
+    for op, traced, pick in steps:
+        if op == "refresh":
+            n_hat = max(1.0, n * (0.5 + pick % 5 / 2))
+            engine.refresh(n_hat)
+            reference.sampler.refresh(n_hat)
+        elif op in RING_OPS and substrate != "ideal":
+            RING_OPS[op](batched, pick)
+            RING_OPS[op](twin, pick)
+        tracer.active = traced
+        tracer.rounds.clear()
+        before = twin.cost.snapshot()
+        expected, trials = _one_scalar_draw(reference, max_trials)
+        if expected is None:
+            with pytest.raises(SamplingError):
+                engine.sample_many_attributed(1)
+        else:
+            result = engine.sample_many_attributed(1)
+            assert result.peers == (expected.peer,)
+            assert result.trials == trials
+            assert result.walk_hits == int(expected.outcome is TrialOutcome.WALK_HIT)
+            assert result.cost == twin.cost.snapshot() - before
+            if traced:
+                assert len(tracer.rounds) == result.rounds
+                assert sum(r[1] for r in tracer.rounds) == trials
+                assert sum(r[2] for r in tracer.rounds) == 1
+        assert batched.cost.snapshot() == twin.cost.snapshot()
+        if not traced:
+            assert tracer.rounds == []

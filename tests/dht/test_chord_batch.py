@@ -654,6 +654,91 @@ class TestRouteTable:
         assert table_reads == ([60] if not crashes else [])
 
 
+def _entry_failover(dht):
+    dht._network.crash_node(dht.entry_id)
+    dht.refresh_entry()  # what the next lookup does
+
+
+#: Changes after which a warmed adapter's replay key must change: a new
+#: key object, or None where replay is refused.
+KEY_CHANGES = {
+    "stabilize-writes-a-row": lambda dht: dht._network.stabilize_round(),
+    "join": STALE["join"],
+    "crash": STALE["crash"],
+    "entry-failover": _entry_failover,
+    "entry-moved": STALE["entry-moved"],
+    "active-fault": lambda dht: _install_faults(dht._network),
+    "liar": lambda dht: _install_adversary(dht._network),
+}
+
+
+class TestReplayKey:
+    """``replay_key()`` recomputes the key on every call and hands back
+    the previous key object while nothing it names has changed."""
+
+    def test_a_warmed_ring_keeps_one_key_object(self):
+        net = ChordNetwork.build(64, m=16, rng=random.Random(91))
+        dht = net.dht()
+        engine = BatchSampler(dht, n_hat=64.0, rng=random.Random(92))
+        assert engine.warm()
+        key = dht.replay_key()
+        assert key is not None and key[0] is dht.walk_view()
+        for _ in range(40):
+            engine.sample_many_attributed(1)
+            assert dht.replay_key() is key
+        assert engine._block.key is key
+
+    @pytest.mark.parametrize("change", sorted(KEY_CHANGES))
+    def test_every_change_it_names_gives_a_new_key(self, change):
+        # Built unstabilized, so a maintenance round writes rows.
+        net = ChordNetwork.build(48, m=16, rng=random.Random(93), perfect=False)
+        dht = net.dht()
+        assert dht.warm_lockstep()
+        key = dht.replay_key()
+        assert key is not None and dht.replay_key() is key
+        patches = net.snapshot().patches
+        KEY_CHANGES[change](dht)
+        if change == "stabilize-writes-a-row":
+            assert net.snapshot().patches > patches
+        after = dht.replay_key()
+        assert after is not key
+        if after is None:
+            assert change in ("active-fault", "liar")
+        else:
+            assert after != key
+            assert dht.replay_key() is after
+            if change == "entry-moved":
+                assert after[0] is key[0]  # the same view: only the entry moved
+
+    @pytest.mark.parametrize(
+        "transport",
+        [{"loss_rate": 0.05}, {"latency": UniformLatency(0.5, 1.5)}],
+        ids=["lossy", "stochastic-latency"],
+    )
+    def test_refused_transports_have_no_key(self, transport):
+        net = ChordNetwork.build(32, m=16, rng=random.Random(94), **transport)
+        dht = net.dht()
+        assert dht.replay_key() is None
+        assert not dht.warm_lockstep()
+        assert dht.replay_key() is None
+
+    def test_without_walk_view_forces_per_call_walks(self):
+        dht_a, dht_b = build_twins(95, n=48)
+        for dht in (dht_a, dht_b):
+            assert dht.warm_lockstep()
+        assert dht_b.replay_key() is not None
+        without_walk_view(dht_b)
+        assert dht_b.replay_key() is None
+        calls_a, calls_b = count_next(dht_a), count_next(dht_b)
+        engine_a = BatchSampler(dht_a, n_hat=48.0, rng=random.Random(96))
+        engine_b = BatchSampler(dht_b, params=engine_a.params, rng=random.Random(96))
+        drawn_a = [p for _ in range(30) for p in engine_a.sample_many(1)]
+        drawn_b = [p for _ in range(30) for p in engine_b.sample_many(1)]
+        assert drawn_a == drawn_b
+        assert_walk_charges_equal(dht_a, dht_b)
+        assert not calls_a and calls_b
+
+
 class TestEligibility:
     def test_lossy_transport_disables_lockstep(self):
         net = ChordNetwork.build(16, m=16, rng=random.Random(31), loss_rate=0.2)

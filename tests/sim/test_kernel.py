@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
@@ -63,7 +65,8 @@ class TestEventQueue:
             q.push(1_000.0 + i, lambda: None).cancel()
             assert q.raw_size <= 2 * len(q) + 1
         assert len(q) == 8
-        assert sorted(e.seq for e in q._heap if not e.cancelled) == sorted(
+        # Heap entries are (time, seq, event) tuples.
+        assert sorted(e.seq for _, _, e in q._heap if not e.cancelled) == sorted(
             e.seq for e in live
         )
 
@@ -227,3 +230,114 @@ class TestSimulator:
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert sim.events_executed == 2
+
+
+class _Reference:
+    """The kernel's contract as a sorted list: events fire in
+    ``(time, scheduling order)``, ``run`` stops after ``max_events`` or at
+    the first event past ``until``, and a cancelled event never fires."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.executed = 0
+        self.seq = 0
+        self.queue = []  # [time, seq, label, spawn, cancelled]
+        self.fired = []
+
+    def schedule_at(self, time, label, spawn):
+        entry = [time, self.seq, label, spawn, False]
+        self.seq += 1
+        self.queue.append(entry)
+        return entry
+
+    def _next(self):
+        live = [e for e in self.queue if not e[4]]
+        return min(live, key=lambda e: (e[0], e[1])) if live else None
+
+    def step(self):
+        entry = self._next()
+        if entry is None:
+            return False
+        self.queue.remove(entry)
+        self.now = entry[0]
+        self.executed += 1
+        self.fired.append(entry[2])
+        if entry[3] is not None:
+            self.schedule_at(self.now + entry[3], entry[2] + 1000, None)
+        return True
+
+    def run(self, until=None, max_events=None):
+        done = 0
+        while max_events is None or done < max_events:
+            entry = self._next()
+            if entry is None:
+                if until is not None:
+                    self.now = max(self.now, until)
+                return
+            if until is not None and entry[0] > until:
+                self.now = until
+                return
+            self.step()
+            done += 1
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0])
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _TIMES, st.none() | _TIMES),
+    st.tuples(st.just("schedule_at"), _TIMES, st.none() | _TIMES),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until"), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 10.0])),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("drain")),
+)
+
+
+class TestEventOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=40))
+    def test_actions_fire_in_time_then_scheduling_order(self, ops):
+        # Equal times are common (the sampled offsets repeat), so ties
+        # must break by scheduling order; an action may schedule a
+        # follow-up, which joins the queue mid-run.
+        sim, ref = Simulator(), _Reference()
+        fired, handles, entries = [], [], []
+
+        def action(label, spawn):
+            def fire():
+                fired.append(label)
+                if spawn is not None:
+                    sim.schedule(spawn, action(label + 1000, None))
+            return fire
+
+        for op in ops:
+            kind = op[0]
+            if kind in ("schedule", "schedule_at"):
+                label = len(handles)
+                offset, spawn = op[1], op[2]
+                if kind == "schedule":
+                    handles.append(sim.schedule(offset, action(label, spawn)))
+                    entries.append(ref.schedule_at(ref.now + offset, label, spawn))
+                else:
+                    handles.append(sim.schedule_at(sim.now + offset, action(label, spawn)))
+                    entries.append(ref.schedule_at(ref.now + offset, label, spawn))
+            elif kind == "cancel" and handles:
+                i = op[1] % len(handles)
+                handles[i].cancel()
+                entries[i][4] = True
+            elif kind == "step":
+                assert sim.step() == ref.step()
+            elif kind == "until":
+                until = ref.now + op[1]
+                sim.run(until=until)
+                ref.run(until=until)
+            elif kind == "max_events":
+                sim.run(max_events=op[1])
+                ref.run(max_events=op[1])
+            elif kind == "drain":
+                sim.run()
+                ref.run()
+            assert fired == ref.fired
+            assert sim.now == ref.now
+            assert sim.events_executed == ref.executed
+            assert sim.pending == sum(1 for e in ref.queue if not e[4])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import metrics as metrics_mod
 from repro.sim.metrics import Counter, Histogram, MetricsRegistry
@@ -128,6 +131,132 @@ class TestHistogramReservoir:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             Histogram(reservoir_size=0)
+
+
+class EagerHistogram:
+    """The fold's reference: every observation applied on arrival, as
+    ``Histogram.observe`` did before it deferred to a pending list."""
+
+    def __init__(self, reservoir_size=None):
+        self.size = reservoir_size
+        self.rng = random.Random(0)
+        self.values: list[float] = []
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if self.size is None or len(self.values) < self.size:
+            self.values.append(value)
+        else:
+            j = self.rng.randrange(self.count)
+            if j < self.size:
+                self.values[j] = value
+
+    def reads(self, q: float) -> dict:
+        """What every read of a ``Histogram`` returns, from this state."""
+        ordered = sorted(self.values)
+        count = self.count
+
+        def rank(p):
+            return ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1] if ordered else 0.0
+
+        mean = self.sum / count if count else 0.0
+        low, high = (self.min, self.max) if count else (0.0, 0.0)
+        return {
+            "count": count,
+            "mean": mean,
+            "minimum": low,
+            "maximum": high,
+            "values": list(self.values),
+            "percentile": rank(q),
+            "quantile": rank(q / 100.0 * 100.0),
+            "summary": {
+                "count": count, "mean": mean, "min": low, "max": high,
+                "p50": rank(50.0), "p95": rank(95.0), "p99": rank(99.0), "p999": rank(99.9),
+            },
+        }
+
+
+def histogram_reads(h: Histogram, q: float) -> dict:
+    return {
+        "count": h.count,
+        "mean": h.mean,
+        "minimum": h.minimum,
+        "maximum": h.maximum,
+        "values": h.values,
+        "percentile": h.percentile(q),
+        "quantile": h.quantile(q / 100.0),
+        "summary": h.summary(),
+    }
+
+
+def bits(reads):
+    """Floats by their bits (``-0.0`` is not ``0.0``, a NaN equals itself)."""
+    if isinstance(reads, float):
+        return reads.hex()
+    if isinstance(reads, dict):
+        return {k: bits(v) for k, v in reads.items()}
+    if isinstance(reads, list):
+        return [bits(v) for v in reads]
+    return reads
+
+
+READS = ("count", "mean", "minimum", "maximum", "values", "percentile", "quantile", "summary")
+
+
+class TestHistogramFold:
+    """Observations wait in a bounded pending list and are folded in
+    order; every read must see what eager observation gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        reservoir=st.sampled_from([None, 1, 2, 8, 64]),
+        bound=st.integers(min_value=1, max_value=9),
+        ops=st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                st.sampled_from(READS),
+            ),
+            max_size=300,
+        ),
+        q=st.sampled_from([0.0, 1.0, 33.3, 50.0, 95.0, 99.0, 99.9, 100.0]),
+    )
+    def test_every_read_equals_eager_observation(self, reservoir, bound, ops, q):
+        # A small bound makes the observes cross it many times per example.
+        Bounded = type("Bounded", (Histogram,), {"PENDING": bound})
+        folded, eager = Bounded(reservoir_size=reservoir), EagerHistogram(reservoir)
+        for op in ops:
+            if isinstance(op, float):
+                folded.observe(op)
+                eager.observe(op)
+                assert len(folded._pending) < bound
+            else:
+                assert bits(histogram_reads(folded, q)[op]) == bits(eager.reads(q)[op])
+        assert bits(histogram_reads(folded, q)) == bits(eager.reads(q))
+        assert folded._sum.hex() == eager.sum.hex()
+        assert folded._rng.getstate() == eager.rng.getstate()
+
+    def test_the_default_bound_folds_as_eager_observation(self):
+        folded, eager = Histogram(reservoir_size=64), EagerHistogram(64)
+        rng = random.Random(5)
+        for i in range(3 * Histogram.PENDING + 17):
+            value = rng.expovariate(1.0)
+            folded.observe(value)
+            eager.observe(value)
+            if i == Histogram.PENDING + 100:
+                assert folded.values == eager.values
+        assert 0 < len(folded._pending) < Histogram.PENDING
+        assert bits(histogram_reads(folded, 99.0)) == bits(eager.reads(99.0))
+        assert folded._rng.getstate() == eager.rng.getstate()
 
 
 class TestMetricsRegistry:
